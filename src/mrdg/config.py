@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from .grids import MAX_LEVEL
 from .problems import REGISTRY
 
 
@@ -56,40 +57,21 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "RunConfig":
-        known = {
-            "problem", "ndim", "k", "n", "m", "variant", "mode", "t_final",
-            "cfl", "sigma", "eps", "n_values", "eps_values", "snapshots",
-            "slice_points", "init_n",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-        problem = raw.get("problem", "cosine-periodic")
-        if problem not in REGISTRY:
-            raise ValueError(f"unknown problem {problem!r}; choices: {sorted(REGISTRY)}")
         ndim = int(raw.get("ndim", 2))
         k = int(raw.get("k", 1))
         n = int(raw.get("n", 4))
-        m = int(raw.get("m", k + 1))
-        variant = raw.get("variant", "interface")
-        if variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}")
-        mode = raw.get("mode", "sparse")
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if not 1 <= ndim <= 3:
-            raise ValueError("ndim must be 1, 2, or 3")
-        if k < 1 or n < 1 or m < 1:
-            raise ValueError("k, n, m must be positive")
-        return cls(
-            problem=problem,
+        cfg = cls(
+            problem=raw.get("problem", "cosine-periodic"),
             ndim=ndim,
             k=k,
             n=n,
-            m=m,
-            variant=variant,
-            mode=mode,
+            m=int(raw.get("m", k + 1)),
+            variant=raw.get("variant", "interface"),
+            mode=raw.get("mode", "sparse"),
             t_final=float(raw.get("t_final", 0.1)),
             cfl=float(raw.get("cfl", 0.1 if ndim <= 2 else 0.05)),
             sigma=float(raw.get("sigma", 10.0 if ndim <= 2 else 30.0)),
@@ -100,6 +82,31 @@ class RunConfig:
             slice_points=int(raw.get("slice_points", 64)),
             init_n=int(raw.get("init_n", 0)) or min(4, n),
         )
+        # comparisons are written so that nan fails them
+        if cfg.problem not in REGISTRY:
+            raise ValueError(f"unknown problem {cfg.problem!r}; choices: {sorted(REGISTRY)}")
+        if cfg.variant not in _VARIANTS:
+            raise ValueError(f"variant must be one of {_VARIANTS}")
+        if cfg.mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}")
+        if not 1 <= ndim <= 3:
+            raise ValueError("ndim must be 1, 2, or 3")
+        if k < 1:
+            raise ValueError("k must be positive")
+        if not all(1 <= v <= MAX_LEVEL for v in (n,) + cfg.n_values):
+            raise ValueError(f"n and n_values must be in 1..{MAX_LEVEL}")
+        if not 1 <= cfg.m <= 5:
+            raise ValueError(f"m must be in 1..5 (it defaults to k + 1), got {cfg.m}")
+        if not cfg.cfl > 0:
+            raise ValueError(f"cfl must be > 0, got {cfg.cfl:g}")
+        if not cfg.t_final >= 0:
+            raise ValueError(f"t_final must be >= 0, got {cfg.t_final:g}")
+        if not all(e > 0 for e in (cfg.eps,) + cfg.eps_values):
+            raise ValueError("eps and eps_values must be > 0")
+        if cfg.slice_points < 1:
+            raise ValueError(f"slice_points must be >= 1, got {cfg.slice_points}")
+        REGISTRY[cfg.problem](ndim)  # raises ValueError when ndim is unsupported
+        return cfg
 
     def echo_lines(self) -> list[str]:
         """Canonical `key = value` rendering of every resolved field."""
@@ -111,12 +118,7 @@ class RunConfig:
                 return f"{v:g}"
             return str(v)
 
-        fields = [
-            "problem", "ndim", "k", "n", "m", "variant", "mode", "t_final",
-            "cfl", "sigma", "eps", "n_values", "eps_values", "snapshots",
-            "slice_points", "init_n",
-        ]
-        return [f"{name} = {show(getattr(self, name))}" for name in fields]
+        return [f"{f.name} = {show(getattr(self, f.name))}" for f in fields(self)]
 
 
 def load_config(path: str, overrides: list[str] = ()) -> RunConfig:

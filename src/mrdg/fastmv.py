@@ -24,13 +24,13 @@ import numpy as np
 
 from .alpert import legendre_values, project_1d
 from .grids import AdaptiveGrid, num_cells
-from .interp import InterpBasis1D
+from .interp import make_interp_basis
 from .operators1d import FamilySpec, Operator1D, lu_split
 
 Level = tuple[int, ...]
 
 _UPPERISH = {"upper", "strictly-upper", "diag"}
-_LOWERISH = {"lower", "unit-lower", "strictly-lower", "diag"}
+_LOWERISH = {"lower", "unit-lower", "diag"}
 
 
 @dataclass
@@ -46,9 +46,6 @@ class CoeffSet:
 
     def copy(self) -> "CoeffSet":
         return CoeffSet(self.p, {lv: a.copy() for lv, a in self.data.items()})
-
-    def zero_like(self) -> "CoeffSet":
-        return CoeffSet(self.p, {lv: np.zeros_like(a) for lv, a in self.data.items()})
 
     def scale(self, alpha: float) -> "CoeffSet":
         for a in self.data.values():
@@ -73,16 +70,6 @@ class CoeffSet:
 
     def norm2(self) -> float:
         return sum(float(np.vdot(a, a)) for a in self.data.values())
-
-    def norm(self) -> float:
-        return np.sqrt(self.norm2())
-
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.data.values())
-
-    def block(self, level: Level, cells: tuple[int, ...]) -> np.ndarray:
-        """View of one element's (p_1, ..., p_d) coefficient block."""
-        return self.data[level][cells]
 
     def finite(self) -> bool:
         return all(np.isfinite(a).all() for a in self.data.values())
@@ -269,43 +256,29 @@ def project_separable(
     `terms` is an iterable of d-tuples of 1D callables.  Separability makes
     the multi-D projection an outer product of 1D projections per level.
     """
+    vec_terms = [tuple(project_1d(f, k, n) for f in fs) for fs in terms]
+    return separable_from_vectors(space, vec_terms, FamilySpec("alpert", k, n))
+
+
+def separable_from_vectors(
+    space: TensorSpace, terms: list[tuple[np.ndarray, ...]], fam: FamilySpec
+) -> CoeffSet:
+    """Sum over terms of the outer product of per-dimension 1D coefficient vectors."""
     d = space.ndim
-    p = (k + 1,) * d
-    out = space.zeros(p)
-    for fs in terms:
-        c1d = [project_1d(f, k, n) for f in fs]
-        fam = FamilySpec("alpert", k, n)
+    p = fam.p
+    # interleaved (c,p,c,p,...) -> (c...,p...)
+    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
+    out = space.zeros((p,) * d)
+    for vecs in terms:
         for lv in space.levels:
             factors = [
-                c1d[m][fam.level_slice(lv[m])].reshape(num_cells(lv[m]), k + 1)
+                vecs[m][fam.level_slice(lv[m])].reshape(num_cells(lv[m]), p)
                 for m in range(d)
             ]
             block = factors[0]
             for fac in factors[1:]:
                 block = np.multiply.outer(block, fac)
-            # interleaved (c,p,c,p,...) -> (c...,p...)
-            perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
             out.data[lv] += block.transpose(perm)
-    return space.mask(out)
-
-
-def separable_from_vectors(
-    space: TensorSpace, vecs: list[np.ndarray], fam: FamilySpec
-) -> CoeffSet:
-    """Assemble the outer product of per-dimension 1D coefficient vectors."""
-    d = space.ndim
-    p = fam.p
-    out = space.zeros((p,) * d)
-    for lv in space.levels:
-        factors = [
-            vecs[m][fam.level_slice(lv[m])].reshape(num_cells(lv[m]), p)
-            for m in range(d)
-        ]
-        block = factors[0]
-        for fac in factors[1:]:
-            block = np.multiply.outer(block, fac)
-        perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-        out.data[lv] += block.transpose(perm)
     return space.mask(out)
 
 
@@ -360,18 +333,11 @@ def eval_on_lattice(
 
 @lru_cache(maxsize=None)
 def _node_grid_cached(m: int, variant: str, level: int):
-    from .interp import make_interp_basis
-
-    basis = make_interp_basis(m, variant)
-    return node_grid(basis, level)
-
-
-def node_grid(basis: InterpBasis1D, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates and side tags of one level's nodes, shaped (cells, p)."""
-    p = basis.m + 1
+    basis = make_interp_basis(m, variant)
     nc = num_cells(level)
-    coords = np.empty((nc, p))
-    sides = np.empty((nc, p), dtype=int)
+    coords = np.empty((nc, m + 1))
+    sides = np.empty((nc, m + 1), dtype=int)
     for c in range(nc):
         for i, (x, s) in enumerate(basis.nodes_for(level, c)):
             coords[c, i] = x

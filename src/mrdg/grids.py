@@ -23,11 +23,14 @@ Level = tuple[int, ...]
 Cell = tuple[int, ...]
 Key = tuple[Level, Cell]
 
-# Packed keys use fixed-width bitfields; 4 bits of level and 12 bits of cell
-# per dimension bound usable levels by 2^(15-1) cells, far past any desk run.
+# Packed keys use fixed-width bitfields: 4 bits of level and 12 bits of cell
+# per dimension.  Level l owns 2^(l-1) cells, so the cell field caps usable
+# levels at MAX_LEVEL = 13; a level-14 cell index would spill into the level
+# bits and alias another key.
 _LEVEL_BITS = 4
 _CELL_BITS = 12
 _DIM_BITS = _LEVEL_BITS + _CELL_BITS
+MAX_LEVEL = _CELL_BITS + 1
 
 
 def num_cells(level: int) -> int:
@@ -62,7 +65,9 @@ def validate_key(key: Key) -> None:
     if len(levels) != len(cells):
         raise ValueError(f"level/cell rank mismatch: {key}")
     for l, j in zip(levels, cells):
-        if l < 0 or j < 0 or j >= num_cells(l):
+        if not 0 <= l <= MAX_LEVEL:
+            raise ValueError(f"level out of range 0..{MAX_LEVEL}: level {levels}")
+        if j < 0 or j >= num_cells(l):
             raise ValueError(f"cell index out of range: level {levels}, cell {cells}")
 
 
@@ -184,9 +189,6 @@ class AdaptiveGrid:
                 for lv, idx in sorted(by_level.items())
             }
         return self._level_view
-
-    def level_set(self) -> frozenset[Level]:
-        return frozenset(self.levels().keys())
 
     def max_level_sum(self) -> int:
         return max(sum(lv) for lv in self.levels())

@@ -107,6 +107,21 @@ class SchemeConfig:
         return 2.0 ** (-self.n_max)
 
 
+def _on_level(per_dim: list[np.ndarray], shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Broadcast per-dimension (cells, p) node arrays to a level's block shape.
+
+    `shape` is (cells_1, ..., cells_d, p_1, ..., p_d); dimension m's array
+    varies along axes m and d + m only.
+    """
+    d = len(per_dim)
+    out = []
+    for m, arr in enumerate(per_dim):
+        axshape = [1] * (2 * d)
+        axshape[m], axshape[d + m] = arr.shape
+        out.append(np.broadcast_to(arr.reshape(axshape), shape))
+    return out
+
+
 def _elementwise_mul(cs: CoeffSet, values: dict) -> CoeffSet:
     for lv, arr in cs.data.items():
         arr *= values[lv]
@@ -208,22 +223,15 @@ class WaveOperator:
         for kk in stale:
             del self._cval_cache[kk]
         cfg = self.cfg
-        d = cfg.ndim
         vals = {}
         for lv in space.levels:
             coords, sides = node_lattice(cfg.m, cfg.variant, lv)
+            if force is not None:
+                m, side = force
+                inner = (coords[m] > 0.0) & (coords[m] < 1.0)
+                sides[m] = np.where(inner, side, sides[m])
             shape = space.cell_counts[lv] + tuple(self.p_i)
-            xs, ss = [], []
-            for m in range(d):
-                axshape = [1] * (2 * d)
-                axshape[m] = coords[m].shape[0]
-                axshape[d + m] = coords[m].shape[1]
-                xs.append(np.broadcast_to(coords[m].reshape(axshape), shape))
-                sarr = sides[m]
-                if force is not None and force[0] == m:
-                    inner = (coords[m] > 0.0) & (coords[m] < 1.0)
-                    sarr = np.where(inner, force[1], sides[m])
-                ss.append(np.broadcast_to(sarr.reshape(axshape), shape))
+            xs, ss = _on_level(coords, shape), _on_level(sides, shape)
             vals[lv] = np.asarray(cfg.csq(xs, ss), dtype=float)
         self._cval_cache[key] = vals
         return vals
@@ -300,19 +308,11 @@ def sample_at_nodes(
     space: TensorSpace, m: int, variant: str, fn: Callable
 ) -> CoeffSet:
     """Values of an analytic function at every active element's node tuple."""
-    d = space.ndim
-    p = (m + 1,) * d
+    p = (m + 1,) * space.ndim
     out = space.zeros(p)
     for lv in space.levels:
         coords, _sides = node_lattice(m, variant, lv)
-        shape = space.cell_counts[lv] + p
-        xs = []
-        for dim in range(d):
-            axshape = [1] * (2 * d)
-            axshape[dim] = coords[dim].shape[0]
-            axshape[d + dim] = coords[dim].shape[1]
-            xs.append(np.broadcast_to(coords[dim].reshape(axshape), shape))
-        out.data[lv][...] = fn(*xs)
+        out.data[lv][...] = fn(*_on_level(coords, space.cell_counts[lv] + p))
     return space.mask(out)
 
 

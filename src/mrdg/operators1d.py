@@ -15,7 +15,7 @@ output level >= input level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +33,6 @@ _TAGS = (
     "diag",
     "lower",
     "unit-lower",
-    "strictly-lower",
     "upper",
     "strictly-upper",
     "general",
@@ -103,16 +102,11 @@ class Operator1D:
             return range(in_level, in_level + 1)
         if self.tag in ("lower", "unit-lower"):
             return range(in_level, n + 1)
-        if self.tag == "strictly-lower":
-            return range(in_level + 1, n + 1)
         if self.tag == "upper":
             return range(0, in_level + 1)
         if self.tag == "strictly-upper":
             return range(0, in_level)
         return range(0, n + 1)
-
-    def scaled(self, factor: float) -> "Operator1D":
-        return replace(self, mat=factor * self.mat)
 
 
 def lu_split(op: Operator1D) -> tuple[Operator1D, Operator1D]:

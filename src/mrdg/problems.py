@@ -44,10 +44,6 @@ class Problem:
     int_exact_sq: Callable | None = None  # t -> float
     exact_fn: Callable | None = None  # t -> pointwise callable
 
-    @property
-    def has_l2_reference(self) -> bool:
-        return self.exact_terms is not None
-
 
 def _cospi(a: float, scale: float = 1.0):
     return lambda x: scale * np.cos(a * np.pi * x)

@@ -11,7 +11,6 @@ from .adapt import coarsen, refine
 from .config import RunConfig
 from .diagnostics import (
     RunRecord,
-    center_lattice,
     dof_rates,
     eps_rates,
     l2_error,
@@ -72,13 +71,11 @@ def _dirichlet_spatial(space, dd: DirichletData, cfg: RunConfig, csq: Coefficien
     h = 2.0**-cfg.n
     sign = 1.0 if dd.side == 0 else -1.0
     face_vec = sign * csq.constant * der + (cfg.sigma / h) * val
-    vecs = []
-    for j in range(cfg.ndim):
-        if j == dd.dim:
-            vecs.append(face_vec)
-        else:
-            vecs.append(project_1d(dd.profiles[j], cfg.k, cfg.n))
-    return separable_from_vectors(space, vecs, fam)
+    vecs = tuple(
+        face_vec if j == dd.dim else project_1d(dd.profiles[j], cfg.k, cfg.n)
+        for j in range(cfg.ndim)
+    )
+    return separable_from_vectors(space, [vecs], fam)
 
 
 def build_sources(space: TensorSpace, prob: Problem, cfg: RunConfig) -> list[SourceTerm]:
@@ -105,7 +102,7 @@ def _snapshot(result: RunResult, cfg: RunConfig, space, state, grid, t: float):
     result.centers.append((t, grid.dump_centers()))
 
 
-def _finish(result, cfg, prob, space, state, record):
+def _finish(cfg, prob, space, state, record):
     if prob.exact_terms is not None:
         record.l2 = l2_error(
             space,
@@ -119,9 +116,6 @@ def _finish(result, cfg, prob, space, state, record):
         record.linf = linf_error(
             space, state.u, cfg.k, cfg.n, prob.exact_fn(record.t_final)
         )
-    record.dof = space.dof_count((cfg.k + 1,) * cfg.ndim)
-    record.num_elements = space.n_active
-    return result
 
 
 def _targets(cfg: RunConfig) -> list[float]:
@@ -129,49 +123,6 @@ def _targets(cfg: RunConfig) -> list[float]:
     if cfg.t_final > 0 and (not times or times[-1] < cfg.t_final):
         times.append(cfg.t_final)
     return times
-
-
-def run(cfg: RunConfig, prob: Problem | None = None) -> RunResult:
-    """Execute one configuration end to end."""
-    prob = prob if prob is not None else make_problem(cfg.problem, cfg.ndim)
-    if cfg.mode == "adaptive":
-        return _run_adaptive(cfg, prob)
-    return _run_fixed(cfg, prob)
-
-
-def _run_fixed(cfg: RunConfig, prob: Problem) -> RunResult:
-    if cfg.mode == "full":
-        grid = AdaptiveGrid.full(cfg.ndim, cfg.n, block=cfg.k + 1)
-    else:
-        grid = AdaptiveGrid.sparse(cfg.ndim, cfg.n)
-    space = TensorSpace(grid)
-    wop = WaveOperator(scheme_config(cfg, prob))
-    state = initial_state(space, prob, cfg.k, cfg.n)
-    rhs = make_rhs(wop, space, build_sources(space, prob, cfg))
-    scheme = scheme_for(cfg.k)
-    dt = compute_dt(effective_cfl(cfg.cfl, cfg.k), cfg.n, prob.c_max)
-
-    record = RunRecord(dof=0, num_elements=0, t_final=cfg.t_final)
-    result = RunResult(cfg, record)
-    record.energy.append((0.0, wop.energy(space, state.u, state.w)))
-    t, step = 0.0, 0
-    try:
-        for target in _targets(cfg):
-            while t < target - 1e-12:
-                h = min(dt, target - t)
-                state = scheme.step(rhs, t, h, state)
-                t, step = t + h, step + 1
-                if not state.finite():
-                    raise InstabilityError(step, t)
-            record.energy.append((t, wop.energy(space, state.u, state.w)))
-            _snapshot(result, cfg, space, state, grid, t)
-    except InstabilityError as bad:
-        record.aborted_step = bad.step
-        record.l2 = math.inf
-        record.dof = space.dof_count((cfg.k + 1,) * cfg.ndim)
-        record.num_elements = space.n_active
-        return result
-    return _finish(result, cfg, prob, space, state, record)
 
 
 def initial_adaptive_grid(cfg: RunConfig, prob: Problem):
@@ -186,11 +137,26 @@ def initial_adaptive_grid(cfg: RunConfig, prob: Problem):
     return grid, space, initial_state(space, prob, cfg.k, cfg.n)
 
 
-def _run_adaptive(cfg: RunConfig, prob: Problem) -> RunResult:
-    grid, space, state = initial_adaptive_grid(cfg, prob)
+def run(cfg: RunConfig, prob: Problem | None = None) -> RunResult:
+    """Execute one configuration end to end.
+
+    Fixed and adaptive grids share one loop; adaptive runs refine before and
+    coarsen after every step, rebuilding the space and right-hand side
+    whenever the grid changed.
+    """
+    prob = prob if prob is not None else make_problem(cfg.problem, cfg.ndim)
+    adaptive = cfg.mode == "adaptive"
+    if adaptive:
+        grid, space, state = initial_adaptive_grid(cfg, prob)
+    else:
+        if cfg.mode == "full":
+            grid = AdaptiveGrid.full(cfg.ndim, cfg.n, block=cfg.k + 1)
+        else:
+            grid = AdaptiveGrid.sparse(cfg.ndim, cfg.n)
+        space = TensorSpace(grid)
+        state = initial_state(space, prob, cfg.k, cfg.n)
     wop = WaveOperator(scheme_config(cfg, prob))
-    sources = build_sources(space, prob, cfg)
-    rhs = make_rhs(wop, space, sources)
+    rhs = make_rhs(wop, space, build_sources(space, prob, cfg))
     scheme = scheme_for(cfg.k)
     dt = compute_dt(effective_cfl(cfg.cfl, cfg.k), cfg.n, prob.c_max)
     eta = cfg.eps / 10.0
@@ -209,24 +175,25 @@ def _run_adaptive(cfg: RunConfig, prob: Problem) -> RunResult:
     try:
         for target in _targets(cfg):
             while t < target - 1e-12:
-                if refine(grid, space, [state.u, state.w], cfg.eps):
+                if adaptive and refine(grid, space, [state.u, state.w], cfg.eps):
                     regrid()
                 h = min(dt, target - t)
                 state = scheme.step(rhs, t, h, state)
                 t, step = t + h, step + 1
                 if not state.finite():
                     raise InstabilityError(step, t)
-                if coarsen(grid, space, [state.u, state.w], eta):
+                if adaptive and coarsen(grid, space, [state.u, state.w], eta):
                     regrid()
             record.energy.append((t, wop.energy(space, state.u, state.w)))
             _snapshot(result, cfg, space, state, grid, t)
     except InstabilityError as bad:
         record.aborted_step = bad.step
         record.l2 = math.inf
-        record.dof = space.dof_count((cfg.k + 1,) * cfg.ndim)
-        record.num_elements = space.n_active
-        return result
-    return _finish(result, cfg, prob, space, state, record)
+    else:
+        _finish(cfg, prob, space, state, record)
+    record.dof = space.dof_count((cfg.k + 1,) * cfg.ndim)
+    record.num_elements = space.n_active
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -86,30 +86,3 @@ def effective_cfl(cfl: float, k: int) -> float:
     """
     return cfl / 3.0 if k <= 1 else cfl
 
-
-def advance(
-    fn,
-    y,
-    t0: float,
-    t1: float,
-    dt: float,
-    scheme: RKScheme,
-    on_step: Callable | None = None,
-):
-    """Integrate from t0 to t1, truncating the last step to land exactly.
-
-    ``on_step(i, t, y)`` is invoked after every accepted step.  Non-finite
-    states abort with the offending step index.
-    """
-    t = t0
-    i = 0
-    while t < t1 - 1e-12 * max(1.0, abs(t1)):
-        h = min(dt, t1 - t)
-        y = scheme.step(fn, t, h, y)
-        t += h
-        i += 1
-        if not y.finite():
-            raise InstabilityError(i, t)
-        if on_step is not None:
-            on_step(i, t, y)
-    return y

@@ -11,6 +11,10 @@ import numpy as np
 import pytest
 
 from mrdg.cli import main
+from mrdg.config import RunConfig
+from mrdg.problems import make_problem
+from mrdg.runner import run
+from mrdg.timestep import compute_dt, effective_cfl
 
 BASE = """\
 # smallest non-trivial standing wave
@@ -207,10 +211,48 @@ def test_malformed_override_fails(tmp_path, cfg_file, capsys):
     assert "override" in capsys.readouterr().err
 
 
+# The two tests below loop over both run modes rather than taking `mode` as a
+# parameter, so their test ids stay those of the fixed-grid originals.
+
+
 def test_unstable_run_reports_step(tmp_path, cfg_file, capsys):
-    out = tmp_path / "boom"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(
+    dt = compute_dt(effective_cfl(10.0, 1), 3, make_problem("cosine-periodic", 1).c_max)
+    for mode in ("sparse", "adaptive"):
+        out = tmp_path / mode
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(
+                [
+                    "run",
+                    "--config",
+                    cfg_file,
+                    "--out",
+                    str(out),
+                    "--override",
+                    "cfl=10",
+                    "--override",
+                    "t_final=100",
+                    "--override",
+                    f"mode={mode}",
+                ]
+            )
+        assert rc == 0  # diagnosed and reported, not a crash
+        stdout = capsys.readouterr().out
+        assert "instability: state became non-finite at step " in stdout
+
+        _, _, rows = read_table(out / "table.csv")
+        t, dof, nel, l2, linf, energy, aborted = rows[0]
+        assert float(l2) == math.inf
+        assert math.isnan(float(linf))
+        # the first non-finite step, counted over the whole run; the blow-up
+        # takes many steps at this CFL, so step 1 would mean a miscounted loop
+        assert 1 < int(aborted) <= math.ceil(100 / dt)
+        assert np.isfinite(float(energy))  # last finite value, from t = 0
+
+
+def test_zero_t_final_is_exact(tmp_path, cfg_file):
+    for mode in ("sparse", "adaptive"):
+        out = tmp_path / mode
+        main(
             [
                 "run",
                 "--config",
@@ -218,27 +260,60 @@ def test_unstable_run_reports_step(tmp_path, cfg_file, capsys):
                 "--out",
                 str(out),
                 "--override",
-                "cfl=10",
+                "t_final=0",
                 "--override",
-                "t_final=100",
+                f"mode={mode}",
             ]
         )
-    assert rc == 0  # diagnosed and reported, not a crash
-    stdout = capsys.readouterr().out
-    assert "instability: state became non-finite at step " in stdout
-
-    _, _, rows = read_table(out / "table.csv")
-    t, dof, nel, l2, linf, energy, aborted = rows[0]
-    assert float(l2) == math.inf
-    assert math.isnan(float(linf))
-    assert int(aborted) > 0
-    assert np.isfinite(float(energy))  # last finite value, from t = 0
+        _, _, rows = read_table(out / "table.csv")
+        assert float(rows[0][0]) == 0.0
+        assert float(rows[0][3]) == 0.0  # u0 is identically zero here
+        assert list(out.glob("slice_*.csv")) == []  # nothing to snapshot
+        _, _, energy_rows = read_table(out / "energy.csv")
+        assert [float(r[0]) for r in energy_rows] == [0.0]  # no step was taken
 
 
-def test_zero_t_final_is_exact(tmp_path, cfg_file):
-    out = tmp_path / "t0"
-    main(["run", "--config", cfg_file, "--out", str(out), "--override", "t_final=0"])
-    _, _, rows = read_table(out / "table.csv")
-    assert float(rows[0][0]) == 0.0
-    assert float(rows[0][3]) == 0.0  # u0 is identically zero here
-    assert list(out.glob("slice_*.csv")) == []  # nothing to snapshot
+@pytest.mark.parametrize("mode", ["sparse", "adaptive"])
+def test_last_step_lands_on_each_target(mode):
+    # dt = 0.07 / 3 / 8 divides neither interval (0, 0.02] nor (0.02, 0.05],
+    # so the last step of each must be shortened to land on its target
+    cfg = RunConfig.from_mapping(
+        {
+            "ndim": "1",
+            "k": "1",
+            "n": "3",
+            "cfl": "0.07",
+            "t_final": "0.05",
+            "snapshots": "0.02",
+            "slice_points": "8",
+            "mode": mode,
+        }
+    )
+    dt = compute_dt(effective_cfl(cfg.cfl, cfg.k), cfg.n, 1.0)
+    for span in (0.02, 0.03):  # steps per interval are far from whole
+        assert 0.1 < (span / dt) % 1.0 < 0.9
+    times = [t for t, _e in run(cfg).record.energy]
+    assert times[0] == 0.0
+    assert times[1:] == pytest.approx([0.02, 0.05], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "cfl=0",
+        "m=6",
+        "n=14",
+        "slice_points=0",
+        "t_final=-1",
+        "eps=-1",
+        "problem=smooth-speed",  # defined for ndim 2 and 3 only
+    ],
+)
+def test_rejected_config_exits_2_with_one_line(tmp_path, cfg_file, capsys, override):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", cfg_file, "--out", str(out), "--override", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()

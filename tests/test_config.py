@@ -73,11 +73,34 @@ def test_list_valued_keys():
         {"ndim": "0"},
         {"k": "0"},
         {"n": "-1"},
+        {"n": "14"},
+        {"n_values": "4,14"},
+        {"m": "0"},
+        {"m": "6"},
+        {"k": "5"},  # m defaults to k + 1 = 6
+        {"cfl": "0"},
+        {"cfl": "-0.1"},
+        {"cfl": "nan"},
+        {"t_final": "-1"},
+        {"eps": "0"},
+        {"eps": "-1", "mode": "adaptive"},
+        {"eps_values": "1e-3,-1e-4"},
+        {"slice_points": "0"},
+        {"problem": "smooth-speed", "ndim": "1"},
+        {"problem": "layered-aligned", "ndim": "1"},
     ],
 )
 def test_invalid_mappings_raise(bad):
     with pytest.raises(ValueError):
         RunConfig.from_mapping(bad)
+
+
+def test_range_limits_are_accepted():
+    cfg = RunConfig.from_mapping(
+        {"n": "13", "m": "5", "t_final": "0", "slice_points": "1", "eps": "1e-12"}
+    )
+    assert (cfg.n, cfg.m, cfg.t_final, cfg.slice_points) == (13, 5, 0.0, 1)
+    assert RunConfig.from_mapping({"problem": "smooth-speed", "ndim": "3"}).ndim == 3
 
 
 def test_echo_lines_round_trip():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrdg.grids import (
+    MAX_LEVEL,
     AdaptiveGrid,
     cell_width,
     children,
@@ -39,7 +40,7 @@ def test_cell_counts_double_above_level_one():
     assert [cell_width(l) for l in range(5)] == [1.0, 1.0, 0.5, 0.25, 0.125]
 
 
-@given(valid_keys(3, 6))
+@given(valid_keys(3, MAX_LEVEL))
 def test_pack_unpack_roundtrip(key):
     assert unpack_key(pack_key(key), 3) == key
 
@@ -69,6 +70,9 @@ def test_validate_key_rejects_out_of_range_cells():
         validate_key(((2, 1), (2, 0)))  # level 2 has cells {0, 1}
     with pytest.raises(ValueError):
         validate_key(((0,), (1,)))
+    # level 14 has 8192 cells, more than the 12 packed cell bits hold
+    with pytest.raises(ValueError):
+        validate_key(((14,), (0,)))
 
 
 def test_element_center():

@@ -9,8 +9,6 @@ from mrdg.timestep import (
     RK4,
     SSP_RK2,
     SSP_RK3,
-    InstabilityError,
-    advance,
     compute_dt,
     effective_cfl,
     scheme_for,
@@ -76,34 +74,6 @@ def test_step_size_and_working_cfl():
     assert effective_cfl(0.3, 0) == pytest.approx(0.1)
     assert effective_cfl(0.3, 2) == 0.3
     assert effective_cfl(0.05, 4) == 0.05
-
-
-def test_advance_truncates_final_step():
-    seen = []
-    fn = lambda t, y: Vec([1.0])  # y' = 1
-    y = advance(fn, Vec([0.0]), 0.0, 1.0, 0.3, RK4, on_step=lambda i, t, y: seen.append(t))
-    assert abs(y.v[0] - 1.0) < 1e-14
-    assert seen == pytest.approx([0.3, 0.6, 0.9, 1.0])
-
-
-def test_advance_skips_empty_interval():
-    fn = lambda t, y: Vec([1.0])
-    y = advance(fn, Vec([2.0]), 0.5, 0.5, 0.1, RK4)
-    assert y.v[0] == 2.0
-
-
-def test_advance_reports_blowup_step():
-    # y' = 40 y with dt = 1: overflow to inf after a predictable number of
-    # steps; the error must carry the first non-finite step index
-    fn = lambda t, y: Vec(40.0 * y.v)
-    with pytest.raises(InstabilityError) as info:
-        with np.errstate(over="ignore", invalid="ignore"):
-            advance(fn, Vec([1.0]), 0.0, 200.0, 1.0, RK4)
-    assert 1 < info.value.step < 200
-    assert info.value.time == pytest.approx(info.value.step)
-    # the step survives when the state recovers before the horizon
-    y = advance(fn, Vec([1.0]), 0.0, 2.0, 0.001, RK4)
-    assert y.finite()
 
 
 @pytest.mark.parametrize(
