@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .grids import MAX_LEVEL
+from .grids import FULL_GRID_COEFFS, MAX_LEVEL
 from .problems import REGISTRY
 
 
@@ -95,6 +95,12 @@ class RunConfig:
             raise ValueError("k must be positive")
         if not all(1 <= v <= MAX_LEVEL for v in (n,) + cfg.n_values):
             raise ValueError(f"n and n_values must be in 1..{MAX_LEVEL}")
+        need = max((k + 1) ** ndim << (v * ndim) for v in (n,) + cfg.n_values)
+        if cfg.mode == "full" and need > FULL_GRID_COEFFS:
+            raise ValueError(
+                f"full grid needs {need} coefficients, (k+1)^ndim * 2^(n*ndim);"
+                f" the cap is {FULL_GRID_COEFFS}"
+            )
         if not 1 <= cfg.m <= 5:
             raise ValueError(f"m must be in 1..5 (it defaults to k + 1), got {cfg.m}")
         if not cfg.cfl > 0:
@@ -109,14 +115,20 @@ class RunConfig:
         return cfg
 
     def echo_lines(self) -> list[str]:
-        """Canonical `key = value` rendering of every resolved field."""
+        """Canonical `key = value` rendering of every resolved field.
+
+        Floats print as `%g` when that reads back exactly, else as `repr`, so
+        `from_mapping(parse_text(...))` of the lines gives an equal config.
+        """
+
+        def num(x):
+            if not isinstance(x, float):
+                return str(x)
+            short = f"{x:g}"
+            return short if float(short) == x else repr(x)
 
         def show(v):
-            if isinstance(v, tuple):
-                return ",".join(f"{x:g}" if isinstance(x, float) else str(x) for x in v)
-            if isinstance(v, float):
-                return f"{v:g}"
-            return str(v)
+            return ",".join(map(num, v)) if isinstance(v, tuple) else num(v)
 
         return [f"{f.name} = {show(getattr(self, f.name))}" for f in fields(self)]
 

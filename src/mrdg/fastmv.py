@@ -29,8 +29,8 @@ from .operators1d import FamilySpec, Operator1D, lu_split
 
 Level = tuple[int, ...]
 
-_UPPERISH = {"upper", "strictly-upper", "diag"}
-_LOWERISH = {"lower", "unit-lower", "diag"}
+_UPPERISH = {"strictly-upper", "diag"}
+_LOWERISH = {"lower", "diag"}
 
 
 @dataclass
@@ -78,26 +78,19 @@ class CoeffSet:
 class TensorSpace:
     """Active-cell structure of an adaptive grid, frozen at one version.
 
-    Holds the sorted level list, the per-level boolean activity masks, and
-    convenience constructors for coefficient sets.  Rebuild after the grid
-    changes (the stored version detects staleness).
+    Holds the sorted level list, a copy of the grid's per-level boolean cell
+    masks, and convenience constructors for coefficient sets.  Rebuild after
+    the grid changes (the stored version detects staleness).
     """
 
     def __init__(self, grid: AdaptiveGrid):
         self.grid = grid
         self.version = grid.version
         self.ndim = grid.ndim
-        by_level = grid.levels()
-        self.levels: list[Level] = sorted(by_level)
+        self.levels: list[Level] = sorted(grid.masks)
         self.level_set = frozenset(self.levels)
-        self.masks: dict[Level, np.ndarray] = {}
-        self.cell_counts: dict[Level, tuple[int, ...]] = {}
-        for lv, flat in by_level.items():
-            shape = tuple(num_cells(l) for l in lv)
-            mask = np.zeros(shape, dtype=bool)
-            mask.ravel()[flat] = True
-            self.masks[lv] = mask
-            self.cell_counts[lv] = shape
+        self.masks = {lv: grid.masks[lv].copy() for lv in self.levels}
+        self.cell_counts = {lv: mask.shape for lv, mask in self.masks.items()}
 
     @property
     def n_active(self) -> int:

@@ -15,7 +15,7 @@ sparse (|l|_1 <= N) and full (|l|_inf <= N) tensor grids.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -23,14 +23,13 @@ Level = tuple[int, ...]
 Cell = tuple[int, ...]
 Key = tuple[Level, Cell]
 
-# Packed keys use fixed-width bitfields: 4 bits of level and 12 bits of cell
-# per dimension.  Level l owns 2^(l-1) cells, so the cell field caps usable
-# levels at MAX_LEVEL = 13; a level-14 cell index would spill into the level
-# bits and alias another key.
-_LEVEL_BITS = 4
-_CELL_BITS = 12
-_DIM_BITS = _LEVEL_BITS + _CELL_BITS
-MAX_LEVEL = _CELL_BITS + 1
+# Input bound on levels, not a storage limit: a dense 1D operator at level 13
+# already takes more than 2 GB ((2 * 2^13)^2 doubles at k = 1).
+MAX_LEVEL = 13
+
+# Coefficient cap of a full grid, block^d * 2^(n*d) per field; `AdaptiveGrid.full`
+# and the config check refuse anything larger before allocating.
+FULL_GRID_COEFFS = 1 << 26
 
 
 def num_cells(level: int) -> int:
@@ -41,23 +40,6 @@ def num_cells(level: int) -> int:
 def cell_width(level: int) -> float:
     """Width of the support interval of a level-l cell (levels 0,1 share the root)."""
     return 1.0 if level <= 1 else 2.0 ** (1 - level)
-
-
-def pack_key(key: Key) -> int:
-    packed = 0
-    for l, j in zip(*key):
-        packed = (packed << _DIM_BITS) | (l << _CELL_BITS) | j
-    return packed
-
-
-def unpack_key(packed: int, ndim: int) -> Key:
-    levels = []
-    cells = []
-    for _ in range(ndim):
-        cells.append(packed & ((1 << _CELL_BITS) - 1))
-        levels.append((packed >> _CELL_BITS) & ((1 << _LEVEL_BITS) - 1))
-        packed >>= _DIM_BITS
-    return tuple(reversed(levels)), tuple(reversed(cells))
 
 
 def validate_key(key: Key) -> None:
@@ -131,67 +113,45 @@ def full_levels(ndim: int, n: int) -> list[Level]:
 class AdaptiveGrid:
     """Downward-closed active set of multilevel elements.
 
-    The active set is a dict keyed by packed (level, cell) integers, so
-    membership tests are O(1).  Mutations go through `activate` /
-    `deactivate`, which maintain two invariants: every ancestor of an active
-    element is active (downward closure), and |level|_inf <= n_max.  A
-    monotonically increasing `version` lets coefficient containers and
-    cached per-level views detect staleness.
+    The active set is one boolean cell mask per active level, `masks[level]`
+    shaped (num_cells(l_1), ..., num_cells(l_d)); a level whose last cell is
+    deactivated is dropped.  Mutations go through `activate` / `deactivate`,
+    which maintain two invariants: every ancestor of an active element is
+    active (downward closure), and |level|_inf <= n_max.  `version` grows by
+    one per activated or deactivated element, so coefficient containers and
+    cached per-level views can detect staleness.
     """
 
-    def __init__(self, ndim: int, n_max: int, keys: Iterable[Key] = ()):
+    def __init__(self, ndim: int, n_max: int):
         if ndim < 1:
             raise ValueError("ndim must be >= 1")
         self.ndim = ndim
         self.n_max = n_max
-        self._active: dict[int, Key] = {}
+        self.masks: dict[Level, np.ndarray] = {}
         self.version = 0
-        self._level_view: dict[Level, np.ndarray] | None = None
-        root = ((0,) * ndim, (0,) * ndim)
-        self.activate(root)
-        for key in keys:
-            self.activate(key)
+        self.activate(((0,) * ndim, (0,) * ndim))
 
     # -- queries ---------------------------------------------------------
 
     def __contains__(self, key: Key) -> bool:
-        return pack_key(key) in self._active
+        levels, cells = key
+        mask = self.masks.get(levels)
+        if mask is None or len(cells) != mask.ndim:
+            return False
+        return all(0 <= j < s for j, s in zip(cells, mask.shape)) and bool(mask[cells])
 
     def __len__(self) -> int:
-        return len(self._active)
+        return sum(int(mask.sum()) for mask in self.masks.values())
 
     def __iter__(self) -> Iterator[Key]:
-        return iter(sorted(self._active.values()))
-
-    @property
-    def num_elements(self) -> int:
-        return len(self._active)
-
-    def dof(self, p: int) -> int:
-        """Coefficient count when each element carries a p^d block."""
-        return len(self._active) * p**self.ndim
-
-    def levels(self) -> dict[Level, np.ndarray]:
-        """Map level -> sorted array of active flat cell indices (C order).
-
-        The flat index of cell (j_1, ..., j_d) at level l is its row-major
-        position in the full cell grid of that level.  Cached per version.
-        """
-        if self._level_view is None:
-            by_level: dict[Level, list[int]] = {}
-            for levels, cells in self._active.values():
-                flat = 0
-                for l, j in zip(levels, cells):
-                    flat = flat * num_cells(l) + j
-                by_level.setdefault(levels, []).append(flat)
-            self._level_view = {
-                lv: np.array(sorted(idx), dtype=np.int64)
-                for lv, idx in sorted(by_level.items())
-            }
-        return self._level_view
-
-    def max_level_sum(self) -> int:
-        return max(sum(lv) for lv in self.levels())
+        """Active keys in sorted order (a snapshot; safe to mutate while iterating)."""
+        return iter(
+            [
+                (lv, tuple(cells))
+                for lv in sorted(self.masks)
+                for cells in np.argwhere(self.masks[lv]).tolist()
+            ]
+        )
 
     def is_leaf(self, key: Key) -> bool:
         """No active child in any dimension."""
@@ -212,11 +172,14 @@ class AdaptiveGrid:
         stack = [key]
         while stack:
             k = stack.pop()
-            packed = pack_key(k)
-            if packed in self._active:
+            if k in self:
                 continue
-            self._active[packed] = k
-            self._touch()
+            lv, cells = k
+            mask = self.masks.get(lv)
+            if mask is None:
+                mask = self.masks[lv] = np.zeros(_shape(lv), dtype=bool)
+            mask[cells] = True
+            self.version += 1
             for dim in range(self.ndim):
                 par = parent(k, dim)
                 if par is not None:
@@ -228,47 +191,44 @@ class AdaptiveGrid:
             raise ValueError("cannot deactivate the root element")
         if not self.is_leaf(key):
             raise ValueError(f"cannot deactivate non-leaf element {key}")
-        packed = pack_key(key)
-        if packed in self._active:
-            del self._active[packed]
-            self._touch()
-
-    def _touch(self) -> None:
-        self.version += 1
-        self._level_view = None
+        if key in self:
+            mask = self.masks[key[0]]
+            mask[key[1]] = False
+            if not mask.any():
+                del self.masks[key[0]]
+            self.version += 1
 
     # -- construction and export ----------------------------------------
 
     @classmethod
     def sparse(cls, ndim: int, n: int, n_max: int | None = None) -> "AdaptiveGrid":
         """Standard sparse grid: all elements with |level|_1 <= n."""
-        grid = cls(ndim, n if n_max is None else n_max)
-        for lv in sparse_levels(ndim, n):
-            _activate_full_level(grid, lv)
-        return grid
+        n_max = n if n_max is None else n_max
+        if n > n_max:
+            raise ValueError(f"level {n} exceeds n_max={n_max}")
+        return cls._whole_levels(ndim, n_max, sparse_levels(ndim, n))
 
     @classmethod
-    def full(
-        cls,
-        ndim: int,
-        n: int,
-        block: int = 1,
-        coeff_cap: int = 1 << 26,
-    ) -> "AdaptiveGrid":
+    def full(cls, ndim: int, n: int, block: int = 1) -> "AdaptiveGrid":
         """Full tensor grid: |level|_inf <= n.  Refuses oversized requests.
 
         The coefficient count block^d * 2^(n*d) (block = polynomials per
-        element and dimension) is checked against `coeff_cap` before any
-        allocation happens.
+        element and dimension) is checked against `FULL_GRID_COEFFS` before
+        any allocation happens.
         """
         count = block**ndim * (1 << (n * ndim))
-        if count > coeff_cap:
+        if count > FULL_GRID_COEFFS:
             raise MemoryError(
-                f"full grid needs {count} coefficients, over the cap {coeff_cap}"
+                f"full grid needs {count} coefficients, over the cap {FULL_GRID_COEFFS}"
             )
-        grid = cls(ndim, n)
-        for lv in full_levels(ndim, n):
-            _activate_full_level(grid, lv)
+        return cls._whole_levels(ndim, n, full_levels(ndim, n))
+
+    @classmethod
+    def _whole_levels(cls, ndim: int, n_max: int, levels: list[Level]) -> "AdaptiveGrid":
+        """Grid of every cell on a downward-closed level list."""
+        grid = cls(ndim, n_max)
+        grid.masks = {lv: np.ones(_shape(lv), dtype=bool) for lv in levels}
+        grid.version = len(grid)  # as if each element were activated singly
         return grid
 
     def dump_centers(self) -> list[str]:
@@ -281,7 +241,5 @@ class AdaptiveGrid:
         return lines
 
 
-def _activate_full_level(grid: AdaptiveGrid, lv: Level) -> None:
-    ranges = [range(num_cells(l)) for l in lv]
-    for cells in itertools.product(*ranges):
-        grid.activate((lv, cells))
+def _shape(lv: Level) -> tuple[int, ...]:
+    return tuple(num_cells(l) for l in lv)

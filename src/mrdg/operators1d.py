@@ -29,14 +29,7 @@ from .alpert import (
 from .grids import num_cells
 from .interp import InterpBasis1D, make_interp_basis
 
-_TAGS = (
-    "diag",
-    "lower",
-    "unit-lower",
-    "upper",
-    "strictly-upper",
-    "general",
-)
+_TAGS = ("diag", "lower", "strictly-upper", "general")
 
 
 @dataclass(frozen=True)
@@ -100,10 +93,8 @@ class Operator1D:
         n = self.row.n
         if self.tag == "diag":
             return range(in_level, in_level + 1)
-        if self.tag in ("lower", "unit-lower"):
+        if self.tag == "lower":
             return range(in_level, n + 1)
-        if self.tag == "upper":
-            return range(0, in_level + 1)
         if self.tag == "strictly-upper":
             return range(0, in_level)
         return range(0, n + 1)
@@ -338,25 +329,6 @@ def assemble_volume_derivative(row: FamilySpec, col: FamilySpec) -> Operator1D:
 
 
 @lru_cache(maxsize=None)
-def assemble_in_cell_derivative(row: FamilySpec, col: FamilySpec) -> Operator1D:
-    """Expansion of the cellwise derivative of the column family in the rows.
-
-    For the orthonormal Alpert family the result is block-upper: the broken
-    derivative of a level-l function has no components on finer levels (the
-    finer wavelets' vanishing moments annihilate its polynomial pieces).
-    """
-    pf = _fine_degree(row, col)
-    quad = Quadrature1D.gauss(pf + 2)
-    v = legendre_values(pf, quad.nodes)
-    d = legendre_derivs(pf, quad.nodes)
-    dmat_ref = np.einsum("x,xp,xq->pq", quad.weights, v, d)  # <P~_p, P~'_q>
-    ncf = 1 << row.n
-    g = np.kron(np.eye(ncf), ncf * dmat_ref)
-    tag = "upper" if (row.kind == col.kind == "alpert") else "general"
-    return Operator1D(_conjugate(row, col, g), row, col, tag)
-
-
-@lru_cache(maxsize=None)
 def assemble_trace(
     row: FamilySpec,
     col: FamilySpec,
@@ -441,7 +413,7 @@ def assemble_node_values(
         rows.degree,
         rows.variant,
     )
-    tag = "unit-lower" if (same and not deriv and not force_side) else "general"
+    tag = "lower" if (same and not deriv and not force_side) else "general"
     return Operator1D(mat, rows, col, tag)
 
 
@@ -454,7 +426,7 @@ def assemble_node_to_surplus(nodes: FamilySpec) -> Operator1D:
     fam = interp_family(nodes.degree, nodes.variant, nodes.n)
     e = assemble_node_values(nodes, fam)
     inv = np.linalg.inv(e.mat)
-    return Operator1D(inv, fam, nodes, "unit-lower")
+    return Operator1D(inv, fam, nodes, "lower")
 
 
 @lru_cache(maxsize=None)

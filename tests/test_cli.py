@@ -307,11 +307,15 @@ def test_last_step_lands_on_each_target(mode):
         "t_final=-1",
         "eps=-1",
         "problem=smooth-speed",  # defined for ndim 2 and 3 only
+        "ndim=3 n=9 mode=full",  # 2^30 coefficients, over the full-grid cap
     ],
 )
 def test_rejected_config_exits_2_with_one_line(tmp_path, cfg_file, capsys, override):
     out = tmp_path / "out"
-    rc = main(["run", "--config", cfg_file, "--out", str(out), "--override", override])
+    args = ["run", "--config", cfg_file, "--out", str(out)]
+    for item in override.split():
+        args += ["--override", item]
+    rc = main(args)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

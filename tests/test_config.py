@@ -1,6 +1,8 @@
 """Config parsing, defaults, and the echo round trip."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mrdg.config import RunConfig, load_config, parse_text
 
@@ -88,6 +90,8 @@ def test_list_valued_keys():
         {"slice_points": "0"},
         {"problem": "smooth-speed", "ndim": "1"},
         {"problem": "layered-aligned", "ndim": "1"},
+        {"ndim": "3", "k": "1", "n": "9", "mode": "full"},  # 2^30 coefficients
+        {"ndim": "2", "mode": "full", "n": "3", "n_values": "4,13"},
     ],
 )
 def test_invalid_mappings_raise(bad):
@@ -101,6 +105,8 @@ def test_range_limits_are_accepted():
     )
     assert (cfg.n, cfg.m, cfg.t_final, cfg.slice_points) == (13, 5, 0.0, 1)
     assert RunConfig.from_mapping({"problem": "smooth-speed", "ndim": "3"}).ndim == 3
+    # the largest full grid: (k+1)^ndim * 2^(n*ndim) = 2^26 coefficients
+    assert RunConfig.from_mapping({"ndim": "2", "n": "12", "mode": "full"}).n == 12
 
 
 def test_echo_lines_round_trip():
@@ -112,8 +118,35 @@ def test_echo_lines_round_trip():
             "n": "6",
             "mode": "adaptive",
             "eps": "1e-4",
+            "t_final": "0.1234567",  # %g would echo 0.123457
             "n_values": "3,4",
             "snapshots": "0.025,0.05",
+        }
+    )
+    again = RunConfig.from_mapping(parse_text("\n".join(cfg.echo_lines())))
+    assert again == cfg
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(
+    t_final=positive,
+    cfl=positive,
+    sigma=positive,
+    eps=positive,
+    eps_values=st.lists(positive, max_size=3),
+    snapshots=st.lists(positive, max_size=3),
+)
+def test_echo_lines_round_trip_any_float(t_final, cfl, sigma, eps, eps_values, snapshots):
+    cfg = RunConfig.from_mapping(
+        {
+            "t_final": repr(t_final),
+            "cfl": repr(cfl),
+            "sigma": repr(sigma),
+            "eps": repr(eps),
+            "eps_values": ",".join(map(repr, eps_values)),
+            "snapshots": ",".join(map(repr, snapshots)),
         }
     )
     again = RunConfig.from_mapping(parse_text("\n".join(cfg.echo_lines())))

@@ -25,12 +25,12 @@ from mrdg.grids import AdaptiveGrid, num_cells
 from mrdg.operators1d import (
     Operator1D,
     alpert_family,
-    assemble_in_cell_derivative,
     assemble_mass,
     assemble_node_values,
     assemble_stiffness,
     assemble_trace,
     interp_family,
+    lu_split,
     node_family,
 )
 
@@ -89,10 +89,10 @@ def test_conform_moves_between_level_sets():
 
 def test_sweep_order_places_single_pivot_between_triangular_sweeps():
     fam = alpert_family(1, 2)
-    up = assemble_in_cell_derivative(fam, fam)  # upper
     gen = assemble_stiffness(fam, fam)  # general
-    order = sweep_order((gen, up, None))
-    assert order.index(1) < order.index(0)  # upper before the pivot
+    low, up = lu_split(gen)
+    order = sweep_order((gen, up, low))
+    assert order.index(1) < order.index(0) < order.index(2)  # upper, pivot, lower
     with pytest.raises(ValueError):
         sweep_order((gen, gen))
 

@@ -1,11 +1,12 @@
-"""Byte-for-byte regression of ``mrdg run`` outputs on four small cases.
+"""Byte-for-byte regression of ``mrdg run`` outputs on six small cases.
 
 Each directory under ``tests/golden`` holds a ``case.cfg`` and the files a
 run of it wrote when the fixture was made.  A refactor that keeps behaviour
 reproduces every one of those files exactly.  The cases cover a sparse 2D
 grid with an interior snapshot, a full 1D grid, an adaptive 2D run whose grid
-refines and coarsens between snapshots, and the Dirichlet boundary load of
-``cosine-mixed``.
+refines and coarsens between snapshots, the Dirichlet boundary load of
+``cosine-mixed``, and the interpolated ``c^2`` coefficient pipeline of
+``smooth-speed`` and ``layered-aligned``.
 
 To regenerate after an intended change of output, run each case with
 ``mrdg run --config tests/golden/<case>/case.cfg --out tests/golden/<case>``.
@@ -22,7 +23,14 @@ CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
 
 
 def test_all_cases_present():
-    assert CASES == ["adaptive2d", "full1d", "mixed2d", "sparse2d"]
+    assert CASES == [
+        "adaptive2d",
+        "aligned2d",
+        "full1d",
+        "mixed2d",
+        "sparse2d",
+        "varspeed2d",
+    ]
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -1,4 +1,4 @@
-"""Multilevel element bookkeeping: keys, closure, level views."""
+"""Multilevel element bookkeeping: keys, closure, per-level cell masks."""
 
 import itertools
 
@@ -14,12 +14,11 @@ from mrdg.grids import (
     children,
     element_center,
     num_cells,
-    pack_key,
     parent,
     sparse_levels,
-    unpack_key,
     validate_key,
 )
+from mrdg.fastmv import TensorSpace
 
 from conftest import random_pruning
 
@@ -38,11 +37,6 @@ def test_cell_counts_double_above_level_one():
     # levels 0 and 1 both hold a single cell spanning [0, 1]
     assert [num_cells(l) for l in range(5)] == [1, 1, 2, 4, 8]
     assert [cell_width(l) for l in range(5)] == [1.0, 1.0, 0.5, 0.25, 0.125]
-
-
-@given(valid_keys(3, MAX_LEVEL))
-def test_pack_unpack_roundtrip(key):
-    assert unpack_key(pack_key(key), 3) == key
 
 
 def test_parent_child_relationship():
@@ -70,7 +64,7 @@ def test_validate_key_rejects_out_of_range_cells():
         validate_key(((2, 1), (2, 0)))  # level 2 has cells {0, 1}
     with pytest.raises(ValueError):
         validate_key(((0,), (1,)))
-    # level 14 has 8192 cells, more than the 12 packed cell bits hold
+    # levels stop at MAX_LEVEL = 13
     with pytest.raises(ValueError):
         validate_key(((14,), (0,)))
 
@@ -87,9 +81,9 @@ def test_sparse_grid_matches_enumeration(ndim, n):
     for lv in itertools.product(range(n + 1), repeat=ndim):
         if sum(lv) <= n:
             expected += int(np.prod([num_cells(l) for l in lv]))
-    assert grid.num_elements == expected
-    assert set(grid.levels()) == set(sparse_levels(ndim, n))
-    assert grid.max_level_sum() == n
+    assert len(grid) == expected
+    assert sorted(grid.masks) == sparse_levels(ndim, n)
+    assert all(mask.all() for mask in grid.masks.values())
 
 
 def test_full_grid_element_count():
@@ -99,8 +93,7 @@ def test_full_grid_element_count():
         for a in range(4)
         for b in range(4)
     )
-    assert grid.num_elements == expected
-    assert grid.dof(3) == expected * 9
+    assert len(grid) == expected
 
 
 @given(st.integers(0, 10_000))
@@ -154,17 +147,75 @@ def test_version_bumps_on_mutation_only():
 def test_levels_view_flat_indices():
     grid = AdaptiveGrid(2, 3)
     grid.activate(((2, 2), (1, 1)))
-    view = grid.levels()
+    # one mask per level, shaped by the level's cell counts
+    assert grid.masks[(2, 2)].shape == (2, 2)
+    assert sorted(grid.masks) == [(a, b) for a in range(3) for b in range(3)]
     # flat index of cell (1, 1) at level (2, 2) with 2 cells per dim
-    assert view[(2, 2)].tolist() == [3]
-    assert view[(0, 0)].tolist() == [0]
+    assert np.flatnonzero(grid.masks[(2, 2)]).tolist() == [3]
+    assert np.flatnonzero(grid.masks[(0, 0)]).tolist() == [0]
 
 
 def test_dump_centers_layout():
     grid = AdaptiveGrid.sparse(2, 2)
     lines = grid.dump_centers()
-    assert len(lines) == grid.num_elements
+    assert len(lines) == len(grid)
     first = lines[0].split()
     assert len(first) == 6  # two levels, two cells, two center coordinates
     assert first[:4] == ["0", "0", "0", "0"]
     assert float(first[4]) == 0.5 and float(first[5]) == 0.5
+
+
+def closure(key):
+    """Every ancestor of `key` and the key itself, by brute force per dimension."""
+    chains = []
+    for l, j in zip(*key):
+        # the level-a ancestor of level-l cell j is cell j >> (l - a) (a >= 1)
+        chains.append([(a, j >> (l - a) if a >= 1 else 0) for a in range(l + 1)])
+    return {tuple(zip(*pairs)) for pairs in itertools.product(*chains)}
+
+
+def model_children(model, key):
+    """Active keys one level above `key` in one dimension, from the set alone."""
+    return [
+        k
+        for k in model
+        if sum(k[0]) == sum(key[0]) + 1 and key in closure(k)
+    ]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutations_match_key_set_model(data):
+    ndim, n_max = 2, 4
+    grid = AdaptiveGrid(ndim, n_max)
+    root = ((0,) * ndim, (0,) * ndim)
+    model = {root}
+    for _ in range(data.draw(st.integers(1, 30))):
+        version = grid.version
+        if data.draw(st.booleans()):
+            key = data.draw(valid_keys(ndim, n_max))
+            grid.activate(key)
+            changed = closure(key) - model
+            model |= changed
+        else:
+            # mostly active keys; an inactive one is a leaf, so a no-op
+            key = data.draw(
+                st.one_of(st.sampled_from(sorted(model)), valid_keys(ndim, n_max))
+            )
+            changed = ()
+            if key == root or model_children(model, key):
+                with pytest.raises(ValueError):
+                    grid.deactivate(key)
+            else:
+                grid.deactivate(key)
+                if key in model:
+                    model.discard(key)
+                    changed = (key,)
+        assert (grid.version > version) == bool(changed)
+        assert (key in grid) == (key in model)
+        assert list(grid) == sorted(model)
+        assert len(grid) == len(model)
+        for key in model:
+            assert key in grid
+            assert grid.is_leaf(key) == (not model_children(model, key))
+        assert TensorSpace(grid).levels == sorted({lv for lv, _ in model})

@@ -15,7 +15,6 @@ from mrdg.interp import make_interp_basis
 from mrdg.operators1d import (
     Operator1D,
     alpert_family,
-    assemble_in_cell_derivative,
     assemble_mass,
     assemble_node_to_surplus,
     assemble_node_values,
@@ -138,27 +137,6 @@ def test_volume_derivative_matches_quadrature():
     np.testing.assert_allclose(op.mat, ref, atol=BRUTE_TOL)
 
 
-def test_in_cell_derivative_matches_quadrature_and_is_upper():
-    k, n = 3, 3
-    fam = alpert_family(k, n)
-    op = assemble_in_cell_derivative(fam, fam)
-    assert op.tag == "upper"
-    coef = fine_legendre_coeffs(lambda x: alpert_values_brute(k, n, x), fam.ndof, n, k)
-    q = Quadrature1D.gauss(k + 2)
-    ncf = 1 << n
-    ref = np.zeros((fam.ndof, fam.ndof))
-    for c in range(ncf):
-        x, w = q.mapped(c / ncf, (c + 1) / ncf)
-        av = alpert_values_brute(k, n, x)
-        dc = derivative_values(coef, n, k, q.nodes, c)
-        ref += (av * w) @ dc.T
-    np.testing.assert_allclose(op.mat, ref, atol=BRUTE_TOL)
-    # tag honesty: no components below the block diagonal
-    for b in range(n + 1):
-        for a in range(b):
-            assert np.max(np.abs(op.block(b, a))) < 1e-11
-
-
 # ---------------------------------------------------------------------------
 # face operators
 
@@ -270,7 +248,7 @@ def test_interp_node_system_is_unit_lower():
     nd = node_family(m, "inner", n)
     fam = interp_family(m, "inner", n)
     e = assemble_node_values(nd, fam)
-    assert e.tag == "unit-lower"
+    assert e.tag == "lower"
     np.testing.assert_allclose(np.diag(e.mat), 1.0, atol=1e-12)
     assert np.max(np.abs(np.triu(e.mat, 1))) < 1e-12
     inv = assemble_node_to_surplus(nd)
@@ -328,8 +306,9 @@ def test_lu_split_reconstructs_and_tags():
 
 def test_out_levels_follow_tags():
     fam = alpert_family(1, 3)
-    op = assemble_in_cell_derivative(fam, fam)
-    assert list(op.out_levels(2)) == [0, 1, 2]
+    low, up = lu_split(assemble_stiffness(fam, fam))
+    assert list(low.out_levels(2)) == [2, 3]
+    assert list(up.out_levels(2)) == [0, 1]
     diag = assemble_mass(fam, fam)
     assert list(diag.out_levels(2)) == [2]
 
