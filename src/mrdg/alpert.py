@@ -21,8 +21,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .grids import num_cells
-
 
 @dataclass(frozen=True)
 class Quadrature1D:
@@ -144,63 +142,6 @@ def mother_wavelets(k: int) -> np.ndarray:
     return mothers.reshape(p, 2, p)
 
 
-class AlpertBasis1D:
-    """Hierarchical 1D multiwavelet basis of degree k up to level n.
-
-    Flat index layout is level-major: level 0 occupies slots [0, k+1), and
-    level l >= 1 occupies (k+1) * 2^(l-1) slots starting at (k+1) * 2^(l-1),
-    ordered (cell, polynomial) within the level.
-    """
-
-    def __init__(self, k: int, n: int):
-        self.k = k
-        self.n = n
-        self.p = k + 1
-        self.mothers = mother_wavelets(k)
-        self.ndof = self.p << n if n else self.p
-
-    def level_offset(self, level: int) -> int:
-        return 0 if level == 0 else self.p * (1 << (level - 1))
-
-    def level_size(self, level: int) -> int:
-        return self.p * num_cells(level)
-
-    def index(self, level: int, cell: int, i: int) -> int:
-        return self.level_offset(level) + cell * self.p + i
-
-    def eval_scaling(self, i: int, x: np.ndarray) -> np.ndarray:
-        return legendre_values(self.k, np.asarray(x, dtype=float))[..., i]
-
-    def eval_mother(self, i: int, x: np.ndarray, side: int = 0) -> np.ndarray:
-        """Mother wavelet psi_i at x in [0,1]; `side` < 0 takes left limits
-        at the midpoint breakpoint, >= 0 right limits."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        right = (x > 0.5) | ((x == 0.5) & (side >= 0))
-        vals = np.zeros_like(x)
-        for h, mask in ((0, ~right), (1, right)):
-            if not np.any(mask):
-                continue
-            xi = 2.0 * x[mask] - h
-            basis = np.sqrt(2.0) * legendre_values(self.k, xi)
-            vals[mask] = basis @ self.mothers[i, h]
-        return vals
-
-    def eval_hier(self, level: int, cell: int, i: int, x, side: int = 0):
-        """Hierarchical function (level, cell, i) at x, zero outside support."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if level == 0:
-            return self.eval_scaling(i, x)
-        scale = float(1 << (level - 1))
-        xi = scale * x - cell
-        inside = (xi > 0.0) & (xi < 1.0)
-        inside |= (xi == 0.0) & (side >= 0)
-        inside |= (xi == 1.0) & (side < 0)
-        vals = np.zeros_like(x)
-        if np.any(inside):
-            vals[inside] = np.sqrt(scale) * self.eval_mother(i, xi[inside], side)
-        return vals
-
-
 def synthesis_matrix(k: int) -> np.ndarray:
     """Orthogonal 2(k+1) x 2(k+1) map [parent scaling; wavelets] -> children.
 
@@ -225,7 +166,6 @@ def fine_to_hier(fine: np.ndarray, k: int, n: int) -> np.ndarray:
     """
     p = k + 1
     g = synthesis_matrix(k)
-    basis = AlpertBasis1D(k, n)
     out = np.zeros(p << n if n else p)
     s = np.asarray(fine, dtype=float).reshape(1 << n, p)
     for level in range(n, 0, -1):
@@ -233,24 +173,9 @@ def fine_to_hier(fine: np.ndarray, k: int, n: int) -> np.ndarray:
         pairs = s.reshape(half, 2 * p)
         sd = pairs @ g  # analysis: G is orthogonal, G^T applied from the right
         s = sd[:, :p]
-        off = basis.level_offset(level)
-        out[off : off + p * half] = sd[:, p:].ravel()
+        out[p * half : 2 * p * half] = sd[:, p:].ravel()  # level offset p * 2^(level-1)
     out[:p] = s[0]
     return out
-
-
-def hier_to_fine(hier: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Pyramid synthesis, inverse of `fine_to_hier`; returns shape (2^n, k+1)."""
-    p = k + 1
-    g = synthesis_matrix(k)
-    basis = AlpertBasis1D(k, n)
-    s = np.asarray(hier[:p], dtype=float).reshape(1, p)
-    for level in range(1, n + 1):
-        off = basis.level_offset(level)
-        d = hier[off : off + p * s.shape[0]].reshape(s.shape[0], p)
-        sd = np.hstack([s, d])
-        s = (sd @ g.T).reshape(2 * s.shape[0], p)
-    return s
 
 
 def project_1d(f, k: int, n: int, quad_points: int | None = None) -> np.ndarray:
@@ -270,21 +195,3 @@ def project_1d(f, k: int, n: int, quad_points: int | None = None) -> np.ndarray:
         x, w = quad.mapped(j * width, (j + 1) * width)
         fine[j] = np.sqrt(cells) * np.einsum("x,x,xi->i", w, np.asarray(f(x), dtype=float), vals)
     return fine_to_hier(fine, k, n)
-
-
-def eval_fine(fine: np.ndarray, k: int, x: np.ndarray, side: int = 0) -> np.ndarray:
-    """Evaluate a finest-level modal representation at points x in [0,1].
-
-    At cell boundaries, `side` < 0 evaluates the left cell's polynomial
-    (left limit) and `side` >= 0 the right cell's.
-    """
-    cells = fine.shape[0]
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    j = np.floor(x * cells).astype(int)
-    on_boundary = (x * cells) == np.round(x * cells)
-    if side < 0:
-        j = np.where(on_boundary, j - 1, j)
-    j = np.clip(j, 0, cells - 1)
-    xi = x * cells - j
-    vals = legendre_values(k, xi)
-    return np.sqrt(cells) * np.einsum("xi,xi->x", vals, fine[j])

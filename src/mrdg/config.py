@@ -105,6 +105,10 @@ class RunConfig:
             raise ValueError(f"m must be in 1..5 (it defaults to k + 1), got {cfg.m}")
         if not cfg.cfl > 0:
             raise ValueError(f"cfl must be > 0, got {cfg.cfl:g}")
+        if not cfg.sigma > 0:
+            raise ValueError(f"sigma must be > 0, got {cfg.sigma:g}")
+        if cfg.init_n < 0:
+            raise ValueError(f"init_n must be >= 0 (0 means min(4, n)), got {cfg.init_n}")
         if not cfg.t_final >= 0:
             raise ValueError(f"t_final must be >= 0, got {cfg.t_final:g}")
         if not all(e > 0 for e in (cfg.eps,) + cfg.eps_values):

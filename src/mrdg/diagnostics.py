@@ -73,13 +73,6 @@ def orders(errors: Sequence[float]) -> list[float]:
     ]
 
 
-def fit_rate(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log y against log x."""
-    lx = np.log(np.asarray(xs, float))
-    ly = np.log(np.asarray(ys, float))
-    return float(np.polyfit(lx, ly, 1)[0])
-
-
 def _log_slope(y1, y0, x1, x0) -> float:
     # Undefined when the abscissa repeats (e.g. two thresholds landing on the
     # same grid) or a value is non-finite; report nan rather than raise.

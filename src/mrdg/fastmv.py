@@ -22,10 +22,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .alpert import legendre_values, project_1d
+from .alpert import project_1d
 from .grids import AdaptiveGrid, num_cells
 from .interp import make_interp_basis
-from .operators1d import FamilySpec, Operator1D, lu_split
+from .operators1d import (
+    FamilySpec,
+    Operator1D,
+    alpert_family,
+    fine_matrix,
+    lu_split,
+    point_rows,
+)
 
 Level = tuple[int, ...]
 
@@ -250,7 +257,7 @@ def project_separable(
     the multi-D projection an outer product of 1D projections per level.
     """
     vec_terms = [tuple(project_1d(f, k, n) for f in fs) for fs in terms]
-    return separable_from_vectors(space, vec_terms, FamilySpec("alpert", k, n))
+    return separable_from_vectors(space, vec_terms, alpert_family(k, n))
 
 
 def separable_from_vectors(
@@ -278,22 +285,10 @@ def separable_from_vectors(
 def alpert_point_matrix(k: int, n: int, x: np.ndarray) -> np.ndarray:
     """Dense evaluation matrix of the level-<=n Alpert family at points x.
 
-    Points must avoid dyadic breakpoints (no one-sided limits here); the
-    diagnostic lattices use cell midpoints, which satisfy that.
+    A point on a dyadic breakpoint takes the value of the cell to its right
+    (x = 1 that of the last cell).
     """
-    x = np.asarray(x, dtype=float)
-    ncf = 1 << n
-    cells = np.minimum((x * ncf).astype(int), ncf - 1)
-    xi = x * ncf - cells
-    vals = np.sqrt(ncf) * legendre_values(k, xi)  # (npts, p) local orthonormal
-    fam = FamilySpec("alpert", k, n)
-    pv = np.zeros((x.size, ncf * (k + 1)))
-    for j, c in enumerate(cells):
-        pv[j, c * (k + 1) : (c + 1) * (k + 1)] = vals[j]
-    # fine-cell evaluation rows composed with hierarchical synthesis
-    from .operators1d import fine_matrix
-
-    return pv @ fine_matrix(fam, k)
+    return point_rows(x, 0, n, k) @ fine_matrix(alpert_family(k, n), k)
 
 
 def eval_on_lattice(
@@ -305,7 +300,7 @@ def eval_on_lattice(
 ) -> np.ndarray:
     """Values of an Alpert-coefficient field on a tensor lattice of points."""
     d = space.ndim
-    fam = FamilySpec("alpert", k, n)
+    fam = alpert_family(k, n)
     mats = [alpert_point_matrix(k, n, pts) for pts in axes_points]
     shape = tuple(len(pts) for pts in axes_points)
     out = np.zeros(shape)

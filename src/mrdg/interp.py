@@ -22,12 +22,10 @@ families are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .alpert import Quadrature1D, legendre_values
 from .grids import num_cells
@@ -211,52 +209,3 @@ class InterpBasis1D:
 @lru_cache(maxsize=None)
 def make_interp_basis(m: int, variant: str = "interface") -> InterpBasis1D:
     return InterpBasis1D(m, variant)
-
-
-def interpolation_matrix(basis: InterpBasis1D, n: int) -> np.ndarray:
-    """E[a, b] = value of hierarchical function b at hierarchical node a,
-    for levels 0..n.  Unit lower triangular in the level-major order by the
-    delta property; values at a node use the node's own side."""
-    nodes = basis.all_nodes(n)
-    ndof = len(nodes)
-    e = np.zeros((ndof, ndof))
-    xs = np.array([x for x, _ in nodes])
-    col = 0
-    for level in range(0, n + 1):
-        cells = num_cells(level) if level else 1
-        for cell in range(cells):
-            for i in range(basis.p):
-                for a, (x, s) in enumerate(nodes):
-                    e[a, col] = basis.eval_hier(level, cell, i, np.array([x]), s)[0]
-                col += 1
-    assert col == ndof
-    return e
-
-
-def hierarchical_interpolate(f, basis: InterpBasis1D, n: int) -> np.ndarray:
-    """Surplus coefficients of the level-n interpolant of a callable.
-
-    `f` is called as f(x_array, side) so piecewise integrands can honor
-    one-sided nodes.  Surpluses solve the unit-lower-triangular node-value
-    system level by level.
-    """
-    nodes = basis.all_nodes(n)
-    vals = np.array([float(np.asarray(f(np.array([x]), s)).ravel()[0]) for x, s in nodes])
-    e = interpolation_matrix(basis, n)
-    return solve_triangular(e, vals, lower=True, unit_diagonal=True)
-
-
-def eval_interpolant(surplus: np.ndarray, basis: InterpBasis1D, n: int, x, side: int = 0):
-    """Evaluate a surplus expansion at points (dense reference path)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(x)
-    col = 0
-    for level in range(0, n + 1):
-        cells = num_cells(level) if level else 1
-        for cell in range(cells):
-            for i in range(basis.p):
-                c = surplus[col]
-                if c != 0.0:
-                    out += c * basis.eval_hier(level, cell, i, x, side)
-                col += 1
-    return out

@@ -24,7 +24,6 @@ h = 2^-n_max.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -248,19 +247,18 @@ class WaveOperator:
             out = space.zeros(self.p_a)
         self._penalty.apply(space, u, out)
         cval = self._csq_at_nodes(space, None)
-        for m in range(self.cfg.ndim):
-            nv = self._pd_nodeval[m].apply(space, u)
-            _elementwise_mul(nv, cval)
-            self._p_ops[m].apply(space, self._surplus.apply(space, nv), out)
-        if self.cfg.csq.aligned_jumps:
-            for m, s, nv_op, q_op in self._q_sided:
-                nv = nv_op.apply(space, u)
-                _elementwise_mul(nv, self._csq_at_nodes(space, (m, s)))
-                q_op.apply(space, self._surplus.apply(space, nv), out)
-        else:
-            nv = self._nodeval.apply(space, u)
-            _elementwise_mul(nv, cval)
-            self._q_op.apply(space, self._surplus.apply(space, nv), out)
+        p_nodes = [
+            _elementwise_mul(op.apply(space, u), cval) for op in self._pd_nodeval
+        ]
+        if not self.cfg.csq.aligned_jumps:
+            q_nodes = _elementwise_mul(self._nodeval.apply(space, u), cval)
+            return self.apply_interpolated(space, p_nodes, q_nodes, out)
+        for p_op, nv in zip(self._p_ops, p_nodes):
+            p_op.apply(space, self._surplus.apply(space, nv), out)
+        for m, s, nv_op, q_op in self._q_sided:
+            nv = nv_op.apply(space, u)
+            _elementwise_mul(nv, self._csq_at_nodes(space, (m, s)))
+            q_op.apply(space, self._surplus.apply(space, nv), out)
         return out
 
     def apply_interpolated(
@@ -270,12 +268,12 @@ class WaveOperator:
         q_nodes: CoeffSet,
         out: CoeffSet | None = None,
     ) -> CoeffSet:
-        """Interpolated branches driven by externally sampled node values.
+        """Smooth-speed interpolated terms driven by node samples (out += ...).
 
-        `p_nodes[m]` holds node samples of c^2 d_m u and `q_nodes` of c^2 u
-        for some (typically exact, smooth) u; the penalty term — zero for a
-        continuous u — is not included.  Only the continuous-speed trace
-        branch is wired here.
+        `p_nodes[m]` holds node samples of c^2 d_m u and `q_nodes` of c^2 u.
+        `apply` passes samples of the discrete u; exact samples of a smooth u
+        give the truncation error of the scheme.  The penalty term, zero for a
+        continuous u, is not included.
         """
         if self.cfg.csq.is_constant or self.cfg.csq.aligned_jumps:
             raise ValueError("external samples need the smooth-speed pipeline")
@@ -286,15 +284,6 @@ class WaveOperator:
         self._q_op.apply(space, self._surplus.apply(space, q_nodes), out)
         return out
 
-    def interpolant(self, space: TensorSpace, u: CoeffSet) -> CoeffSet:
-        """Surpluses of I(c^2 u) (natural node sides), mainly a test hook."""
-        nv = self._nodeval.apply(space, u)
-        if not self.cfg.csq.is_constant:
-            _elementwise_mul(nv, self._csq_at_nodes(space, None))
-        else:
-            nv.scale(self.cfg.csq.constant)
-        return self._surplus.apply(space, nv)
-
     def bilinear(self, space: TensorSpace, u: CoeffSet, v: CoeffSet) -> float:
         """B(u, v) = -<L u, v>."""
         return -self.apply(space, u).dot(v)
@@ -302,52 +291,6 @@ class WaveOperator:
     def energy(self, space: TensorSpace, u: CoeffSet, w: CoeffSet) -> float:
         """Discrete energy 1/2 ||w||^2 + 1/2 B(u, u)."""
         return 0.5 * w.norm2() + 0.5 * self.bilinear(space, u, u)
-
-
-def sample_at_nodes(
-    space: TensorSpace, m: int, variant: str, fn: Callable
-) -> CoeffSet:
-    """Values of an analytic function at every active element's node tuple."""
-    p = (m + 1,) * space.ndim
-    out = space.zeros(p)
-    for lv in space.levels:
-        coords, _sides = node_lattice(m, variant, lv)
-        out.data[lv][...] = fn(*_on_level(coords, space.cell_counts[lv] + p))
-    return space.mask(out)
-
-
-@lru_cache(maxsize=None)
-def _energy_ops(ndim: int, k: int, n: int) -> tuple[TensorOperator, ...]:
-    A = alpert_family(k, n)
-    interior = ("neumann", "neumann")  # face list = interior interfaces only
-    stiff_terms, avg_terms, jump_terms = [], [], []
-    for m in range(ndim):
-        S = assemble_stiffness(A, A)
-        A2 = assemble_trace(A, A, "davg", "davg", interior)
-        J2 = assemble_trace(A, A, "jump", "jump", interior)
-        for terms, op in ((stiff_terms, S), (avg_terms, A2), (jump_terms, J2)):
-            ops: list[Operator1D | None] = [None] * ndim
-            ops[m] = op
-            terms.append(TensorTerm(tuple(ops)))
-    return (
-        TensorOperator(stiff_terms),
-        TensorOperator(avg_terms),
-        TensorOperator(jump_terms),
-    )
-
-
-def energy_norm(space: TensorSpace, u: CoeffSet, k: int, n: int) -> float:
-    """Broken H1-type norm: |||u|||^2 = ||grad u||^2 + h sum {du/dn}^2
-    + (1/h) sum [u]^2, with trace sums over the interior finest-mesh
-    interfaces (constants measure zero)."""
-    stiff, avg2, jump2 = _energy_ops(space.ndim, k, n)
-    h = 2.0**-n
-    val = (
-        stiff.apply(space, u).dot(u)
-        + h * avg2.apply(space, u).dot(u)
-        + jump2.apply(space, u).dot(u) / h
-    )
-    return float(np.sqrt(max(val, 0.0)))
 
 
 @dataclass

@@ -25,9 +25,10 @@ from .alpert import (
     legendre_derivs,
     legendre_values,
     mother_wavelets,
+    two_scale,
 )
 from .grids import num_cells
-from .interp import InterpBasis1D, make_interp_basis
+from .interp import make_interp_basis
 
 _TAGS = ("diag", "lower", "strictly-upper", "general")
 
@@ -122,16 +123,9 @@ def lu_split(op: Operator1D) -> tuple[Operator1D, Operator1D]:
 # finest-mesh representations
 
 
-@lru_cache(maxsize=None)
-def _refinement_filters(pf: int) -> tuple[np.ndarray, np.ndarray]:
-    from .alpert import two_scale
-
-    return two_scale(pf)
-
-
 def _refine_rep(rep: np.ndarray, levels: int, pf: int) -> np.ndarray:
     """Push a per-cell modal representation `levels` times down the dyadic tree."""
-    r0, r1 = _refinement_filters(pf)
+    r0, r1 = two_scale(pf)
     out = rep
     for _ in range(levels):
         nxt = np.empty((2 * out.shape[0], pf + 1))
@@ -359,37 +353,33 @@ def assemble_trace(
 
 
 # ---------------------------------------------------------------------------
-# node-evaluation operators
+# point and node evaluation
 
 
-def _node_rows(
-    basis: InterpBasis1D, n: int, pf: int, deriv: bool, force_side: int = 0
-) -> np.ndarray:
-    """Fine-dof evaluation rows for every hierarchical node (with its side).
+def point_rows(x, sides, n: int, pf: int, deriv: bool = False) -> np.ndarray:
+    """Fine-mesh evaluation rows at points x in [0, 1], shape (len(x), 2^n (pf+1)).
 
-    `force_side` overrides each node's own side tag (used to sample both
-    one-sided limits across coefficient-jump planes); the domain endpoints
-    keep their inward side regardless.
+    Row j holds the level-n local orthonormal Legendre values (derivatives
+    with `deriv`) at x[j] in the columns of the cell holding x[j], so
+    `point_rows(...) @ fine_matrix(fam, pf)` evaluates every function of
+    `fam`.  At a dyadic breakpoint a negative side takes the left cell and any
+    other side the right cell; the domain ends clip to the first and last
+    cell whatever their side.
     """
-    nodes = basis.all_nodes(n)
+    x = np.asarray(x, dtype=float)
     ncf = 1 << n
-    rows = np.zeros((len(nodes), ncf * (pf + 1)))
-    for a, (x, side) in enumerate(nodes):
-        if force_side and 0.0 < x < 1.0:
-            side = force_side
-        t = x * ncf
-        cell = int(np.floor(t))
-        if t == np.floor(t):  # dyadic node: the side picks the cell
-            if side == 0:
-                raise AssertionError("dyadic node without side tag")
-            cell = int(t) - 1 if side < 0 else int(t)
-        cell = min(max(cell, 0), ncf - 1)
-        xi = np.array([x * ncf - cell])
-        if deriv:
-            vals = ncf**1.5 * legendre_derivs(pf, xi)[0]
-        else:
-            vals = ncf**0.5 * legendre_values(pf, xi)[0]
-        rows[a, cell * (pf + 1) : (cell + 1) * (pf + 1)] = vals
+    t = x * ncf
+    cell = np.floor(t).astype(int)
+    cell = np.where((t == cell) & (np.asarray(sides) < 0), cell - 1, cell)
+    cell = np.clip(cell, 0, ncf - 1)
+    xi = t - cell
+    if deriv:
+        vals = ncf**1.5 * legendre_derivs(pf, xi)
+    else:
+        vals = ncf**0.5 * legendre_values(pf, xi)
+    rows = np.zeros((x.size, ncf * (pf + 1)))
+    cols = cell[:, None] * (pf + 1) + np.arange(pf + 1)
+    rows[np.arange(x.size)[:, None], cols] = vals
     return rows
 
 
@@ -399,16 +389,20 @@ def assemble_node_values(
 ) -> Operator1D:
     """Values (or derivatives) of the column family at the hierarchical nodes.
 
-    With col = the matching interp family, deriv=False and no side forcing
-    this is the interpolation system: unit lower triangular by the delta
-    property.
+    A nonzero `force_side` replaces every node's side tag, which samples both
+    one-sided limits across coefficient-jump planes (the domain ends keep
+    their cell, see `point_rows`).  With col = the matching interp family,
+    deriv=False and no side forcing this is the interpolation system: unit
+    lower triangular by the delta property.
     """
     if rows.kind != "nodes":
         raise ValueError("row family must be a node layout")
-    basis = make_interp_basis(rows.degree, rows.variant)
+    nodes = make_interp_basis(rows.degree, rows.variant).all_nodes(rows.n)
+    x, sides = np.array(nodes, dtype=float).T
+    if force_side:
+        sides = np.full_like(sides, force_side)
     pf = max(rows.degree, col.degree)
-    pv = _node_rows(basis, rows.n, pf, deriv, force_side)
-    mat = pv @ fine_matrix(col, pf)
+    mat = point_rows(x, sides, rows.n, pf, deriv) @ fine_matrix(col, pf)
     same = col.kind == "interp" and (col.degree, col.variant) == (
         rows.degree,
         rows.variant,

@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mrdg.alpert import AlpertBasis1D, Quadrature1D
+from mrdg.alpert import Quadrature1D, legendre_values, mother_wavelets
 from mrdg.fastmv import CoeffSet, TensorSpace, TensorTerm
 from mrdg.grids import AdaptiveGrid, children, num_cells
+from mrdg.interp import make_interp_basis
 
 
 def cellwise_gauss(n: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -29,17 +30,45 @@ def cellwise_gauss(n: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def alpert_values_brute(k: int, n: int, x: np.ndarray) -> np.ndarray:
-    """Row i = hierarchical Alpert function i evaluated at x, via eval_hier."""
-    basis = AlpertBasis1D(k, n)
-    out = np.empty((basis.ndof, len(x)))
-    for i in range(k + 1):
-        out[basis.index(0, 0, i)] = basis.eval_scaling(i, x)
-    for level in range(1, n + 1):
-        for cell in range(num_cells(level)):
-            for i in range(k + 1):
-                out[basis.index(level, cell, i)] = basis.eval_hier(level, cell, i, x)
-    return out
+def alpert_mother(k: int, i: int, x: np.ndarray, side: int = 0) -> np.ndarray:
+    """Mother wavelet psi_i at x in [0, 1] from its half-interval table;
+    `side` < 0 takes the left limit at the midpoint, >= 0 the right one."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    half = ((x > 0.5) | ((x == 0.5) & (side >= 0))).astype(int)
+    vals = np.sqrt(2.0) * legendre_values(k, 2.0 * x - half)
+    return np.einsum("xq,xq->x", vals, mother_wavelets(k)[i, half])
+
+
+def alpert_hier(k: int, level: int, cell: int, i: int, x, side: int = 0):
+    """Hierarchical Alpert function (level, cell, i) at x, zero off its
+    support; `side` picks one-sided limits at breakpoints as above."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if level == 0:
+        return legendre_values(k, x)[:, i]
+    scale = float(1 << (level - 1))
+    xi = scale * x - cell
+    inside = (xi > 0.0) & (xi < 1.0)
+    inside |= (xi == 0.0) & (side >= 0)
+    inside |= (xi == 1.0) & (side < 0)
+    vals = np.zeros_like(x)
+    vals[inside] = np.sqrt(scale) * alpert_mother(k, i, xi[inside], side)
+    return vals
+
+
+def hier_index(n: int, p: int) -> list[tuple[int, int, int]]:
+    """(level, cell, i) of every hierarchical function, in level-major order."""
+    return [(lv, c, i) for lv in range(n + 1) for c in range(num_cells(lv)) for i in range(p)]
+
+
+def alpert_values_brute(k: int, n: int, x: np.ndarray, side: int = 0) -> np.ndarray:
+    """Row i = hierarchical Alpert function i evaluated at x."""
+    return np.array([alpert_hier(k, *key, x, side) for key in hier_index(n, k + 1)])
+
+
+def interp_values_brute(m, variant, n, x, side=0) -> np.ndarray:
+    """Row i = hierarchical interpolatory function i evaluated at x."""
+    basis = make_interp_basis(m, variant)
+    return np.array([basis.eval_hier(*key, x, side) for key in hier_index(n, m + 1)])
 
 
 # ---------------------------------------------------------------------------

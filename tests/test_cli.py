@@ -308,6 +308,8 @@ def test_last_step_lands_on_each_target(mode):
         "eps=-1",
         "problem=smooth-speed",  # defined for ndim 2 and 3 only
         "ndim=3 n=9 mode=full",  # 2^30 coefficients, over the full-grid cap
+        "init_n=-2 mode=adaptive",
+        "sigma=nan",
     ],
 )
 def test_rejected_config_exits_2_with_one_line(tmp_path, cfg_file, capsys, override):

@@ -92,6 +92,10 @@ def test_list_valued_keys():
         {"problem": "layered-aligned", "ndim": "1"},
         {"ndim": "3", "k": "1", "n": "9", "mode": "full"},  # 2^30 coefficients
         {"ndim": "2", "mode": "full", "n": "3", "n_values": "4,13"},
+        {"init_n": "-2", "mode": "adaptive"},  # would start from an empty grid
+        {"sigma": "0"},
+        {"sigma": "-1"},
+        {"sigma": "nan"},
     ],
 )
 def test_invalid_mappings_raise(bad):
@@ -104,6 +108,8 @@ def test_range_limits_are_accepted():
         {"n": "13", "m": "5", "t_final": "0", "slice_points": "1", "eps": "1e-12"}
     )
     assert (cfg.n, cfg.m, cfg.t_final, cfg.slice_points) == (13, 5, 0.0, 1)
+    cfg = RunConfig.from_mapping({"n": "6", "init_n": "0", "sigma": "1e-300"})
+    assert (cfg.init_n, cfg.sigma) == (4, 1e-300)  # 0 means min(4, n)
     assert RunConfig.from_mapping({"problem": "smooth-speed", "ndim": "3"}).ndim == 3
     # the largest full grid: (k+1)^ndim * 2^(n*ndim) = 2^26 coefficients
     assert RunConfig.from_mapping({"ndim": "2", "n": "12", "mode": "full"}).n == 12

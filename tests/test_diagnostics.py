@@ -10,7 +10,6 @@ from mrdg.diagnostics import (
     center_lattice,
     dof_rates,
     eps_rates,
-    fit_rate,
     fmt,
     l2_error,
     linf_error,
@@ -99,7 +98,6 @@ def test_center_lattice_avoids_breakpoints():
 def test_rate_helpers_on_hand_values():
     assert orders([8.0, 4.0, 1.0]) == [1.0, 2.0]
     assert orders([1.0, 0.0]) == [math.inf]
-    assert fit_rate([1.0, 2.0, 4.0], [3.0, 6.0, 12.0]) == pytest.approx(1.0)
     assert dof_rates([10, 100], [1.0, 0.01]) == [pytest.approx(2.0)]
     assert eps_rates([1e-2, 1e-4], [1e-3, 1e-5]) == [pytest.approx(1.0)]
 

@@ -1,16 +1,26 @@
-"""Interpolatory multiwavelets: node families, delta property, interpolants."""
+"""Interpolatory multiwavelets: node families, delta property, interpolants.
+
+The interpolants go through the solver's own operators (node values from
+`point_rows` and `fine_matrix`, surpluses from `assemble_node_to_surplus`);
+a dense node-value matrix built from pointwise `eval_hier` checks them.
+"""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mrdg.interp import (
-    eval_interpolant,
-    hierarchical_interpolate,
-    interpolation_matrix,
-    make_interp_basis,
+from mrdg.interp import make_interp_basis
+from mrdg.operators1d import (
+    assemble_node_to_surplus,
+    assemble_node_values,
+    fine_matrix,
+    interp_family,
+    node_family,
+    point_rows,
 )
+
+from conftest import interp_values_brute
 
 EXACT = 1e-12
 
@@ -69,35 +79,53 @@ def test_wavelet_delta_property(m, variant):
             assert abs(basis.eval_mother(i, np.array([x]), s)[0]) < EXACT
 
 
-@pytest.mark.parametrize("m,variant", [(2, "interface"), (3, "inner"), (4, "interface")])
+def interpolation_matrix(m, variant, n):
+    """E[a, b] = hierarchical function b at node a (with the node's side)."""
+    nodes = make_interp_basis(m, variant).all_nodes(n)
+    return np.hstack([interp_values_brute(m, variant, n, x, s) for x, s in nodes]).T
+
+
+def interpolate(f, m, variant, n):
+    """Surpluses of the level-n interpolant of f(x, side) via the solver path."""
+    nodes = make_interp_basis(m, variant).all_nodes(n)
+    vals = np.array([f(x, s) for x, s in nodes])
+    return assemble_node_to_surplus(node_family(m, variant, n)).mat @ vals
+
+
+def eval_interpolant(surplus, m, variant, n, x, sides=0):
+    q = fine_matrix(interp_family(m, variant, n), m)
+    return point_rows(x, sides, n, m) @ q @ surplus
+
+
+@pytest.mark.parametrize("m,variant", ALL_FAMILIES)
 def test_interpolation_matrix_unit_lower(m, variant):
-    basis = make_interp_basis(m, variant)
-    e = interpolation_matrix(basis, 3)
+    e = interpolation_matrix(m, variant, 3)
     np.testing.assert_allclose(np.diag(e), 1.0, atol=EXACT)
     assert np.max(np.abs(np.triu(e, 1))) < EXACT
+    # the solver's node-value operator is the same matrix
+    op = assemble_node_values(node_family(m, variant, 3), interp_family(m, variant, 3))
+    np.testing.assert_allclose(op.mat, e, atol=1e-11)
 
 
 @pytest.mark.parametrize("m,variant", ALL_FAMILIES)
 def test_interpolant_reproduces_node_values(m, variant):
     # side enters f so one-sided nodes must be honored to reproduce values
     f = lambda x, side: np.sin(3 * x) + x**2 + 0.1 * side
-    basis = make_interp_basis(m, variant)
-    surplus = hierarchical_interpolate(f, basis, 3)
-    for x, s in basis.all_nodes(3):
-        got = eval_interpolant(surplus, basis, 3, np.array([x]), s)[0]
-        assert abs(got - f(np.array([x]), s)[0]) < 1e-10
+    surplus = interpolate(f, m, variant, 3)
+    x, sides = np.array(make_interp_basis(m, variant).all_nodes(3)).T
+    got = eval_interpolant(surplus, m, variant, 3, x, sides)
+    np.testing.assert_allclose(got, f(x, sides), atol=1e-10)
 
 
 @pytest.mark.parametrize("m,variant", [(2, "interface"), (2, "inner"), (4, "interface")])
 def test_interpolant_exact_on_polynomials(m, variant):
     # degree-M polynomials are reproduced everywhere, not only at nodes
-    basis = make_interp_basis(m, variant)
     coef = np.arange(1.0, m + 2)
     poly = np.polynomial.Polynomial(coef)
-    surplus = hierarchical_interpolate(lambda x, side: poly(x), basis, 2)
+    surplus = interpolate(lambda x, side: poly(x), m, variant, 2)
     x = np.linspace(0.013, 0.987, 41)
     np.testing.assert_allclose(
-        eval_interpolant(surplus, basis, 2, x), poly(x), atol=1e-10
+        eval_interpolant(surplus, m, variant, 2, x), poly(x), atol=1e-10
     )
     # and the surplus of every level >= 1 function vanishes
     assert np.max(np.abs(surplus[m + 1 :])) < 1e-10

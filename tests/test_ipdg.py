@@ -10,7 +10,7 @@ to the projected strong form at the expected rate.
 import numpy as np
 import pytest
 
-from mrdg.fastmv import TensorSpace, project_separable
+from mrdg.fastmv import TensorSpace, node_lattice, project_separable
 from mrdg.grids import AdaptiveGrid
 from mrdg.ipdg import (
     Coefficient,
@@ -18,9 +18,8 @@ from mrdg.ipdg import (
     SourceTerm,
     State,
     WaveOperator,
-    energy_norm,
+    _on_level,
     make_rhs,
-    sample_at_nodes,
 )
 
 from conftest import flatten, random_coeffs, space_layout
@@ -161,44 +160,6 @@ def test_bilinear_and_energy_accounting():
 
 
 # ---------------------------------------------------------------------------
-# broken H1-type norm
-
-
-def test_energy_norm_closed_forms():
-    n = 3
-    space = TensorSpace(AdaptiveGrid.full(2, n))
-    # constants carry no gradient, jumps, or normal derivatives; the residual
-    # is cancellation noise through the h^-3 scaled derivative traces
-    ones = project_separable(space, [(lambda x: 1.0 + 0 * x, lambda y: 1.0 + 0 * y)], 1, n)
-    assert energy_norm(space, ones, 1, n) < 1e-6
-
-    # u = x1: unit gradient plus {du/dn} = 1 on the 2^n - 1 interior faces
-    lin = project_separable(space, [(lambda x: x, lambda y: 1.0 + 0 * y)], 1, n)
-    want = np.sqrt(2.0 - 2.0**-n)
-    got = energy_norm(space, lin, 1, n)
-    assert abs(got - want) < 1e-9
-
-    # homogeneity
-    assert abs(energy_norm(space, lin.copy().scale(-2.5), 1, n) - 2.5 * want) < 1e-9
-
-    # u = sign(x1 - 1/2): pure jump, [u]^2 = 4 on a single face
-    step = project_separable(
-        space, [(lambda x: np.sign(x - 0.5), lambda y: 1.0 + 0 * y)], 1, n
-    )
-    assert abs(energy_norm(space, step, 1, n) - 2.0 ** (1 + n / 2)) < 1e-8
-
-
-def test_energy_norm_ignores_zero_padding():
-    n = 3
-    coarse = TensorSpace(AdaptiveGrid.sparse(2, 2))
-    fine = TensorSpace(AdaptiveGrid.sparse(2, n))
-    u = random_coeffs(coarse, (2, 2), 17)
-    a = energy_norm(coarse, u, 1, n)
-    b = energy_norm(fine, fine.conform(u), 1, n)
-    assert abs(a - b) < 1e-10 * max(1.0, a)
-
-
-# ---------------------------------------------------------------------------
 # interpolation plumbing
 
 
@@ -206,15 +167,23 @@ def test_interpolant_of_polynomial_has_no_fine_surpluses():
     space = TensorSpace(AdaptiveGrid.sparse(2, 3))
     wop = scheme(2, 1, 2, 3, constant_field(1.0))
     u = project_separable(space, [(lambda x: x, lambda y: y)], 1, 3)
-    surp = wop.interpolant(space, u)
+    surp = wop._surplus.apply(space, wop._nodeval.apply(space, u))
     for lv, arr in surp.data.items():
         if lv != (0, 0):
             assert np.max(np.abs(arr)) < 1e-12
 
 
-def test_sample_at_nodes_evaluates_fn_on_lattice():
-    from mrdg.fastmv import node_lattice
+def sample_at_nodes(space, m, variant, fn):
+    """Values of an analytic function at every active element's node tuple."""
+    p = (m + 1,) * space.ndim
+    out = space.zeros(p)
+    for lv in space.levels:
+        coords, _sides = node_lattice(m, variant, lv)
+        out.data[lv][...] = fn(*_on_level(coords, space.cell_counts[lv] + p))
+    return space.mask(out)
 
+
+def test_sample_at_nodes_evaluates_fn_on_lattice():
     space = TensorSpace(AdaptiveGrid.sparse(2, 2))
     fn = lambda x, y: np.sin(x) + 2.0 * y
     cs = sample_at_nodes(space, 3, "interface", fn)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from mrdg.alpert import Quadrature1D, legendre_derivs, legendre_values
-from mrdg.grids import num_cells
 from mrdg.interp import make_interp_basis
 from mrdg.operators1d import (
     Operator1D,
@@ -22,27 +21,16 @@ from mrdg.operators1d import (
     assemble_trace,
     assemble_volume_derivative,
     boundary_vectors,
+    fine_matrix,
     interp_family,
     lu_split,
     node_family,
+    point_rows,
 )
 
-from conftest import alpert_values_brute
+from conftest import alpert_values_brute, interp_values_brute
 
 BRUTE_TOL = 1e-10
-
-
-def interp_values_brute(m, variant, n, x, side=0):
-    basis = make_interp_basis(m, variant)
-    fam = interp_family(m, variant, n)
-    out = np.empty((fam.ndof, len(x)))
-    row = 0
-    for level in range(n + 1):
-        for cell in range(num_cells(level) if level else 1):
-            for i in range(m + 1):
-                out[row] = basis.eval_hier(level, cell, i, x, side)
-                row += 1
-    return out
 
 
 def fine_legendre_coeffs(values_at, ndof, n, pf):
@@ -241,6 +229,19 @@ def test_node_values_match_pointwise_evaluation(deriv):
             else:
                 vals = (coef[:, cell, :] @ (ncf**0.5 * legendre_values(pf, np.array([xi]))).T)[:, 0]
         np.testing.assert_allclose(op.mat[a], vals, atol=BRUTE_TOL)
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_point_rows_breakpoint_convention(side):
+    # at interior dyadic points a negative side takes the left limit and any
+    # other side the right one; the Alpert oracle jumps there at every level
+    k, n = 2, 3
+    x = np.arange(1, 8) / 8
+    got = point_rows(x, np.full(7, side), n, k) @ fine_matrix(alpert_family(k, n), k)
+    want = alpert_values_brute(k, n, x, side=-1 if side < 0 else 1).T
+    np.testing.assert_allclose(got, want, atol=BRUTE_TOL)
+    other = alpert_values_brute(k, n, x, side=1 if side < 0 else -1).T
+    assert np.all(np.abs(got - other).max(axis=1) > 0.1)
 
 
 def test_interp_node_system_is_unit_lower():
