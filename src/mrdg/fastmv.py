@@ -10,6 +10,12 @@ an active output inside the (downward-closed) level set.  With that ordering,
 discarding out-of-set blocks reproduces the Galerkin restriction of the full
 Kronecker operator to the active degrees of freedom exactly.
 
+A sweep along dimension m contracts one fiber (the level tuples that agree on
+every coordinate but m) at a time.  The 1D index of (level a, cell c, poly i)
+is p * (cells of levels < a + c) + i, so a fiber's arrays for levels 0..A,
+concatenated along the cell axis of m, have the 1D layout, and one product
+with a block of the 1D matrix gives the whole output fiber.
+
 Operators with more than one unconstrained dimension are expanded into at
 most 2^(d-1) sweepable terms by L+U splitting of the surplus factors.
 """
@@ -86,8 +92,8 @@ class TensorSpace:
     """Active-cell structure of an adaptive grid, frozen at one version.
 
     Holds the sorted level list, a copy of the grid's per-level boolean cell
-    masks, and convenience constructors for coefficient sets.  Rebuild after
-    the grid changes (the stored version detects staleness).
+    masks, each fiber's top level, and constructors for coefficient sets.
+    Rebuild after the grid changes (the stored version detects staleness).
     """
 
     def __init__(self, grid: AdaptiveGrid):
@@ -98,6 +104,14 @@ class TensorSpace:
         self.level_set = frozenset(self.levels)
         self.masks = {lv: grid.masks[lv].copy() for lv in self.levels}
         self.cell_counts = {lv: mask.shape for lv, mask in self.masks.items()}
+        # inverted masks of the levels that have inactive cells
+        self._holes = {lv: ~m for lv, m in self.masks.items() if not m.all()}
+        # fiber_top[m][lv without coordinate m] = top level of that fiber;
+        # levels ascend, so the last write is the top
+        self.fiber_top: list[dict[Level, int]] = [{} for _ in range(self.ndim)]
+        for lv in self.levels:
+            for m, tops in enumerate(self.fiber_top):
+                tops[lv[:m] + lv[m + 1 :]] = lv[m]
 
     @property
     def n_active(self) -> int:
@@ -115,8 +129,10 @@ class TensorSpace:
 
     def mask(self, cs: CoeffSet) -> CoeffSet:
         """Zero all inactive-cell blocks in place."""
-        for lv, arr in cs.data.items():
-            arr[~self.masks[lv]] = 0.0
+        for lv, holes in self._holes.items():
+            arr = cs.data.get(lv)
+            if arr is not None:
+                arr[holes] = 0.0
         return cs
 
     def conform(self, cs: CoeffSet) -> CoeffSet:
@@ -181,30 +197,41 @@ def expand_term(term: TensorTerm) -> list[TensorTerm]:
 
 
 def _sweep(space: TensorSpace, cs: CoeffSet, op: Operator1D, dim: int) -> CoeffSet:
-    """Contract one dimension with a 1D operator, staying on the level set."""
+    """Contract dimension `dim` with a 1D operator, one product per fiber.
+
+    A fiber's input levels 0..A (a level missing from `cs` enters as zeros)
+    are concatenated along the cell axis of `dim`, contracted with the block
+    `op.mat[:rows(B), :cols(A)]`, and split back into per-level views.  The
+    outputs 0..B are the fiber's part of the level set, cut by the tag to the
+    levels the inputs reach; blocks outside the tag are exact zeros.
+    """
     d = cs.ndim
-    p_out = list(cs.p)
-    p_out[dim] = op.row.p
-    out: dict[Level, np.ndarray] = {}
+    fibers: dict[Level, dict[int, np.ndarray]] = {}
     for lv, arr in cs.data.items():
-        a = lv[dim]
-        for b in op.out_levels(a):
-            lv_out = lv[:dim] + (b,) + lv[dim + 1 :]
-            if lv_out not in space.level_set:
-                continue
-            blk = op.block(b, a)
-            cb, ca = num_cells(b), num_cells(a)
-            blk4 = blk.reshape(cb, op.row.p, ca, op.col.p)
-            res = np.tensordot(arr, blk4, axes=([dim, d + dim], [2, 3]))
-            res = np.moveaxis(res, (res.ndim - 2, res.ndim - 1), (dim, d + dim))
-            acc = out.get(lv_out)
-            if acc is None:
-                out[lv_out] = res
-            else:
-                acc += res
+        fibers.setdefault(lv[:dim] + lv[dim + 1 :], {})[lv[dim]] = arr
+    out: dict[Level, np.ndarray] = {}
+    for rest, by_level in fibers.items():
+        a_hi = max(by_level)
+        top = space.fiber_top[dim].get(rest, -1)
+        b_hi = min(top, {"diag": a_hi, "strictly-upper": a_hi - 1}.get(op.tag, top))
+        if b_hi < 0:
+            continue
+        shape = list(by_level[a_hi].shape)
+        parts = []
+        for a in range(a_hi + 1):
+            shape[dim] = num_cells(a)
+            parts.append(by_level[a] if a in by_level else np.zeros(shape))
+        x = np.concatenate(parts, axis=dim) if a_hi else parts[0]
+        blk = op.mat[: op.row.level_slice(b_hi).stop, : op.col.level_slice(a_hi).stop]
+        blk = blk.reshape(-1, op.row.p, x.shape[dim], op.col.p)
+        res = np.tensordot(x, blk, axes=([dim, d + dim], [2, 3]))
+        res = np.moveaxis(res, (2 * d - 2, 2 * d - 1), (dim, d + dim))
+        cuts = [num_cells(b) for b in range(1, b_hi + 1)]  # = cells of levels < b
+        for b, piece in enumerate(np.split(res, cuts, axis=dim)):
+            out[rest[:dim] + (b,) + rest[dim:]] = piece
     # levels nothing reached stay absent; downstream accumulation treats
     # a missing level as zero
-    return CoeffSet(tuple(p_out), out)
+    return CoeffSet(cs.p[:dim] + (op.row.p,) + cs.p[dim + 1 :], out)
 
 
 class TensorOperator:

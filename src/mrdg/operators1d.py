@@ -75,7 +75,7 @@ def node_family(m: int, variant: str, n: int) -> FamilySpec:
 
 @dataclass
 class Operator1D:
-    """Dense hierarchical operator block with triangularity metadata."""
+    """Dense hierarchical operator; every level block outside its tag is 0."""
 
     mat: np.ndarray
     row: FamilySpec
@@ -86,19 +86,12 @@ class Operator1D:
         if self.tag not in _TAGS:
             raise ValueError(f"unknown triangularity tag {self.tag!r}")
 
-    def block(self, out_level: int, in_level: int) -> np.ndarray:
-        return self.mat[self.row.level_slice(out_level), self.col.level_slice(in_level)]
 
-    def out_levels(self, in_level: int) -> range:
-        """Level range of possibly nonzero output blocks for one input level."""
-        n = self.row.n
-        if self.tag == "diag":
-            return range(in_level, in_level + 1)
-        if self.tag == "lower":
-            return range(in_level, n + 1)
-        if self.tag == "strictly-upper":
-            return range(0, in_level)
-        return range(0, n + 1)
+def _zero_upper(mat: np.ndarray, row: FamilySpec, col: FamilySpec) -> np.ndarray:
+    """Zero, in place, every block whose output level is below its input level."""
+    for a in range(1, col.n + 1):
+        mat[: row.level_offset(a), col.level_slice(a)] = 0.0
+    return mat
 
 
 def lu_split(op: Operator1D) -> tuple[Operator1D, Operator1D]:
@@ -106,16 +99,9 @@ def lu_split(op: Operator1D) -> tuple[Operator1D, Operator1D]:
 
     The two parts reconstruct `op.mat` exactly; they share no blocks.
     """
-    lmat = np.zeros_like(op.mat)
-    umat = np.zeros_like(op.mat)
-    for a in range(op.col.n + 1):
-        cs = op.col.level_slice(a)
-        for b in range(op.row.n + 1):
-            rs = op.row.level_slice(b)
-            target = lmat if b >= a else umat
-            target[rs, cs] = op.mat[rs, cs]
+    lmat = _zero_upper(op.mat.copy(), op.row, op.col)
     low = Operator1D(lmat, op.row, op.col, "lower")
-    up = Operator1D(umat, op.row, op.col, "strictly-upper")
+    up = Operator1D(op.mat - lmat, op.row, op.col, "strictly-upper")
     return low, up
 
 
@@ -393,7 +379,8 @@ def assemble_node_values(
     one-sided limits across coefficient-jump planes (the domain ends keep
     their cell, see `point_rows`).  With col = the matching interp family,
     deriv=False and no side forcing this is the interpolation system: unit
-    lower triangular by the delta property.
+    lower triangular by the delta property, so the roundoff in its strictly
+    upper blocks is dropped.
     """
     if rows.kind != "nodes":
         raise ValueError("row family must be a node layout")
@@ -407,20 +394,21 @@ def assemble_node_values(
         rows.degree,
         rows.variant,
     )
-    tag = "lower" if (same and not deriv and not force_side) else "general"
-    return Operator1D(mat, rows, col, tag)
+    if same and not deriv and not force_side:
+        return Operator1D(_zero_upper(mat, rows, col), rows, col, "lower")
+    return Operator1D(mat, rows, col, "general")
 
 
 @lru_cache(maxsize=None)
 def assemble_node_to_surplus(nodes: FamilySpec) -> Operator1D:
     """Inverse of the interpolation system: node values -> surpluses.
 
-    The inverse of a unit lower triangular matrix is unit lower triangular.
+    The inverse of a unit lower triangular matrix is unit lower triangular,
+    so the roundoff `inv` leaves in its strictly upper blocks is dropped.
     """
     fam = interp_family(nodes.degree, nodes.variant, nodes.n)
     e = assemble_node_values(nodes, fam)
-    inv = np.linalg.inv(e.mat)
-    return Operator1D(inv, fam, nodes, "lower")
+    return Operator1D(_zero_upper(np.linalg.inv(e.mat), fam, nodes), fam, nodes, "lower")
 
 
 @lru_cache(maxsize=None)

@@ -160,7 +160,9 @@ def dense_from_terms(
                             break
                         factors.append(np.eye(num_cells(lvi[m]) * p_in[m]))
                     else:
-                        factors.append(op.block(lvo[m], lvi[m]))
+                        factors.append(
+                            op.mat[op.row.level_slice(lvo[m]), op.col.level_slice(lvi[m])]
+                        )
                 if factors is None:
                     continue
                 kron = factors[0]

@@ -177,6 +177,24 @@ def test_fast_apply_equals_dense_restriction(d, k, n):
             )
 
 
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**16), st.data())
+@settings(max_examples=30, deadline=None)
+def test_fast_apply_with_missing_input_levels_equals_dense(d, k, seed, data):
+    # an input without some levels (gaps inside a fiber included) must act
+    # as if those levels held zeros
+    n = {1: 5, 2: 4, 3: 3}[d]
+    space = TensorSpace(random_pruning(d, n, seed))
+    oname, terms = data.draw(st.sampled_from(operator_menu(d, k, n)))
+    p_in = tuple(op.col.p if op is not None else k + 1 for op in terms[0].ops)
+    x = random_coeffs(space, p_in, seed)
+    for lv in data.draw(st.sets(st.sampled_from(space.levels))):
+        del x.data[lv]
+    got = flatten(space, TensorOperator(terms).apply(space, x))
+    want = dense_from_terms(terms, space, p_in) @ flatten(space, x)
+    scale = max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) / scale < ORACLE_TOL, oname
+
+
 def test_apply_accumulates_into_out():
     space = TensorSpace(AdaptiveGrid.sparse(2, 3))
     fam = alpert_family(1, 3)

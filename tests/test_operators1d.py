@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from mrdg.alpert import Quadrature1D, legendre_derivs, legendre_values
+from mrdg.fastmv import TensorOperator
 from mrdg.interp import make_interp_basis
+from mrdg.ipdg import SchemeConfig, WaveOperator
 from mrdg.operators1d import (
     Operator1D,
     alpert_family,
@@ -27,6 +29,7 @@ from mrdg.operators1d import (
     node_family,
     point_rows,
 )
+from mrdg.problems import make_problem
 
 from conftest import alpert_values_brute, interp_values_brute
 
@@ -291,6 +294,10 @@ def test_boundary_vectors_match_one_sided_limits():
         )
 
 
+def level_block(op, b, a):
+    return op.mat[op.row.level_slice(b), op.col.level_slice(a)]
+
+
 def test_lu_split_reconstructs_and_tags():
     fam = alpert_family(2, 3)
     op = assemble_stiffness(fam, fam)
@@ -300,18 +307,53 @@ def test_lu_split_reconstructs_and_tags():
     for a in range(4):
         for b in range(4):
             if b < a:
-                assert not low.block(b, a).any()
+                assert not level_block(low, b, a).any()
             if b >= a:
-                assert not up.block(b, a).any()
+                assert not level_block(up, b, a).any()
 
 
-def test_out_levels_follow_tags():
-    fam = alpert_family(1, 3)
-    low, up = lu_split(assemble_stiffness(fam, fam))
-    assert list(low.out_levels(2)) == [2, 3]
-    assert list(up.out_levels(2)) == [0, 1]
-    diag = assemble_mass(fam, fam)
-    assert list(diag.out_levels(2)) == [2]
+# level pairs (out b, in a) whose block each tag declares zero
+OUTSIDE_TAG = {
+    "diag": lambda b, a: b != a,
+    "lower": lambda b, a: b < a,
+    "strictly-upper": lambda b, a: b >= a,
+    "general": lambda b, a: False,
+}
+
+
+def held_operators(obj):
+    """Every Operator1D in the (expanded) terms of the TensorOperators an
+    object holds, searching lists and tuples."""
+    if isinstance(obj, TensorOperator):
+        return [op for t in obj.terms for op in t.ops if op is not None]
+    if isinstance(obj, (list, tuple)):
+        return [op for item in obj for op in held_operators(item)]
+    return []
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("problem", ["cosine-periodic", "smooth-speed", "layered-aligned"])
+def test_wave_operator_blocks_outside_tags_are_zero(problem, ndim):
+    # the fiber sweep multiplies whole matrix blocks, so a tag must be an
+    # exact fact about the stored matrix, not a roundoff-level one
+    prob = make_problem(problem, ndim)
+    wop = WaveOperator(
+        SchemeConfig(
+            ndim=ndim, k=2, m=3, variant="interface", n_max=4, sigma=10.0,
+            bc=prob.bc, csq=prob.csq,
+        )
+    )
+    ops = held_operators(list(vars(wop).values()))
+    tags = {op.tag for op in ops}
+    if problem == "cosine-periodic":
+        assert tags == {"general"}
+    else:  # node-to-surplus factors and lu_split halves
+        assert tags == {"general", "lower", "strictly-upper"}
+    for op in ops:
+        for a in range(op.col.n + 1):
+            for b in range(op.row.n + 1):
+                if OUTSIDE_TAG[op.tag](b, a):
+                    assert not level_block(op, b, a).any(), (op.tag, b, a)
 
 
 def test_unknown_tag_rejected():
