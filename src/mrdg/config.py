@@ -32,6 +32,7 @@ def _ints(s: str) -> tuple[int, ...]:
 
 _MODES = ("sparse", "full", "adaptive")
 _VARIANTS = ("interface", "inner")
+_MAX_SLICE_POINTS = 1024  # a slice file then holds at most 2^20 lattice points
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,10 @@ class RunConfig:
             raise ValueError(f"t_final must be >= 0, got {cfg.t_final:g}")
         if not all(e > 0 for e in (cfg.eps,) + cfg.eps_values):
             raise ValueError("eps and eps_values must be > 0")
-        if cfg.slice_points < 1:
-            raise ValueError(f"slice_points must be >= 1, got {cfg.slice_points}")
+        if not 1 <= cfg.slice_points <= _MAX_SLICE_POINTS:
+            raise ValueError(
+                f"slice_points must be in 1..{_MAX_SLICE_POINTS}, got {cfg.slice_points}"
+            )
         REGISTRY[cfg.problem](ndim)  # raises ValueError when ndim is unsupported
         return cfg
 

@@ -35,9 +35,8 @@ from .operators1d import (
     FamilySpec,
     Operator1D,
     alpert_family,
-    fine_matrix,
     lu_split,
-    point_rows,
+    point_values,
 )
 
 Level = tuple[int, ...]
@@ -315,7 +314,7 @@ def alpert_point_matrix(k: int, n: int, x: np.ndarray) -> np.ndarray:
     A point on a dyadic breakpoint takes the value of the cell to its right
     (x = 1 that of the last cell).
     """
-    return point_rows(x, 0, n, k) @ fine_matrix(alpert_family(k, n), k)
+    return point_values(alpert_family(k, n), x, 0)
 
 
 def eval_on_lattice(

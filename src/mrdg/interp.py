@@ -170,41 +170,6 @@ class InterpBasis1D:
                 out.extend(self.nodes_for(level, cell))
         return out
 
-    # -- evaluation ------------------------------------------------------
-
-    def eval_phi(self, i: int, x, side: int = 0) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return legendre_values(self.m, x) @ self.phi[i]
-
-    def eval_mother(self, i: int, x, side: int = 0) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        h = self.halves[i]
-        if h == 0:
-            inside = (x > 0.0) | ((x == 0.0) & (side >= 0))
-            inside &= (x < 0.5) | ((x == 0.5) & (side < 0))
-        else:
-            inside = (x > 0.5) | ((x == 0.5) & (side >= 0))
-            inside &= (x < 1.0) | ((x == 1.0) & (side < 0))
-        vals = np.zeros_like(x)
-        if np.any(inside):
-            xi = 2.0 * x[inside] - h
-            basis = np.sqrt(2.0) * legendre_values(self.m, xi)
-            vals[inside] = basis @ self.mothers[i, h]
-        return vals
-
-    def eval_hier(self, level: int, cell: int, i: int, x, side: int = 0):
-        """Hierarchical interpolatory function at x (one-sided at breakpoints)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if level == 0:
-            return self.eval_phi(i, x, side)
-        scale = float(1 << (level - 1))
-        xi = scale * x - cell
-        vals = np.zeros_like(x)
-        inside = (xi >= 0.0) & (xi <= 1.0)
-        if np.any(inside):
-            vals[inside] = self.eval_mother(i, xi[inside], side)
-        return vals
-
 
 @lru_cache(maxsize=None)
 def make_interp_basis(m: int, variant: str = "interface") -> InterpBasis1D:

@@ -1,11 +1,15 @@
 """Dense 1D operator blocks in hierarchical multiwavelet coordinates.
 
-Every operator here is assembled the same way: represent both basis families
-exactly on the finest dyadic mesh (each hierarchical function is piecewise
-polynomial on the level-N cells), build the finest-mesh volume/trace matrix
-in the local orthonormal Legendre basis, and conjugate with the basis-change
-matrices.  All integrands are polynomials, so Gauss-Legendre quadrature of
-sufficient order makes the assembly exact up to roundoff.
+Every hierarchical function is piecewise polynomial on the finest dyadic
+mesh, and `fine_matrix` holds its local orthonormal Legendre coefficients on
+each finest cell.  Every operator is built from those coefficients in one of
+two ways, exactly up to roundoff:
+
+* volume terms (mass, stiffness, volume derivative) are cellwise tables:
+  one reference-cell table applied to each finest cell's block;
+* face terms (traces, node values, boundary data) are products of one-sided
+  point values from `point_values`; a trace is R_row^T R_col with one row of
+  R per face.
 
 Operators carry block-triangularity metadata with respect to the level-major
 ordering (level 0 first; within a level, cells then polynomial index).  Rows
@@ -174,108 +178,29 @@ def fine_matrix(fam: FamilySpec, pf: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ref_volume_tables(pf: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference-cell tables: S~[p,q] = int P~'_p P~'_q, K~[p,q] = int P~'_p P~_q."""
+def _ref_volume_tables(pf: int) -> dict[str, tuple[np.ndarray, int]]:
+    """Reference-cell tables with the power of 2^N a level-N cell scales them by.
+
+    mass: identity; stiffness: S~[p,q] = int P~'_p P~'_q; derivative:
+    K~[p,q] = int P~'_p P~_q.
+    """
     quad = Quadrature1D.gauss(pf + 2)
     v = legendre_values(pf, quad.nodes)
     d = legendre_derivs(pf, quad.nodes)
     s = np.einsum("x,xp,xq->pq", quad.weights, d, d)
     kk = np.einsum("x,xp,xq->pq", quad.weights, d, v)
-    return s, kk
+    return {"mass": (np.eye(pf + 1), 0), "stiffness": (s, 2), "derivative": (kk, 1)}
 
 
-def _endpoint_tables(pf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    ends = np.array([0.0, 1.0])
-    v = legendre_values(pf, ends)
-    d = legendre_derivs(pf, ends)
-    return v[0], v[1], d[0], d[1]  # values at 0, 1; derivatives at 0, 1
-
-
-def _faces(n: int, bc: tuple[str, str]) -> list[tuple[int | None, int | None]]:
-    """Face list as (left cell, right cell); None marks a missing side."""
-    ncf = 1 << n
-    faces: list[tuple[int | None, int | None]] = [
-        (j - 1, j) for j in range(1, ncf)
-    ]
-    left, right = bc
-    if "periodic" in bc:
-        if left != right:
-            raise ValueError("periodic boundary must apply to both sides")
-        faces.append((ncf - 1, 0))
-        return faces
-    if left in ("dirichlet", "all"):
-        faces.append((None, 0))
-    if right in ("dirichlet", "all"):
-        faces.append((ncf - 1, None))
-    # neumann sides contribute no bilinear-form faces; their flux data enters
-    # the load functional only
-    return faces
-
-
-def _face_vector(
-    kind: str, face: tuple[int | None, int | None], n: int, pf: int
-) -> np.ndarray:
-    """Fine-dof vector of a one-sided/averaged trace quantity on a face.
-
-    Boundary faces follow the single-sided convention: jump -> q n, avg -> q,
-    and both one-sided derivatives collapse to the interior limit.
-    """
-    ncf = 1 << n
-    h = 1.0 / ncf
-    v0, v1, d0, d1 = _endpoint_tables(pf)
-    vec = np.zeros(ncf * (pf + 1))
-    cl, cr = face
-    vs = h**-0.5
-    ds = h**-1.5
-
-    def put(cell, vals):
-        vec[cell * (pf + 1) : (cell + 1) * (pf + 1)] += vals
-
-    if cl is not None and cr is not None:
-        if kind == "jump":
-            put(cl, vs * v1)
-            put(cr, -vs * v0)
-        elif kind == "avg":
-            put(cl, 0.5 * vs * v1)
-            put(cr, 0.5 * vs * v0)
-        elif kind == "dminus":
-            put(cl, ds * d1)
-        elif kind == "dplus":
-            put(cr, ds * d0)
-        elif kind == "davg":
-            put(cl, 0.5 * ds * d1)
-            put(cr, 0.5 * ds * d0)
-        else:
-            raise ValueError(kind)
-        return vec
-    if cr is not None:  # domain boundary x = 0, outward normal -1
-        if kind == "jump":
-            put(cr, -vs * v0)
-        elif kind == "avg":
-            put(cr, vs * v0)
-        elif kind in ("dminus", "dplus", "davg"):
-            put(cr, ds * d0)
-        else:
-            raise ValueError(kind)
-        return vec
-    if kind == "jump":  # x = 1, outward normal +1
-        put(cl, vs * v1)
-    elif kind == "avg":
-        put(cl, vs * v1)
-    elif kind in ("dminus", "dplus", "davg"):
-        put(cl, ds * d1)
-    else:
-        raise ValueError(kind)
-    return vec
-
-
-def _fine_degree(row: FamilySpec, col: FamilySpec) -> int:
-    return max(row.degree, col.degree)
-
-
-def _conjugate(row: FamilySpec, col: FamilySpec, g: np.ndarray) -> np.ndarray:
-    pf = _fine_degree(row, col)
-    return fine_matrix(row, pf).T @ g @ fine_matrix(col, pf)
+def _cellwise(row: FamilySpec, col: FamilySpec, name: str) -> Operator1D:
+    """Sum over finest cells of Q_row^T (table Q_col) for one reference table."""
+    pf = max(row.degree, col.degree)
+    table, power = _ref_volume_tables(pf)[name]
+    ncf = 1 << row.n
+    qc = fine_matrix(col, pf).reshape(ncf, pf + 1, col.ndof)
+    tq = (ncf**power * table) @ qc
+    mat = fine_matrix(row, pf).T @ tq.reshape(ncf * (pf + 1), col.ndof)
+    return Operator1D(mat, row, col, "general")
 
 
 @lru_cache(maxsize=None)
@@ -283,29 +208,104 @@ def assemble_mass(row: FamilySpec, col: FamilySpec) -> Operator1D:
     """Exact L2 pairing of two families; Alpert x Alpert is the identity."""
     if row == col and row.kind == "alpert":
         return Operator1D(np.eye(row.ndof), row, col, "diag")
-    pf = _fine_degree(row, col)
-    mat = fine_matrix(row, pf).T @ fine_matrix(col, pf)
-    return Operator1D(mat, row, col, "general")
+    return _cellwise(row, col, "mass")
 
 
 @lru_cache(maxsize=None)
 def assemble_stiffness(row: FamilySpec, col: FamilySpec) -> Operator1D:
     """Broken stiffness sum_cells int col' row' on the finest mesh."""
-    pf = _fine_degree(row, col)
-    s_ref, _ = _ref_volume_tables(pf)
-    ncf = 1 << row.n
-    g = np.kron(np.eye(ncf), ncf**2 * s_ref)
-    return Operator1D(_conjugate(row, col, g), row, col, "general")
+    return _cellwise(row, col, "stiffness")
 
 
 @lru_cache(maxsize=None)
 def assemble_volume_derivative(row: FamilySpec, col: FamilySpec) -> Operator1D:
     """Entries sum_cells int col_b * row_a' (test differentiated)."""
-    pf = _fine_degree(row, col)
-    _, k_ref = _ref_volume_tables(pf)
-    ncf = 1 << row.n
-    g = np.kron(np.eye(ncf), ncf * k_ref)
-    return Operator1D(_conjugate(row, col, g), row, col, "general")
+    return _cellwise(row, col, "derivative")
+
+
+# ---------------------------------------------------------------------------
+# point values and face traces
+
+
+def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
+    """Value (derivative with `deriv`) of every function of `fam` at the
+    points x in [0, 1], shape (len(x), ndof).
+
+    Each point gathers its finest cell's block of `fine_matrix`.  At a dyadic
+    breakpoint a negative side takes the left cell and any other side the
+    right cell; the domain ends clip to the first and last cell whatever
+    their side.
+    """
+    pf = fam.degree
+    ncf = 1 << fam.n
+    t = np.asarray(x, dtype=float) * ncf
+    cell = np.floor(t).astype(int)
+    cell = np.where((t == cell) & (np.asarray(sides) < 0), cell - 1, cell)
+    cell = np.clip(cell, 0, ncf - 1)
+    if deriv:
+        vals = ncf**1.5 * legendre_derivs(pf, t - cell)
+    else:
+        vals = ncf**0.5 * legendre_values(pf, t - cell)
+    q = fine_matrix(fam, pf).reshape(ncf, pf + 1, fam.ndof)
+    out = np.empty((cell.size, fam.ndof))
+    order = np.argsort(cell, kind="stable")
+    for at in np.split(order, np.flatnonzero(np.diff(cell[order])) + 1):
+        # one product per cell: no (points, pf+1, ndof) gather is built
+        out[at] = vals[at] @ q[cell[at[0]]]
+    return out
+
+
+# (left, right) weight of the one-sided limits on a two-sided face
+_TRACE_WEIGHTS = {
+    "jump": (1.0, -1.0),
+    "avg": (0.5, 0.5),
+    "davg": (0.5, 0.5),
+    "dminus": (1.0, 0.0),
+    "dplus": (0.0, 1.0),
+}
+
+
+def _face_points(n: int, bc: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """Left- and right-limit points of every face the bc pair selects.
+
+    Interior dyadic faces come first, then the periodic wrap face (x = 1 from
+    the left, x = 0 from the right) or the Dirichlet walls, whose missing
+    side is nan.  Neumann sides hold no face: their flux data enters the load
+    functional only.
+    """
+    inner = list(np.arange(1, 1 << n) / (1 << n))
+    left, right = bc
+    if "periodic" in bc:
+        if left != right:
+            raise ValueError("periodic boundary must apply to both sides")
+        return np.array(inner + [1.0]), np.array(inner + [0.0])
+    xl, xr = inner[:], inner[:]
+    if left == "dirichlet":
+        xl.append(np.nan)
+        xr.append(0.0)
+    if right == "dirichlet":
+        xl.append(1.0)
+        xr.append(np.nan)
+    return np.array(xl), np.array(xr)
+
+
+def _trace_rows(fam: FamilySpec, kind: str, faces) -> np.ndarray:
+    """Trace `kind` of every function of `fam`, one row per face.
+
+    A wall face has a single limit: the jump there is q n, and every other
+    kind takes that limit whole.
+    """
+    xl, xr = faces
+    wl, wr = _TRACE_WEIGHTS[kind]
+    if kind != "jump":
+        wall = np.isnan(xl) | np.isnan(xr)
+        wl, wr = np.where(wall, 1.0, wl), np.where(wall, 1.0, wr)
+    wl = np.where(np.isnan(xl), 0.0, wl)
+    wr = np.where(np.isnan(xr), 0.0, wr)
+    deriv = kind.startswith("d")
+    left = point_values(fam, np.nan_to_num(xl), -1, deriv)
+    right = point_values(fam, np.nan_to_num(xr), 1, deriv)
+    return wl[:, None] * left + wr[:, None] * right
 
 
 @lru_cache(maxsize=None)
@@ -323,50 +323,11 @@ def assemble_trace(
     `half` scales by 1/2 (the one-sided derivative pairings enter the scheme
     with that weight).
     """
-    pf = _fine_degree(row, col)
-    n = row.n
-    nf = (1 << n) * (pf + 1)
-    g = np.zeros((nf, nf))
-    for face in _faces(n, bc):
-        rvec = _face_vector(row_kind, face, n, pf)
-        cvec = _face_vector(col_kind, face, n, pf)
-        ri = np.nonzero(rvec)[0]
-        ci = np.nonzero(cvec)[0]
-        g[np.ix_(ri, ci)] += np.outer(rvec[ri], cvec[ci])
+    faces = _face_points(row.n, bc)
+    mat = _trace_rows(row, row_kind, faces).T @ _trace_rows(col, col_kind, faces)
     if half:
-        g *= 0.5
-    return Operator1D(_conjugate(row, col, g), row, col, "general")
-
-
-# ---------------------------------------------------------------------------
-# point and node evaluation
-
-
-def point_rows(x, sides, n: int, pf: int, deriv: bool = False) -> np.ndarray:
-    """Fine-mesh evaluation rows at points x in [0, 1], shape (len(x), 2^n (pf+1)).
-
-    Row j holds the level-n local orthonormal Legendre values (derivatives
-    with `deriv`) at x[j] in the columns of the cell holding x[j], so
-    `point_rows(...) @ fine_matrix(fam, pf)` evaluates every function of
-    `fam`.  At a dyadic breakpoint a negative side takes the left cell and any
-    other side the right cell; the domain ends clip to the first and last
-    cell whatever their side.
-    """
-    x = np.asarray(x, dtype=float)
-    ncf = 1 << n
-    t = x * ncf
-    cell = np.floor(t).astype(int)
-    cell = np.where((t == cell) & (np.asarray(sides) < 0), cell - 1, cell)
-    cell = np.clip(cell, 0, ncf - 1)
-    xi = t - cell
-    if deriv:
-        vals = ncf**1.5 * legendre_derivs(pf, xi)
-    else:
-        vals = ncf**0.5 * legendre_values(pf, xi)
-    rows = np.zeros((x.size, ncf * (pf + 1)))
-    cols = cell[:, None] * (pf + 1) + np.arange(pf + 1)
-    rows[np.arange(x.size)[:, None], cols] = vals
-    return rows
+        mat *= 0.5
+    return Operator1D(mat, row, col, "general")
 
 
 @lru_cache(maxsize=None)
@@ -377,7 +338,7 @@ def assemble_node_values(
 
     A nonzero `force_side` replaces every node's side tag, which samples both
     one-sided limits across coefficient-jump planes (the domain ends keep
-    their cell, see `point_rows`).  With col = the matching interp family,
+    their cell, see `point_values`).  With col = the matching interp family,
     deriv=False and no side forcing this is the interpolation system: unit
     lower triangular by the delta property, so the roundoff in its strictly
     upper blocks is dropped.
@@ -388,8 +349,7 @@ def assemble_node_values(
     x, sides = np.array(nodes, dtype=float).T
     if force_side:
         sides = np.full_like(sides, force_side)
-    pf = max(rows.degree, col.degree)
-    mat = point_rows(x, sides, rows.n, pf, deriv) @ fine_matrix(col, pf)
+    mat = point_values(col, x, sides, deriv)
     same = col.kind == "interp" and (col.degree, col.variant) == (
         rows.degree,
         rows.variant,
@@ -420,10 +380,6 @@ def boundary_vectors(fam: FamilySpec, side: int) -> tuple[np.ndarray, np.ndarray
     boundary data: a Dirichlet load pairs the prescribed trace with
     ``n c^2 (d/dn) v + (sigma/h) v`` on the boundary face.
     """
-    pf = fam.degree
-    ncf = 1 << fam.n
-    face = (None, 0) if side == 0 else (ncf - 1, None)
-    val = _face_vector("avg", face, fam.n, pf)  # unsigned one-sided value
-    der = _face_vector("davg", face, fam.n, pf)
-    q = fine_matrix(fam, pf)
-    return q.T @ val, q.T @ der
+    x = np.array([float(side)])
+    sides = 1 - 2 * side  # right limit at x = 0, left limit at x = 1
+    return point_values(fam, x, sides)[0], point_values(fam, x, sides, deriv=True)[0]

@@ -65,10 +65,44 @@ def alpert_values_brute(k: int, n: int, x: np.ndarray, side: int = 0) -> np.ndar
     return np.array([alpert_hier(k, *key, x, side) for key in hier_index(n, k + 1)])
 
 
+def interp_phi(basis, i: int, x, side: int = 0) -> np.ndarray:
+    """Level-0 Lagrange function i of an interpolatory family at x; it is
+    one polynomial on [0, 1], so `side` changes nothing."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return legendre_values(basis.m, x) @ basis.phi[i]
+
+
+def interp_mother(basis, i: int, x, side: int = 0) -> np.ndarray:
+    """Interpolatory mother wavelet i at x in [0, 1], zero off its half;
+    `side` < 0 takes left limits at breakpoints, >= 0 right ones."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    h = basis.halves[i]
+    lo, hi = 0.5 * h, 0.5 * (h + 1)
+    inside = (x > lo) | ((x == lo) & (side >= 0))
+    inside &= (x < hi) | ((x == hi) & (side < 0))
+    vals = np.zeros_like(x)
+    xi = 2.0 * x[inside] - h
+    vals[inside] = np.sqrt(2.0) * legendre_values(basis.m, xi) @ basis.mothers[i, h]
+    return vals
+
+
+def interp_hier(basis, level: int, cell: int, i: int, x, side: int = 0):
+    """Hierarchical interpolatory function (level, cell, i) at x, zero off
+    its support; one-sided at breakpoints as in `interp_mother`."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if level == 0:
+        return interp_phi(basis, i, x)
+    xi = float(1 << (level - 1)) * x - cell
+    inside = (xi >= 0.0) & (xi <= 1.0)
+    vals = np.zeros_like(x)
+    vals[inside] = interp_mother(basis, i, xi[inside], side)
+    return vals
+
+
 def interp_values_brute(m, variant, n, x, side=0) -> np.ndarray:
     """Row i = hierarchical interpolatory function i evaluated at x."""
     basis = make_interp_basis(m, variant)
-    return np.array([basis.eval_hier(*key, x, side) for key in hier_index(n, m + 1)])
+    return np.array([interp_hier(basis, *key, x, side) for key in hier_index(n, m + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import cellwise_gauss, dense_from_terms, flatten, random_coeffs, random_pruning
+from conftest import (
+    cellwise_gauss,
+    dense_from_terms,
+    flatten,
+    interp_phi,
+    random_coeffs,
+    random_pruning,
+)
 from mrdg.config import RunConfig
 from mrdg.fastmv import TensorSpace, alpert_point_matrix
 from mrdg.grids import AdaptiveGrid
@@ -240,13 +247,13 @@ def test_basis_foundations():
             nodes = basis.nodes_level0()
             for i in range(m + 1):
                 for j, (x, s) in enumerate(nodes):
-                    got = basis.eval_phi(i, np.array([float(x)]), s)[0]
+                    got = interp_phi(basis, i, np.array([float(x)]), s)[0]
                     worst_delta = max(worst_delta, abs(got - (1.0 if i == j else 0.0)))
             base = set(basis.base_nodes)
             halved = {(x / 2, s) for x, s in base} | {((x + 1) / 2, s) for x, s in base}
             ok = ok and base <= halved
     iface4 = make_interp_basis(4, "interface")
-    phi0_at_zero = iface4.eval_phi(0, np.array([0.0]), 1)[0]
+    phi0_at_zero = interp_phi(iface4, 0, np.array([0.0]), 1)[0]
     ok = ok and worst_delta < 1e-12 and abs(phi0_at_zero - 1.0) < 1e-12
     report(
         "basis orthonormality, moments, node property",

@@ -304,6 +304,7 @@ def test_last_step_lands_on_each_target(mode):
         "m=6",
         "n=14",
         "slice_points=0",
+        "ndim=2 slice_points=100000",  # a 10^10-point slice lattice
         "t_final=-1",
         "eps=-1",
         "problem=smooth-speed",  # defined for ndim 2 and 3 only

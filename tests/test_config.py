@@ -88,6 +88,7 @@ def test_list_valued_keys():
         {"eps": "-1", "mode": "adaptive"},
         {"eps_values": "1e-3,-1e-4"},
         {"slice_points": "0"},
+        {"ndim": "2", "slice_points": "100000"},  # a 10^10-point slice lattice
         {"problem": "smooth-speed", "ndim": "1"},
         {"problem": "layered-aligned", "ndim": "1"},
         {"ndim": "3", "k": "1", "n": "9", "mode": "full"},  # 2^30 coefficients
@@ -108,6 +109,8 @@ def test_range_limits_are_accepted():
         {"n": "13", "m": "5", "t_final": "0", "slice_points": "1", "eps": "1e-12"}
     )
     assert (cfg.n, cfg.m, cfg.t_final, cfg.slice_points) == (13, 5, 0.0, 1)
+    cfg = RunConfig.from_mapping({"ndim": "2", "slice_points": "1024"})
+    assert cfg.slice_points == 1024  # a 2^20-point slice
     cfg = RunConfig.from_mapping({"n": "6", "init_n": "0", "sigma": "1e-300"})
     assert (cfg.init_n, cfg.sigma) == (4, 1e-300)  # 0 means min(4, n)
     assert RunConfig.from_mapping({"problem": "smooth-speed", "ndim": "3"}).ndim == 3

@@ -1,12 +1,13 @@
-"""Byte-for-byte regression of ``mrdg run`` outputs on six small cases.
+"""Byte-for-byte regression of ``mrdg run`` outputs on seven small cases.
 
 Each directory under ``tests/golden`` holds a ``case.cfg`` and the files a
 run of it wrote when the fixture was made.  A refactor that keeps behaviour
 reproduces every one of those files exactly.  The cases cover a sparse 2D
 grid with an interior snapshot, a full 1D grid, an adaptive 2D run whose grid
 refines and coarsens between snapshots, the Dirichlet boundary load of
-``cosine-mixed``, and the interpolated ``c^2`` coefficient pipeline of
-``smooth-speed`` and ``layered-aligned``.
+``cosine-mixed``, the interpolated ``c^2`` coefficient pipeline of
+``smooth-speed`` and ``layered-aligned``, and that pipeline between the
+Dirichlet walls of ``layered-pulse``.
 
 To regenerate after an intended change of output, run each case with
 ``mrdg run --config tests/golden/<case>/case.cfg --out tests/golden/<case>``.
@@ -28,6 +29,7 @@ def test_all_cases_present():
         "aligned2d",
         "full1d",
         "mixed2d",
+        "pulse2d",
         "sparse2d",
         "varspeed2d",
     ]

@@ -1,8 +1,8 @@
 """Interpolatory multiwavelets: node families, delta property, interpolants.
 
-The interpolants go through the solver's own operators (node values from
-`point_rows` and `fine_matrix`, surpluses from `assemble_node_to_surplus`);
-a dense node-value matrix built from pointwise `eval_hier` checks them.
+The interpolants go through the solver's own operators (values from
+`point_values`, surpluses from `assemble_node_to_surplus`); a dense
+node-value matrix built from the pointwise `interp_hier` oracle checks them.
 """
 
 from fractions import Fraction
@@ -14,13 +14,12 @@ from mrdg.interp import make_interp_basis
 from mrdg.operators1d import (
     assemble_node_to_surplus,
     assemble_node_values,
-    fine_matrix,
     interp_family,
     node_family,
-    point_rows,
+    point_values,
 )
 
-from conftest import interp_values_brute
+from conftest import interp_mother, interp_phi, interp_values_brute
 
 EXACT = 1e-12
 
@@ -61,7 +60,7 @@ def test_level0_delta_property(m, variant):
     basis = make_interp_basis(m, variant)
     for i in range(m + 1):
         for j, (x, s) in enumerate(basis.nodes_level0()):
-            val = basis.eval_phi(i, np.array([x]), s)[0]
+            val = interp_phi(basis, i, np.array([x]), s)[0]
             assert abs(val - (1.0 if i == j else 0.0)) < EXACT
 
 
@@ -73,10 +72,10 @@ def test_wavelet_delta_property(m, variant):
     base = basis.nodes_level0()
     for i in range(m + 1):
         for j, (x, s) in enumerate(fresh):
-            val = basis.eval_mother(i, np.array([x]), s)[0]
+            val = interp_mother(basis, i, np.array([x]), s)[0]
             assert abs(val - (1.0 if i == j else 0.0)) < EXACT
         for x, s in base:
-            assert abs(basis.eval_mother(i, np.array([x]), s)[0]) < EXACT
+            assert abs(interp_mother(basis, i, np.array([x]), s)[0]) < EXACT
 
 
 def interpolation_matrix(m, variant, n):
@@ -93,8 +92,7 @@ def interpolate(f, m, variant, n):
 
 
 def eval_interpolant(surplus, m, variant, n, x, sides=0):
-    q = fine_matrix(interp_family(m, variant, n), m)
-    return point_rows(x, sides, n, m) @ q @ surplus
+    return point_values(interp_family(m, variant, n), x, sides) @ surplus
 
 
 @pytest.mark.parametrize("m,variant", ALL_FAMILIES)
@@ -139,16 +137,16 @@ def test_interface_m4_matches_closed_forms():
     # phi_0 interpolates (0, +): the Lagrange polynomial through the quarter points
     phi0 = np.polynomial.Polynomial.fromroots([0.25, 0.5, 0.75, 1.0])
     phi0 = phi0 / phi0(0.0)
-    np.testing.assert_allclose(basis.eval_phi(0, x), phi0(x), atol=1e-11)
-    assert abs(basis.eval_phi(0, np.array([0.0]), 1)[0] - 1.0) < EXACT
+    np.testing.assert_allclose(interp_phi(basis, 0, x), phi0(x), atol=1e-11)
+    assert abs(interp_phi(basis, 0, np.array([0.0]), 1)[0] - 1.0) < EXACT
     # right-half wavelet for fresh node (7/8)-: -(32/3)(x-1)(2x-1)(4x-3)(8x-5)
     fresh = basis.nodes_for(1, 0)
     idx = fresh.index((0.875, -1))
     xr = np.linspace(0.51, 0.99, 17)
     expect = -(32.0 / 3.0) * (xr - 1) * (2 * xr - 1) * (4 * xr - 3) * (8 * xr - 5)
-    np.testing.assert_allclose(basis.eval_mother(idx, xr), expect, atol=1e-10)
+    np.testing.assert_allclose(interp_mother(basis, idx, xr), expect, atol=1e-10)
     # and it vanishes identically on the other half
-    assert np.max(np.abs(basis.eval_mother(idx, np.linspace(0.01, 0.49, 9)))) == 0.0
+    assert np.max(np.abs(interp_mother(basis, idx, np.linspace(0.01, 0.49, 9)))) == 0.0
 
 
 def test_inner_families_nest_across_degrees():

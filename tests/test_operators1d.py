@@ -1,9 +1,9 @@
 """Hierarchical 1D operator assembly against brute-force references.
 
-The brute path evaluates basis functions pointwise (`eval_hier`), re-expands
-them per finest cell in orthonormal Legendre coefficients, and integrates
-with Gauss quadrature — sidestepping the two-scale conjugation used by the
-assembly code entirely.
+The brute path evaluates basis functions pointwise (`alpert_hier` and
+`interp_hier` in conftest), re-expands them per finest cell in orthonormal
+Legendre coefficients, and integrates with Gauss quadrature — sidestepping
+the two-scale refinement (`fine_matrix`) that the assembly code builds on.
 """
 
 import numpy as np
@@ -23,11 +23,10 @@ from mrdg.operators1d import (
     assemble_trace,
     assemble_volume_derivative,
     boundary_vectors,
-    fine_matrix,
     interp_family,
     lu_split,
     node_family,
-    point_rows,
+    point_values,
 )
 from mrdg.problems import make_problem
 
@@ -132,44 +131,86 @@ def test_volume_derivative_matches_quadrature():
 # face operators
 
 
-def periodic_faces(n):
-    # interior dyadic faces plus the wrap face; (left cell, right cell, index)
+KINDS = ("jump", "avg", "dminus", "dplus", "davg")
+WALL_BCS = [
+    ("dirichlet", "dirichlet"),
+    ("neumann", "neumann"),
+    ("dirichlet", "neumann"),
+    ("neumann", "dirichlet"),
+]
+
+
+def brute_values(fam):
+    """Pointwise evaluator of every function of an Alpert or interp family."""
+    if fam.kind == "alpert":
+        return lambda x: alpert_values_brute(fam.degree, fam.n, x)
+    return lambda x: interp_values_brute(fam.degree, fam.variant, fam.n, x)
+
+
+def brute_faces(n, bc):
+    """(minus, plus) finest face indices of every face; None marks the
+    missing side of a Dirichlet wall, and neumann walls hold no face."""
     ncf = 1 << n
-    return [(f % ncf) for f in range(ncf)]
+    faces = [(f, f) for f in range(1, ncf)]
+    if bc[0] == "periodic":
+        return faces + [(ncf, 0)]  # the wrap face pairs x=1 with x=0
+    if bc[0] == "dirichlet":
+        faces.append((None, 0))
+    if bc[1] == "dirichlet":
+        faces.append((ncf, None))
+    return faces
 
 
-def brute_trace_periodic(k, n, row_kind, col_kind):
-    fam = alpert_family(k, n)
-    coef = fine_legendre_coeffs(lambda x: alpert_values_brute(k, n, x), fam.ndof, n, k)
-    ncf = 1 << n
-
-    def face_vec(kind, f):
-        # [q] = q(minus side) - q(plus side); the wrap face pairs x=1 with x=0
-        if f == 0:
-            minus = lambda dv: one_sided(coef, n, k, ncf, -1, dv)
-            plus = lambda dv: one_sided(coef, n, k, 0, +1, dv)
-        else:
-            minus = lambda dv: one_sided(coef, n, k, f, -1, dv)
-            plus = lambda dv: one_sided(coef, n, k, f, +1, dv)
+def brute_face_vectors(fam, kind, faces):
+    """Row per face: the trace `kind` of every function of `fam`."""
+    n, pf = fam.n, fam.degree
+    coef = fine_legendre_coeffs(brute_values(fam), fam.ndof, n, pf)
+    deriv = kind not in ("jump", "avg")
+    rows = []
+    for fm, fp in faces:
+        minus = None if fm is None else one_sided(coef, n, pf, fm, -1, deriv)
+        plus = None if fp is None else one_sided(coef, n, pf, fp, +1, deriv)
         if kind == "jump":
-            return minus(False) - plus(False)
-        if kind == "avg":
-            return 0.5 * (minus(False) + plus(False))
-        return 0.5 * (minus(True) + plus(True))
+            # [q] = q(minus side) - q(plus side); on a wall this is q n
+            rows.append((0 if minus is None else minus) - (0 if plus is None else plus))
+        elif minus is None or plus is None:
+            rows.append(plus if minus is None else minus)  # the only side there is
+        elif kind == "dminus":
+            rows.append(minus)
+        elif kind == "dplus":
+            rows.append(plus)
+        else:
+            rows.append(0.5 * (minus + plus))
+    return np.array(rows)
 
-    ref = np.zeros((fam.ndof, fam.ndof))
-    for f in periodic_faces(n):
-        ref += np.outer(face_vec(row_kind, f), face_vec(col_kind, f))
-    return ref
+
+def brute_trace(row, col, row_kind, col_kind, bc):
+    faces = brute_faces(row.n, bc)
+    r_row = brute_face_vectors(row, row_kind, faces)
+    return r_row.T @ brute_face_vectors(col, col_kind, faces)
 
 
 @pytest.mark.parametrize("row_kind,col_kind", [("jump", "jump"), ("jump", "davg"), ("avg", "jump")])
 def test_periodic_trace_matches_face_sums(row_kind, col_kind):
-    k, n = 2, 3
-    fam = alpert_family(k, n)
-    op = assemble_trace(fam, fam, row_kind, col_kind, ("periodic", "periodic"))
-    ref = brute_trace_periodic(k, n, row_kind, col_kind)
+    fam = alpert_family(2, 3)
+    bc = ("periodic", "periodic")
+    op = assemble_trace(fam, fam, row_kind, col_kind, bc)
+    ref = brute_trace(fam, fam, row_kind, col_kind, bc)
     np.testing.assert_allclose(op.mat, ref, atol=BRUTE_TOL)
+
+
+@pytest.mark.parametrize("bc", WALL_BCS, ids="-".join)
+@pytest.mark.parametrize("row_kind", KINDS)
+def test_wall_trace_matches_face_sums(row_kind, bc):
+    # every column kind, against an Alpert and an interpolatory trial family
+    arow = alpert_family(2, 3)
+    for col in (arow, interp_family(3, "interface", 3)):
+        for col_kind in KINDS:
+            op = assemble_trace(arow, col, row_kind, col_kind, bc)
+            ref = brute_trace(arow, col, row_kind, col_kind, bc)
+            # derivative pairs reach 1e5 at n=3, so the bound scales with them
+            atol = BRUTE_TOL * max(1.0, np.abs(ref).max())
+            np.testing.assert_allclose(op.mat, ref, rtol=0, atol=atol, err_msg=col_kind)
 
 
 def test_half_traces_sum_to_average():
@@ -235,12 +276,12 @@ def test_node_values_match_pointwise_evaluation(deriv):
 
 
 @pytest.mark.parametrize("side", [-1, 0, 1])
-def test_point_rows_breakpoint_convention(side):
+def test_point_values_breakpoint_convention(side):
     # at interior dyadic points a negative side takes the left limit and any
     # other side the right one; the Alpert oracle jumps there at every level
     k, n = 2, 3
     x = np.arange(1, 8) / 8
-    got = point_rows(x, np.full(7, side), n, k) @ fine_matrix(alpert_family(k, n), k)
+    got = point_values(alpert_family(k, n), x, np.full(7, side))
     want = alpert_values_brute(k, n, x, side=-1 if side < 0 else 1).T
     np.testing.assert_allclose(got, want, atol=BRUTE_TOL)
     other = alpert_values_brute(k, n, x, side=1 if side < 0 else -1).T
