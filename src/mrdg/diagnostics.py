@@ -60,7 +60,8 @@ def linf_error(
     for lo in range(0, len(pts), chunk):
         axes = [pts[lo : lo + chunk]] + [pts] * (d - 1)
         vals = eval_on_lattice(space, u, k, n, axes)
-        mesh = np.meshgrid(*axes, indexing="ij")
+        # exact_fn is elementwise: it broadcasts the open mesh itself
+        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
         worst = max(worst, float(np.abs(vals - exact_fn(*mesh)).max()))
     return worst
 

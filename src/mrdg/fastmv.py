@@ -23,12 +23,13 @@ most 2^(d-1) sweepable terms by L+U splitting of the surplus factors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .alpert import project_1d
+from .alpert import legendre_values, mother_wavelets, project_1d
 from .grids import AdaptiveGrid, num_cells
 from .interp import make_interp_basis
 from .operators1d import (
@@ -36,7 +37,6 @@ from .operators1d import (
     Operator1D,
     alpert_family,
     lu_split,
-    point_values,
 )
 
 Level = tuple[int, ...]
@@ -308,13 +308,53 @@ def separable_from_vectors(
     return space.mask(out)
 
 
-def alpert_point_matrix(k: int, n: int, x: np.ndarray) -> np.ndarray:
-    """Dense evaluation matrix of the level-<=n Alpert family at points x.
+def _level_points(k: int, level: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level-`level` cell of each point and the k+1 Alpert values there.
 
-    A point on a dyadic breakpoint takes the value of the cell to its right
-    (x = 1 that of the last cell).
+    A point on a dyadic breakpoint takes the cell to its right, x = 1 the
+    last cell.  On the half of its cell that holds x, the level-l function i
+    (l >= 1) is 2^(l/2) times the Legendre expansion of mother wavelet i on
+    that half, in the half's local coordinate.
     """
-    return point_values(alpert_family(k, n), x, 0)
+    if level == 0:
+        return np.zeros(len(x), dtype=int), legendre_values(k, x)
+    halves = 1 << level
+    t = x * halves
+    half = np.clip(np.floor(t).astype(int), 0, halves - 1)
+    leg = legendre_values(k, t - half)
+    mothers = 2.0 ** (0.5 * level) * mother_wavelets(k)  # [i, half, q]
+    right = (half & 1).astype(bool)[:, None]
+    return half >> 1, np.where(right, leg @ mothers[:, 1].T, leg @ mothers[:, 0].T)
+
+
+def _axis_level(
+    k: int, level: int, x: np.ndarray
+) -> tuple[slice, np.ndarray | None, np.ndarray]:
+    """One axis at one level: (cell range, per-point cell offsets, values).
+
+    The table form, with offsets None, applies when the points split into
+    equal runs, one per cell of the range in order, whose values agree
+    exactly from run to run: then one (R, k+1) table serves every cell.
+    Otherwise each point carries its cell's offset in the range and its
+    own k+1 values.
+    """
+    cell, vals = _level_points(k, level, x)
+    first, runs = cell[0], cell[-1] - cell[0] + 1
+    if runs > 0 and len(x) % runs == 0:
+        r = len(x) // runs
+        if (cell.reshape(runs, r) == first + np.arange(runs)[:, None]).all() and (
+            vals.reshape(runs, r, -1) == vals[:r]
+        ).all():
+            return slice(first, first + runs), None, vals[:r]
+    lo = cell.min()
+    return slice(lo, cell.max() + 1), cell - lo, vals
+
+
+def _contract(x: np.ndarray, offsets: np.ndarray | None, vals: np.ndarray) -> np.ndarray:
+    """(A, cells, p, B) against one axis level's point values -> (A, points, B)."""
+    if offsets is None:
+        return np.matmul(vals, x).reshape(len(x), -1, x.shape[-1])
+    return np.einsum("ajqb,jq->ajb", x[:, offsets], vals)
 
 
 def eval_on_lattice(
@@ -324,25 +364,47 @@ def eval_on_lattice(
     n: int,
     axes_points: list[np.ndarray],
 ) -> np.ndarray:
-    """Values of an Alpert-coefficient field on a tensor lattice of points."""
+    """Values of an Alpert-coefficient field on a tensor lattice of points.
+
+    A level-l function is nonzero on one cell, so each point needs k+1
+    values per axis and level, and only the cells holding points enter.
+    Sum factorisation over level prefixes, depth first: the level tuples
+    that share lv[:m+1] are summed with axes m+1.. already evaluated, and
+    axis m is then evaluated once for their sum.
+    """
     d = space.ndim
-    fam = alpert_family(k, n)
-    mats = [alpert_point_matrix(k, n, pts) for pts in axes_points]
     shape = tuple(len(pts) for pts in axes_points)
-    out = np.zeros(shape)
-    for lv, arr in cs.data.items():
-        # interleave axes to (c1,p1,c2,p2,...) then contract pairs from the end
-        perm = [None] * (2 * d)
-        perm[0::2] = range(d)
-        perm[1::2] = range(d, 2 * d)
-        work = arr.transpose(perm)
-        for m in reversed(range(d)):
-            sl = fam.level_slice(lv[m])
-            pm = mats[m][:, sl].reshape(shape[m], num_cells(lv[m]), k + 1)
-            work = np.tensordot(work, pm, axes=([2 * m, 2 * m + 1], [1, 2]))
-        # contraction order left the point axes reversed
-        out += work.transpose(tuple(reversed(range(d))))
-    return out
+    levels = sorted(cs.data)
+    if not levels:
+        return np.zeros(shape)
+    axis = [
+        {l: _axis_level(k, l, pts) for l in {lv[m] for lv in levels}}
+        for m, pts in enumerate(axes_points)
+    ]
+    perm = [i // 2 + (i % 2) * d for i in range(2 * d)]  # (c1,p1,c2,p2,...)
+
+    def expand(group: list[Level], m: int) -> np.ndarray:
+        # sum over `group` (sharing lv[:m]) with axes m.. evaluated
+        acc = None
+        for l, sub in itertools.groupby(group, key=lambda lv: lv[m]):
+            sub = list(sub)
+            cells, offsets, vals = axis[m][l]
+            if m + 1 < d:
+                x = expand(sub, m + 1)
+            else:
+                lv = sub[0]
+                used = tuple(axis[j][lv[j]][0] for j in range(d))
+                x = cs.data[lv][used].transpose(perm)
+            x = x.reshape(-1, cells.stop - cells.start, k + 1, math.prod(shape[m + 1 :]))
+            x = _contract(x, offsets, vals)
+            if acc is None:
+                acc = x
+            else:
+                acc += x
+            del x  # free this group's part before the next one is expanded
+        return acc
+
+    return expand(levels, 0).reshape(shape)
 
 
 @lru_cache(maxsize=None)

@@ -131,7 +131,8 @@ def fine_matrix(fam: FamilySpec, pf: int) -> np.ndarray:
 
     Returns Q with shape (2^N * (pf+1), ndof); column (level, cell, i) holds
     the local orthonormal Legendre coefficients of that basis function on
-    every finest cell (zero off support).  pf >= degree is required.
+    every finest cell (zero off support).  pf >= degree is required; the
+    coefficients above the family's degree are exact zeros.
     """
     if fam.kind == "nodes":
         raise ValueError("node layouts have no fine representation")
@@ -139,39 +140,36 @@ def fine_matrix(fam: FamilySpec, pf: int) -> np.ndarray:
         raise ValueError("fine degree too small")
     n, p = fam.n, fam.p
     ncf = 1 << n
-    q = np.zeros((ncf * (pf + 1), p << n if n else p))
-
+    if pf > fam.degree:
+        # pad the family's own expansion rather than refine at degree pf
+        q = np.zeros((ncf, pf + 1, fam.ndof))
+        q[:, :p] = fine_matrix(fam, fam.degree).reshape(ncf, p, fam.ndof)
+        return q.reshape(ncf * (pf + 1), fam.ndof)
+    q = np.zeros((ncf * p, fam.ndof))
+    deg = fam.degree
     if fam.kind == "alpert":
-        level0 = np.eye(p, pf + 1)  # orthonormal Legendre, padded
-        mothers = mother_wavelets(fam.degree)
+        level0 = np.eye(p)  # orthonormal Legendre
+        mothers = mother_wavelets(deg)
         scale = lambda level: 1.0  # unitary dilation keeps local coefficients
     else:
-        basis = make_interp_basis(fam.degree, fam.variant)
-        level0 = np.zeros((p, pf + 1))
-        level0[:, :p] = basis.phi
+        basis = make_interp_basis(deg, fam.variant)
+        level0 = basis.phi
         mothers = basis.mothers
         scale = lambda level: 2.0 ** (0.5 * (1 - level))
 
     col = 0
     for i in range(p):
-        rep = _refine_rep(level0[i : i + 1], n, pf)
-        q[:, col] = rep.ravel()
+        q[:, col] = _refine_rep(level0[i : i + 1], n, deg).ravel()
         col += 1
     for level in range(1, n + 1):
         s = scale(level)
         for cell in range(num_cells(level)):
             for i in range(p):
-                piece = np.zeros((2, pf + 1))
-                piece[0, :p] = s * mothers[i, 0]
-                piece[1, :p] = s * mothers[i, 1]
-                rep = _refine_rep(piece, n - level, pf)
+                rep = _refine_rep(s * mothers[i], n - level, deg)
                 # support cells of (level, cell): the two level-l halves of
                 # cell (level-1, cell) refined to level n
                 start = cell * (1 << (n - level + 1)) if level > 1 else 0
-                rows = slice(
-                    start * (pf + 1), (start + rep.shape[0]) * (pf + 1)
-                )
-                q[rows, col] = rep.ravel()
+                q[start * p : (start + rep.shape[0]) * p, col] = rep.ravel()
                 col += 1
     assert col == q.shape[1]
     return q

@@ -16,6 +16,7 @@ from mrdg.alpert import Quadrature1D, legendre_values, mother_wavelets
 from mrdg.fastmv import CoeffSet, TensorSpace, TensorTerm
 from mrdg.grids import AdaptiveGrid, children, num_cells
 from mrdg.interp import make_interp_basis
+from mrdg.operators1d import alpert_family, point_values
 
 
 def cellwise_gauss(n: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -63,6 +64,38 @@ def hier_index(n: int, p: int) -> list[tuple[int, int, int]]:
 def alpert_values_brute(k: int, n: int, x: np.ndarray, side: int = 0) -> np.ndarray:
     """Row i = hierarchical Alpert function i evaluated at x."""
     return np.array([alpert_hier(k, *key, x, side) for key in hier_index(n, k + 1)])
+
+
+def alpert_point_matrix(k: int, n: int, x: np.ndarray) -> np.ndarray:
+    """Dense (points, hierarchical DoF) matrix of the level-<=n Alpert family.
+
+    A point on a dyadic breakpoint takes the value of the cell to its right
+    (x = 1 that of the last cell).
+    """
+    return point_values(alpert_family(k, n), x, 0)
+
+
+def dense_lattice_values(cs: CoeffSet, k: int, n: int, axes_points) -> np.ndarray:
+    """Lattice values of an Alpert field: every level tuple contracted with
+    the dense point matrices of all its cells, one axis at a time."""
+    d = cs.ndim
+    fam = alpert_family(k, n)
+    mats = [alpert_point_matrix(k, n, pts) for pts in axes_points]
+    shape = tuple(len(pts) for pts in axes_points)
+    out = np.zeros(shape)
+    for lv, arr in cs.data.items():
+        # interleave axes to (c1,p1,c2,p2,...) then contract pairs from the end
+        perm = [None] * (2 * d)
+        perm[0::2] = range(d)
+        perm[1::2] = range(d, 2 * d)
+        work = arr.transpose(perm)
+        for m in reversed(range(d)):
+            sl = fam.level_slice(lv[m])
+            pm = mats[m][:, sl].reshape(shape[m], num_cells(lv[m]), k + 1)
+            work = np.tensordot(work, pm, axes=([2 * m, 2 * m + 1], [1, 2]))
+        # contraction order left the point axes reversed
+        out += work.transpose(tuple(reversed(range(d))))
+    return out
 
 
 def interp_phi(basis, i: int, x, side: int = 0) -> np.ndarray:

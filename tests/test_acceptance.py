@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import (
+    alpert_point_matrix,
     cellwise_gauss,
     dense_from_terms,
     flatten,
@@ -21,7 +22,7 @@ from conftest import (
     random_pruning,
 )
 from mrdg.config import RunConfig
-from mrdg.fastmv import TensorSpace, alpert_point_matrix
+from mrdg.fastmv import TensorSpace
 from mrdg.grids import AdaptiveGrid
 from mrdg.interp import make_interp_basis
 from mrdg.ipdg import Coefficient, SchemeConfig, WaveOperator, make_rhs

@@ -19,6 +19,7 @@ from mrdg.diagnostics import (
 )
 from mrdg.fastmv import TensorSpace, eval_on_lattice, project_separable
 from mrdg.grids import AdaptiveGrid
+from mrdg.problems import REGISTRY, make_problem
 
 from conftest import cellwise_gauss, random_coeffs
 
@@ -86,6 +87,25 @@ def test_linf_error_on_lattice_and_chunked_path():
     assert abs(linf_error(space, u, k, n, off) - 0.25) < 1e-12
     # tiny npts exercises the slab loop boundaries
     assert abs(linf_error(space, u, k, n, off, npts=3) - 0.25) < 1e-12
+
+
+EXACT_FIELDS = [
+    (name, ndim)
+    for name in sorted(REGISTRY)
+    for ndim in (2, 3)
+    if make_problem(name, ndim).exact_fn is not None
+]
+
+
+@pytest.mark.parametrize("name,ndim", EXACT_FIELDS)
+def test_exact_fields_broadcast_an_open_mesh(name, ndim):
+    # linf_error hands exact_fn a sparse mesh: an elementwise field gives
+    # the dense-mesh values bit for bit (0, 1/4, 3/4 and the corner included)
+    axes = [np.arange(m + 1) / m for m in (32, 16, 8)[:ndim]]
+    fn = make_problem(name, ndim).exact_fn(0.3)
+    dense = fn(*np.meshgrid(*axes, indexing="ij"))
+    sparse = np.broadcast_to(fn(*np.meshgrid(*axes, indexing="ij", sparse=True)), dense.shape)
+    assert np.array_equal(sparse, dense)
 
 
 def test_center_lattice_avoids_breakpoints():

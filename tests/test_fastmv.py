@@ -15,7 +15,6 @@ from mrdg.fastmv import (
     TensorOperator,
     TensorSpace,
     TensorTerm,
-    alpert_point_matrix,
     eval_on_lattice,
     expand_term,
     project_separable,
@@ -35,8 +34,10 @@ from mrdg.operators1d import (
 )
 
 from conftest import (
+    alpert_point_matrix,
     alpert_values_brute,
     dense_from_terms,
+    dense_lattice_values,
     flatten,
     random_coeffs,
     random_pruning,
@@ -267,3 +268,66 @@ def test_eval_on_lattice_matches_tensor_basis():
                             r1 = fam.level_slice(lv[1]).start + c1 * (k + 1) + i1
                             want += coeff * np.outer(b0[r0], b1[r1])
     np.testing.assert_allclose(got, want, atol=1e-11)
+
+
+def _lattice_axis(draw, kind: str, n: int, d: int) -> np.ndarray:
+    if kind == "midpoints":  # uniform: the table path where cells allow
+        m = 1 << draw(st.integers(0, 6 if d < 3 else 4))
+        return (np.arange(m) + 0.5) / m
+    if kind == "slab":  # an aligned block of a midpoint lattice, as linf_error cuts
+        j = draw(st.integers(1, 6 if d < 3 else 4))
+        w = 1 << draw(st.integers(0, j))
+        lo = w * draw(st.integers(0, (1 << j) // w - 1))
+        return (np.arange(lo, lo + w) + 0.5) / (1 << j)
+    if kind == "descending":  # equal runs per cell, cells out of order
+        m = 1 << draw(st.integers(1, 6 if d < 3 else 4))
+        return (np.arange(m)[::-1] + 0.5) / m
+    if kind == "repeated":  # two passes: runs whose values repeat, cells do not
+        m = 1 << draw(st.integers(1, 5 if d < 3 else 3))
+        return np.tile((np.arange(m) + 0.5) / m, 2)
+    if kind == "jittered":  # one point per cell run, offsets differ per cell
+        m = 1 << draw(st.integers(1, 6 if d < 3 else 4))
+        jit = draw(st.lists(st.floats(-0.4, 0.4), min_size=m, max_size=m))
+        return (np.arange(m) + 0.5 + np.array(jit)) / m
+    if kind == "odd":  # no power-of-two count: the gather path
+        m = draw(st.sampled_from((3, 5, 100) if d < 3 else (3, 5, 11)))
+        return (np.arange(m) + 0.5) / m
+    if kind == "single":
+        return np.array([draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0, 1))])
+    # dyadic breakpoints, 0 and 1 included
+    b = draw(st.integers(0, min(n + 1, 4 if d < 3 else 3)))
+    return np.arange((1 << b) + 1) / (1 << b)
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.integers(0, 5),
+    st.integers(0, 2**16),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_eval_on_lattice_equals_dense_oracle(d, k, n, seed, data):
+    space = TensorSpace(random_pruning(d, n, seed))
+    u = random_coeffs(space, (k + 1,) * d, seed + 1)
+    drop = data.draw(st.sets(st.sampled_from(space.levels)), label="dropped")
+    for lv in drop:
+        del u.data[lv]
+    kinds = (
+        "midpoints",
+        "slab",
+        "descending",
+        "repeated",
+        "jittered",
+        "odd",
+        "single",
+        "breakpoints",
+    )
+    axes = [
+        _lattice_axis(data.draw, data.draw(st.sampled_from(kinds), label="kind"), n, d)
+        for _ in range(d)
+    ]
+    got = eval_on_lattice(space, u, k, n, axes)
+    want = dense_lattice_values(u, k, n, axes)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())

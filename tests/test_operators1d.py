@@ -23,6 +23,7 @@ from mrdg.operators1d import (
     assemble_trace,
     assemble_volume_derivative,
     boundary_vectors,
+    fine_matrix,
     interp_family,
     lu_split,
     node_family,
@@ -63,6 +64,23 @@ def one_sided(coef, n, pf, face, side, deriv=False):
     table = legendre_derivs if deriv else legendre_values
     scale = ncf**1.5 if deriv else ncf**0.5
     return (coef[:, cell, :] @ (scale * table(pf, xi)).T)[:, 0]
+
+
+PADDED_FAMILIES = [alpert_family(k, 3) for k in range(4)] + [
+    interp_family(m, variant, 3) for m in range(1, 6) for variant in ("interface", "inner")
+]
+
+
+@pytest.mark.parametrize("fam", PADDED_FAMILIES, ids=lambda f: f"{f.kind}{f.degree}{f.variant}")
+def test_fine_matrix_padding_is_exact_zero(fam):
+    # a degree-p piece has no Legendre coefficients above p: exact zeros,
+    # not refinement roundoff, and the rest is the unpadded matrix
+    ncf, p = 1 << fam.n, fam.p
+    own = fine_matrix(fam, fam.degree).reshape(ncf, p, fam.ndof)
+    for pf in range(fam.degree + 1, 7):
+        q = fine_matrix(fam, pf).reshape(ncf, pf + 1, fam.ndof)
+        assert not q[:, p:].any()
+        assert np.array_equal(q[:, :p], own)
 
 
 # ---------------------------------------------------------------------------
