@@ -1,20 +1,31 @@
 """Tensor-product operator application on adaptive hierarchical level sets.
 
-Coefficients live in one dense array per active level tuple, shaped
-(cells_1, ..., cells_d, polys_1, ..., polys_d); cells outside the active set
-are kept at zero.  A tensor-product operator is applied one dimension at a
-time.  Sweeps are ordered by block-triangularity — dimensions whose factor
-only lowers the level first, then at most one unconstrained dimension, then
-the level-raising ones — which keeps every intermediate that can still reach
-an active output inside the (downward-closed) level set.  With that ordering,
+A field's coefficients live in one contiguous float64 buffer.  The levels of
+the sorted level list follow one another, each C-contiguous in the shape
+(cells_1, ..., cells_d, polys_1, ..., polys_d); `CoeffSet.data[lv]` is a view
+of level lv's part.  Every level is dense over all its cells, and inactive
+cells are kept at zero, so a buffer is also a (cells of all levels,
+polys per cell) array and one fancy index zeroes every inactive cell.
+
+A tensor-product operator is applied one dimension at a time.  Sweeps are
+ordered by block-triangularity — dimensions whose factor only lowers the
+level first, then at most one unconstrained dimension, then the
+level-raising ones — which keeps every intermediate that can still reach an
+active output inside the (downward-closed) level set.  With that ordering,
 discarding out-of-set blocks reproduces the Galerkin restriction of the full
 Kronecker operator to the active degrees of freedom exactly.
 
-A sweep along dimension m contracts one fiber (the level tuples that agree on
-every coordinate but m) at a time.  The 1D index of (level a, cell c, poly i)
-is p * (cells of levels < a + c) + i, so a fiber's arrays for levels 0..A,
-concatenated along the cell axis of m, have the 1D layout, and one product
-with a block of the 1D matrix gives the whole output fiber.
+A sweep along dimension m works on fibers: the level tuples that agree on
+every coordinate but m, which in a downward-closed set form a chain 0..A.
+The 1D index of (level a, cell c, poly i) is p * (cells of levels < a + c)
++ i, so a fiber's levels 0..A, stacked along the cell axis of m, have the 1D
+layout, and the block `op.mat[:rows(B), :cols(A)]` maps them to the fiber's
+output levels 0..B.  A cached `_SweepPlan` gathers the input buffer so that
+fibers with equal (A, B) sit side by side as the columns of one matrix,
+multiplies each such group once, and scatters the products into a zeroed
+output buffer.  A plan depends only on the level list, m, the polynomial
+counts and the factor's tag, so it lives on the `LevelLayout` that every
+space with that level list shares.
 
 Operators with more than one unconstrained dimension are expanded into at
 most 2^(d-1) sweepable terms by L+U splitting of the surplus factors.
@@ -24,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,32 +56,73 @@ _UPPERISH = {"strictly-upper", "diag"}
 _LOWERISH = {"lower", "diag"}
 
 
-@dataclass
-class CoeffSet:
-    """Per-level coefficient arrays over a downward-closed set of levels."""
+class LevelLayout:
+    """Where each level of a sorted level list sits in a coefficient buffer.
 
-    p: tuple[int, ...]
-    data: dict[Level, np.ndarray] = field(default_factory=dict)
+    Level lv takes prod(cells) consecutive cells of prod(p) values each, in
+    list order.  The layout depends on the level list alone, so spaces with
+    equal level lists share one layout and its sweep plans.
+    """
+
+    def __init__(self, levels: tuple[Level, ...]):
+        self.levels = levels
+        self.shapes = [tuple(num_cells(l) for l in lv) for lv in levels]
+        self.starts = [0, *itertools.accumulate(math.prod(s) for s in self.shapes)]
+        self.cells = self.starts[-1]
+        self.plans: dict[tuple, _SweepPlan] = {}
+
+    def views(self, buf: np.ndarray, p: tuple[int, ...]) -> dict[Level, np.ndarray]:
+        q = math.prod(p)
+        return {
+            lv: buf[q * lo : q * hi].reshape(shape + p)
+            for lv, shape, lo, hi in zip(
+                self.levels, self.shapes, self.starts, self.starts[1:]
+            )
+        }
+
+
+# an adaptive run moves between a few level lists; each keeps its plans
+@lru_cache(maxsize=16)
+def _layout(levels: tuple[Level, ...]) -> LevelLayout:
+    return LevelLayout(levels)
+
+
+class CoeffSet:
+    """Coefficients over a downward-closed set of levels, in one buffer.
+
+    `buf` follows `layout`; `data[lv]` is a view of level lv's part, made on
+    first use.  `copy`, `scale`, `axpy` and `finite` act on the whole buffer
+    at once; `dot` and `norm2` sum per level, in level order.  An operator
+    reads a level deleted from `data` as zeros (`filled`).
+    """
+
+    __slots__ = ("p", "layout", "buf", "_data")
+
+    def __init__(self, p: tuple[int, ...], layout: LevelLayout, buf: np.ndarray):
+        self.p = p
+        self.layout = layout
+        self.buf = buf
+        self._data: dict[Level, np.ndarray] | None = None
+
+    @property
+    def data(self) -> dict[Level, np.ndarray]:
+        if self._data is None:
+            self._data = self.layout.views(self.buf, self.p)
+        return self._data
 
     @property
     def ndim(self) -> int:
         return len(self.p)
 
     def copy(self) -> "CoeffSet":
-        return CoeffSet(self.p, {lv: a.copy() for lv, a in self.data.items()})
+        return CoeffSet(self.p, self.layout, self.buf.copy())
 
     def scale(self, alpha: float) -> "CoeffSet":
-        for a in self.data.values():
-            a *= alpha
+        self.buf *= alpha
         return self
 
     def axpy(self, alpha: float, other: "CoeffSet") -> "CoeffSet":
-        for lv, b in other.data.items():
-            a = self.data.get(lv)
-            if a is None:
-                self.data[lv] = alpha * b
-            else:
-                a += alpha * b
+        self.buf += alpha * other.buf
         return self
 
     def dot(self, other: "CoeffSet") -> float:
@@ -84,15 +136,26 @@ class CoeffSet:
         return sum(float(np.vdot(a, a)) for a in self.data.values())
 
     def finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in self.data.values())
+        return bool(np.isfinite(self.buf).all())
+
+    def filled(self) -> np.ndarray:
+        """The buffer, with every level deleted from `data` read as zeros."""
+        if self._data is None or len(self._data) == len(self.layout.levels):
+            return self.buf
+        out = np.zeros_like(self.buf)
+        views = self.layout.views(out, self.p)
+        for lv, arr in self._data.items():
+            views[lv][...] = arr
+        return out
 
 
 class TensorSpace:
     """Active-cell structure of an adaptive grid, frozen at one version.
 
-    Holds the sorted level list, a copy of the grid's per-level boolean cell
-    masks, each fiber's top level, and constructors for coefficient sets.
-    Rebuild after the grid changes (the stored version detects staleness).
+    Holds the sorted level list and its `LevelLayout`, a copy of the grid's
+    per-level boolean cell masks, the layout index of every inactive cell,
+    and constructors for coefficient sets.  Rebuild after the grid changes
+    (the stored version detects staleness).
     """
 
     def __init__(self, grid: AdaptiveGrid):
@@ -102,44 +165,36 @@ class TensorSpace:
         self.levels: list[Level] = sorted(grid.masks)
         self.level_set = frozenset(self.levels)
         self.masks = {lv: grid.masks[lv].copy() for lv in self.levels}
-        self.cell_counts = {lv: mask.shape for lv, mask in self.masks.items()}
-        # inverted masks of the levels that have inactive cells
-        self._holes = {lv: ~m for lv, m in self.masks.items() if not m.all()}
-        # fiber_top[m][lv without coordinate m] = top level of that fiber;
-        # levels ascend, so the last write is the top
-        self.fiber_top: list[dict[Level, int]] = [{} for _ in range(self.ndim)]
-        for lv in self.levels:
-            for m, tops in enumerate(self.fiber_top):
-                tops[lv[:m] + lv[m + 1 :]] = lv[m]
+        self.layout = _layout(tuple(self.levels))
+        self._inactive = np.flatnonzero(
+            np.concatenate([~self.masks[lv].ravel() for lv in self.levels])
+        )
 
     @property
     def n_active(self) -> int:
-        return sum(int(m.sum()) for m in self.masks.values())
+        return self.layout.cells - len(self._inactive)
 
     def dof_count(self, p: tuple[int, ...]) -> int:
         per_elem = int(np.prod(p))
         return per_elem * self.n_active
 
     def zeros(self, p: tuple[int, ...]) -> CoeffSet:
-        data = {
-            lv: np.zeros(self.cell_counts[lv] + tuple(p)) for lv in self.levels
-        }
-        return CoeffSet(tuple(p), data)
+        p = tuple(p)
+        return CoeffSet(p, self.layout, np.zeros(self.layout.cells * math.prod(p)))
 
     def mask(self, cs: CoeffSet) -> CoeffSet:
         """Zero all inactive-cell blocks in place."""
-        for lv, holes in self._holes.items():
-            arr = cs.data.get(lv)
-            if arr is not None:
-                arr[holes] = 0.0
+        if len(self._inactive):
+            cs.buf.reshape(self.layout.cells, -1)[self._inactive] = 0.0
         return cs
 
     def conform(self, cs: CoeffSet) -> CoeffSet:
         """Carry coefficients onto this space's level set (drop/extend/mask)."""
         out = self.zeros(cs.p)
         for lv, arr in cs.data.items():
-            if lv in out.data:
-                out.data[lv][...] = arr
+            view = out.data.get(lv)
+            if view is not None:
+                view[...] = arr
         return self.mask(out)
 
 
@@ -195,42 +250,98 @@ def expand_term(term: TensorTerm) -> list[TensorTerm]:
     return out
 
 
-def _sweep(space: TensorSpace, cs: CoeffSet, op: Operator1D, dim: int) -> CoeffSet:
-    """Contract dimension `dim` with a 1D operator, one product per fiber.
+@dataclass(frozen=True)
+class _SweepPlan:
+    """Index maps of one sweep: gather, per-group products, scatter.
 
-    A fiber's input levels 0..A (a level missing from `cs` enters as zeros)
-    are concatenated along the cell axis of `dim`, contracted with the block
-    `op.mat[:rows(B), :cols(A)]`, and split back into per-level views.  The
-    outputs 0..B are the fiber's part of the level set, cut by the tag to the
-    levels the inputs reach; blocks outside the tag are exact zeros.
+    Group g multiplies `op.mat[:rows, :cols]` with the (cols, width) block
+    at `x_at` of the gathered input and writes the (rows, width) block at
+    `y_at` of the gathered output.
     """
-    d = cs.ndim
-    fibers: dict[Level, dict[int, np.ndarray]] = {}
-    for lv, arr in cs.data.items():
-        fibers.setdefault(lv[:dim] + lv[dim + 1 :], {})[lv[dim]] = arr
-    out: dict[Level, np.ndarray] = {}
-    for rest, by_level in fibers.items():
-        a_hi = max(by_level)
-        top = space.fiber_top[dim].get(rest, -1)
-        b_hi = min(top, {"diag": a_hi, "strictly-upper": a_hi - 1}.get(op.tag, top))
+
+    gather: np.ndarray  # input-buffer index of each gathered entry
+    scatter: np.ndarray  # output-buffer index of each product entry
+    groups: tuple[tuple[int, int, int, int, int], ...]  # rows, cols, width, x_at, y_at
+
+
+def _build_plan(
+    layout: LevelLayout, dim: int, p_in: tuple[int, ...], p_out: tuple[int, ...], tag: str
+) -> _SweepPlan:
+    """Gather and scatter maps of a sweep along `dim` over `layout`.
+
+    Inputs of a fiber run over its whole chain 0..A; its outputs 0..B are
+    cut by the tag to the levels the inputs reach (B = A for 'diag', A - 1
+    for 'strictly-upper'), and the zeroed output buffer stands for the rest.
+    """
+    d = len(p_in)
+    where = dict(zip(layout.levels, zip(layout.starts, layout.shapes)))
+    front = (dim, d + dim) + tuple(j for j in range(2 * d) if j not in (dim, d + dim))
+
+    def rows(rest: Level, top: int, p: tuple[int, ...]) -> np.ndarray:
+        # buffer indices of a fiber's levels 0..top as a (1D index, column) array
+        q = math.prod(p)
+        blocks = []
+        for a in range(top + 1):
+            start, cells = where[rest[:dim] + (a,) + rest[dim:]]
+            idx = np.arange(q * start, q * (start + math.prod(cells)))
+            idx = idx.reshape(cells + p).transpose(front)
+            blocks.append(idx.reshape(cells[dim] * p[dim], -1))
+        return np.concatenate(blocks)
+
+    tops: dict[Level, int] = {}
+    for lv in layout.levels:
+        rest = lv[:dim] + lv[dim + 1 :]
+        tops[rest] = max(tops.get(rest, 0), lv[dim])
+    fibers: dict[int, list[Level]] = {}
+    for rest, top in sorted(tops.items()):
+        fibers.setdefault(top, []).append(rest)
+    gather, scatter, groups = [], [], []
+    x_at = y_at = 0
+    for a_hi, rests in sorted(fibers.items()):
+        b_hi = {"diag": a_hi, "strictly-upper": a_hi - 1}.get(tag, a_hi)
         if b_hi < 0:
             continue
-        shape = list(by_level[a_hi].shape)
-        parts = []
-        for a in range(a_hi + 1):
-            shape[dim] = num_cells(a)
-            parts.append(by_level[a] if a in by_level else np.zeros(shape))
-        x = np.concatenate(parts, axis=dim) if a_hi else parts[0]
-        blk = op.mat[: op.row.level_slice(b_hi).stop, : op.col.level_slice(a_hi).stop]
-        blk = blk.reshape(-1, op.row.p, x.shape[dim], op.col.p)
-        res = np.tensordot(x, blk, axes=([dim, d + dim], [2, 3]))
-        res = np.moveaxis(res, (2 * d - 2, 2 * d - 1), (dim, d + dim))
-        cuts = [num_cells(b) for b in range(1, b_hi + 1)]  # = cells of levels < b
-        for b, piece in enumerate(np.split(res, cuts, axis=dim)):
-            out[rest[:dim] + (b,) + rest[dim:]] = piece
-    # levels nothing reached stay absent; downstream accumulation treats
-    # a missing level as zero
-    return CoeffSet(cs.p[:dim] + (op.row.p,) + cs.p[dim + 1 :], out)
+        x = np.concatenate([rows(r, a_hi, p_in) for r in rests], axis=1)
+        if (b_hi, p_out) == (a_hi, p_in):
+            y = x  # the outputs sit where the inputs were
+        else:
+            y = np.concatenate([rows(r, b_hi, p_out) for r in rests], axis=1)
+        groups.append((len(y), len(x), x.shape[1], x_at, y_at))
+        gather.append(x.ravel())
+        scatter.append(y.ravel())
+        x_at, y_at = x_at + x.size, y_at + y.size
+    none = [np.zeros(0, dtype=np.intp)]
+    return _SweepPlan(
+        np.concatenate(gather or none), np.concatenate(scatter or none), tuple(groups)
+    )
+
+
+def _sweep(
+    layout: LevelLayout, x: np.ndarray, p: tuple[int, ...], op: Operator1D, dim: int
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Contract dimension `dim` of buffer `x` with a 1D operator.
+
+    One gather, one product per (A, B) fiber group and one scatter; returns
+    the output buffer and its polynomial counts.
+    """
+    if op.col.p != p[dim]:
+        raise ValueError(f"operator takes {op.col.p} polys, field has {p[dim]}")
+    p_out = p[:dim] + (op.row.p,) + p[dim + 1 :]
+    key = (dim, p, op.row.p, op.tag)
+    plan = layout.plans.get(key)
+    if plan is None:
+        plan = layout.plans[key] = _build_plan(layout, dim, p, p_out, op.tag)
+    xg = x[plan.gather]
+    yg = np.empty(len(plan.scatter))
+    for rows, cols, width, x_at, y_at in plan.groups:
+        np.matmul(
+            op.mat[:rows, :cols],
+            xg[x_at : x_at + cols * width].reshape(cols, width),
+            out=yg[y_at : y_at + rows * width].reshape(rows, width),
+        )
+    y = np.zeros(layout.cells * math.prod(p_out))
+    y[plan.scatter] = yg
+    return y, p_out
 
 
 class TensorOperator:
@@ -259,14 +370,14 @@ class TensorOperator:
         """out += sum of terms applied to cs (allocates a zero out if None)."""
         if out is None:
             out = space.zeros(self.out_p(cs.p))
+        x = cs.filled()
         for term in self.terms:
-            cur = cs
+            cur, p = x, cs.p
             for dim in sweep_order(term.ops):
                 op = term.ops[dim]
-                if op is None:
-                    continue
-                cur = _sweep(space, cur, op, dim)
-            out.axpy(term.scale, cur)
+                if op is not None:
+                    cur, p = _sweep(space.layout, cur, p, op, dim)
+            out.buf += term.scale * cur
         return space.mask(out)
 
 

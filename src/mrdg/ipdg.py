@@ -121,9 +121,8 @@ def _on_level(per_dim: list[np.ndarray], shape: tuple[int, ...]) -> list[np.ndar
     return out
 
 
-def _elementwise_mul(cs: CoeffSet, values: dict) -> CoeffSet:
-    for lv, arr in cs.data.items():
-        arr *= values[lv]
+def _elementwise_mul(cs: CoeffSet, values: np.ndarray) -> CoeffSet:
+    cs.buf *= values
     return cs
 
 
@@ -222,18 +221,17 @@ class WaveOperator:
         for kk in stale:
             del self._cval_cache[kk]
         cfg = self.cfg
-        vals = {}
-        for lv in space.levels:
+        vals = space.zeros(self.p_i)
+        for lv, view in vals.data.items():
             coords, sides = node_lattice(cfg.m, cfg.variant, lv)
             if force is not None:
                 m, side = force
                 inner = (coords[m] > 0.0) & (coords[m] < 1.0)
                 sides[m] = np.where(inner, side, sides[m])
-            shape = space.cell_counts[lv] + tuple(self.p_i)
-            xs, ss = _on_level(coords, shape), _on_level(sides, shape)
-            vals[lv] = np.asarray(cfg.csq(xs, ss), dtype=float)
-        self._cval_cache[key] = vals
-        return vals
+            xs, ss = _on_level(coords, view.shape), _on_level(sides, view.shape)
+            view[...] = cfg.csq(xs, ss)
+        self._cval_cache[key] = vals.buf
+        return vals.buf
 
     # -- operator application -------------------------------------------
 

@@ -164,7 +164,7 @@ def space_layout(space: TensorSpace, p: tuple[int, ...]):
     """Per-level (offset, block shape) in a flat global vector."""
     offsets, total = {}, 0
     for lv in space.levels:
-        shape = space.cell_counts[lv] + tuple(p)
+        shape = space.masks[lv].shape + tuple(p)
         offsets[lv] = (total, shape)
         total += int(np.prod(shape))
     return offsets, total

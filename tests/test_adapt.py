@@ -15,8 +15,8 @@ def test_element_norms_are_per_element_rss():
     b = random_coeffs(space, (2, 2), 2)
     norms = element_norms(space, [a, b])
     lv = (1, 2)
-    for c0 in range(space.cell_counts[lv][0]):
-        for c1 in range(space.cell_counts[lv][1]):
+    for c0 in range(space.masks[lv].shape[0]):
+        for c1 in range(space.masks[lv].shape[1]):
             want = np.sqrt(
                 np.sum(a.data[lv][c0, c1] ** 2) + np.sum(b.data[lv][c0, c1] ** 2)
             )

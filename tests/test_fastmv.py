@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrdg import fastmv, runner
+from mrdg.config import RunConfig
 from mrdg.fastmv import (
     TensorOperator,
     TensorSpace,
@@ -20,7 +22,7 @@ from mrdg.fastmv import (
     project_separable,
     sweep_order,
 )
-from mrdg.grids import AdaptiveGrid, num_cells
+from mrdg.grids import AdaptiveGrid, children, num_cells
 from mrdg.operators1d import (
     Operator1D,
     alpert_family,
@@ -82,6 +84,87 @@ def test_conform_moves_between_level_sets():
         np.testing.assert_allclose(up.data[lv], cs.data[lv], atol=0)
     back = coarse.conform(up)
     np.testing.assert_allclose(flatten(coarse, back), flatten(coarse, cs), atol=0)
+
+
+@given(st.integers(1, 3), st.integers(0, 2**16), st.data())
+@settings(max_examples=40, deadline=None)
+def test_coeffset_buffer_ops_match_per_level(d, seed, data):
+    n = {1: 5, 2: 4, 3: 3}[d]
+    grid = random_pruning(d, n, seed)
+    space = TensorSpace(grid)
+    p = tuple(data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d), label="p"))
+    alpha = data.draw(st.floats(-3, 3), label="alpha")
+    a, b = random_coeffs(space, p, seed), random_coeffs(space, p, seed + 1)
+    ref_a = {lv: arr.copy() for lv, arr in a.data.items()}
+    ref_b = {lv: arr.copy() for lv, arr in b.data.items()}
+
+    # one buffer, levels in space.levels order, each C-contiguous
+    assert list(a.data) == space.levels
+    np.testing.assert_array_equal(
+        a.buf, np.concatenate([ref_a[lv].ravel() for lv in space.levels])
+    )
+    # data[lv] is a view: writes show both ways
+    i = data.draw(st.integers(0, len(space.levels) - 1), label="level")
+    lv = space.levels[i]
+    off = sum(ref_a[l].size for l in space.levels[:i])
+    c = a.copy()
+    c.data[lv].flat[-1] = 7.0
+    assert c.buf[off + ref_a[lv].size - 1] == 7.0
+    c.buf[off] = -5.0
+    assert c.data[lv].flat[0] == -5.0
+    assert a.data[lv].flat[0] == ref_a[lv].flat[0]  # copy is deep
+
+    # elementwise ops are bitwise the per-level loops they replace
+    def per_level(out, fn):
+        for l, arr in out.data.items():
+            np.testing.assert_array_equal(arr, fn(l), err_msg=str(l))
+
+    def scaled(l):
+        x = ref_a[l].copy()
+        x *= alpha
+        return x
+
+    def axpy(l):
+        x = ref_a[l].copy()
+        x += alpha * ref_b[l]
+        return x
+
+    per_level(a.copy(), lambda l: ref_a[l])
+    per_level(a.copy().scale(alpha), scaled)
+    per_level(a.copy().axpy(alpha, b), axpy)
+    assert a.dot(b) == sum(float(np.vdot(ref_a[l], ref_b[l])) for l in space.levels)
+    assert a.norm2() == sum(float(np.vdot(ref_a[l], ref_a[l])) for l in space.levels)
+    assert a.finite()
+    c = a.copy()
+    c.data[lv].flat[0] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    assert not c.finite()
+
+    # mask zeroes exactly the inactive cells
+    ones = space.zeros(p)
+    ones.buf[:] = 1.0
+    space.mask(ones)
+    for l in space.levels:
+        want = space.masks[l].reshape(space.masks[l].shape + (1,) * d)
+        np.testing.assert_array_equal(ones.data[l], np.broadcast_to(want, ones.data[l].shape))
+
+    # conform onto a mutated grid is a per-level copy, masked
+    for _ in range(data.draw(st.integers(1, 6), label="mutations")):
+        keys = sorted(grid)
+        key = data.draw(st.sampled_from(keys))
+        leaves = [k for k in keys if grid.is_leaf(k) and k != keys[0]]
+        if leaves and data.draw(st.booleans()):
+            grid.deactivate(data.draw(st.sampled_from(leaves)))
+        else:
+            kids = [c for m in range(d) for c in children(key, m, n)]
+            if kids:
+                grid.activate(data.draw(st.sampled_from(kids)))
+    moved = TensorSpace(grid)
+    got = moved.conform(a)
+    assert list(got.data) == moved.levels
+    for l in moved.levels:
+        want = ref_a[l] if l in ref_a else np.zeros(got.data[l].shape)
+        mask = moved.masks[l].reshape(moved.masks[l].shape + (1,) * d)
+        np.testing.assert_array_equal(got.data[l], np.where(mask, want, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +291,78 @@ def test_apply_accumulates_into_out():
     np.testing.assert_allclose(
         flatten(space, acc), base + flatten(space, fresh), atol=1e-12
     )
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """(level list, dim, p_in, p_out, tag) of every sweep plan built."""
+    builds = []
+    build = fastmv._build_plan
+
+    def counted(layout, *key):
+        builds.append((layout.levels, *key))
+        return build(layout, *key)
+
+    monkeypatch.setattr(fastmv, "_build_plan", counted)
+    fastmv._layout.cache_clear()  # layouts other tests built hold their plans
+    return builds
+
+
+def test_sweep_plans_follow_the_level_list(plan_builds):
+    builds = plan_builds
+    k, n = 1, 4
+    fam = alpert_family(k, n)
+    terms = [TensorTerm((assemble_stiffness(fam, fam), assemble_mass(fam, fam)), -1.0)]
+    top = TensorOperator(terms)
+    base = AdaptiveGrid.sparse(2, 3, n_max=n)
+    holed = AdaptiveGrid.sparse(2, 3, n_max=n)
+    holed.deactivate(((3, 0), (1, 0)))  # a leaf: level (3, 0) keeps 3 cells
+    grown = AdaptiveGrid.sparse(2, 3, n_max=n)
+    grown.activate(((4, 0), (0, 0)))  # adds level (4, 0)
+    spaces = [TensorSpace(g) for g in (base, holed, grown)]
+    assert spaces[0].levels == spaces[1].levels != spaces[2].levels
+    counts = []
+    for space in spaces:
+        x = random_coeffs(space, (k + 1, k + 1), len(counts))
+        got = flatten(space, top.apply(space, x))
+        want = dense_from_terms(terms, space, (k + 1, k + 1)) @ flatten(space, x)
+        assert np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))) < ORACLE_TOL
+        counts.append(len(builds))
+    assert spaces[0].layout is spaces[1].layout is not spaces[2].layout
+    assert counts[1] == counts[0] > 0  # equal level lists share their plans
+    assert counts[2] == 2 * counts[0]  # a new level list builds its own
+    assert len(set(builds)) == len(builds)
+
+
+def test_adaptive_run_builds_plans_per_level_list(plan_builds, monkeypatch):
+    # the adapt2d benchmark workload builds over 100 spaces on three level
+    # lists; each plan is built once per level list, not once per space
+    builds, spaces = plan_builds, []
+
+    class CountedSpace(TensorSpace):
+        def __init__(self, grid):
+            super().__init__(grid)
+            spaces.append(tuple(self.levels))
+
+    monkeypatch.setattr(runner, "TensorSpace", CountedSpace)
+    cfg = RunConfig.from_mapping(
+        {
+            "problem": "cosine-periodic",
+            "ndim": 2,
+            "k": 3,
+            "m": 4,
+            "n": 8,
+            "mode": "adaptive",
+            "eps": 1e-4,
+            "t_final": 0.02,
+        }
+    )
+    runner.run(cfg)
+    lists = {b[0] for b in builds}
+    keys = {b[1:] for b in builds}
+    # the initial grid search builds one of the three without applying on it
+    assert len(spaces) > 100 and len(set(spaces)) == 3 and lists <= set(spaces)
+    assert len(builds) == len(set(builds)) == len(lists) * len(keys)
 
 
 # ---------------------------------------------------------------------------

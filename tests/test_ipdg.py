@@ -179,7 +179,7 @@ def sample_at_nodes(space, m, variant, fn):
     out = space.zeros(p)
     for lv in space.levels:
         coords, _sides = node_lattice(m, variant, lv)
-        out.data[lv][...] = fn(*_on_level(coords, space.cell_counts[lv] + p))
+        out.data[lv][...] = fn(*_on_level(coords, space.masks[lv].shape + p))
     return space.mask(out)
 
 
