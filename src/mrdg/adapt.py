@@ -6,6 +6,9 @@ basis is orthonormal, dropping a leaf element changes the represented
 function by exactly its indicator, which makes the thresholds meaningful in
 the L2 sense.  Newly activated children start with zero detail coefficients
 and therefore represent the same function as before the refinement.
+
+Both passes compare the indicators with a threshold level by level and hand
+the resulting cell masks to the grid's whole-mask `refine` and `coarsen`.
 """
 
 from __future__ import annotations
@@ -13,31 +16,20 @@ from __future__ import annotations
 import numpy as np
 
 from .fastmv import CoeffSet, TensorSpace
-from .grids import AdaptiveGrid, Key, Level, children
+from .grids import AdaptiveGrid, Level
 
 
 def element_norms(space: TensorSpace, fields: list[CoeffSet]) -> dict[Level, np.ndarray]:
     """Per-element indicator, one (cells...)-shaped array per level."""
-    d = space.ndim
-    out: dict[Level, np.ndarray] = {}
-    for lv in space.levels:
-        acc = None
-        for f in fields:
-            sq = np.add.reduce(
-                f.data[lv] ** 2, axis=tuple(range(d, 2 * d))
-            )
-            acc = sq if acc is None else acc + sq
-        out[lv] = np.sqrt(acc)
-    return out
-
-
-def _flagged(space: TensorSpace, norms, predicate) -> list[Key]:
-    keys = []
-    for lv in space.levels:
-        hits = predicate(norms[lv]) & space.masks[lv]
-        for cells in zip(*np.nonzero(hits)):
-            keys.append((lv, tuple(int(c) for c in cells)))
-    return keys
+    layout = space.layout
+    sq = sum((f.buf.reshape(layout.cells, -1) ** 2).sum(axis=1) for f in fields)
+    norms = np.sqrt(sq)
+    return {
+        lv: norms[lo:hi].reshape(shape)
+        for lv, shape, lo, hi in zip(
+            layout.levels, layout.shapes, layout.starts, layout.starts[1:]
+        )
+    }
 
 
 def refine(
@@ -48,14 +40,8 @@ def refine(
 ) -> bool:
     """Activate the children (every dimension) of elements above `eps`."""
     norms = element_norms(space, fields)
-    changed = False
-    for key in _flagged(space, norms, lambda a: a > eps):
-        for dim in range(grid.ndim):
-            for child in children(key, dim, grid.n_max):
-                if child not in grid:
-                    grid.activate(child)
-                    changed = True
-    return changed
+    flags = {lv: (a > eps) & space.masks[lv] for lv, a in norms.items()}
+    return grid.refine(flags) > 0
 
 
 def coarsen(
@@ -64,22 +50,12 @@ def coarsen(
     fields: list[CoeffSet],
     eta: float,
 ) -> bool:
-    """Repeatedly drop leaf elements below `eta`; the root always stays.
+    """Drop elements below `eta` that keep no active child; the root stays.
 
-    Removing a leaf can expose its parent as a new leaf, so the scan runs
-    to a fixed point.  Indicators are computed once up front: an exposed
-    parent's own coefficients are unchanged by the removal.
+    Removing a leaf can expose its parent as a new leaf, and the grid runs
+    that cascade to its end.  Indicators are computed once up front: an
+    exposed parent's own coefficients are unchanged by the removal.
     """
     norms = element_norms(space, fields)
-    root = ((0,) * grid.ndim, (0,) * grid.ndim)
-    small = set(_flagged(space, norms, lambda a: a < eta))
-    small.discard(root)
-    changed = False
-    while True:
-        removable = [k for k in small if k in grid and grid.is_leaf(k)]
-        if not removable:
-            return changed
-        for key in removable:
-            grid.deactivate(key)
-            small.discard(key)
-            changed = True
+    small = {lv: (a < eta) & space.masks[lv] for lv, a in norms.items()}
+    return grid.coarsen(small) > 0

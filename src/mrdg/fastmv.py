@@ -92,8 +92,7 @@ class CoeffSet:
 
     `buf` follows `layout`; `data[lv]` is a view of level lv's part, made on
     first use.  `copy`, `scale`, `axpy` and `finite` act on the whole buffer
-    at once; `dot` and `norm2` sum per level, in level order.  An operator
-    reads a level deleted from `data` as zeros (`filled`).
+    at once; `dot` and `norm2` sum per level, in level order.
     """
 
     __slots__ = ("p", "layout", "buf", "_data")
@@ -126,27 +125,13 @@ class CoeffSet:
         return self
 
     def dot(self, other: "CoeffSet") -> float:
-        return sum(
-            float(np.vdot(a, other.data[lv]))
-            for lv, a in self.data.items()
-            if lv in other.data
-        )
+        return sum(float(np.vdot(a, other.data[lv])) for lv, a in self.data.items())
 
     def norm2(self) -> float:
         return sum(float(np.vdot(a, a)) for a in self.data.values())
 
     def finite(self) -> bool:
         return bool(np.isfinite(self.buf).all())
-
-    def filled(self) -> np.ndarray:
-        """The buffer, with every level deleted from `data` read as zeros."""
-        if self._data is None or len(self._data) == len(self.layout.levels):
-            return self.buf
-        out = np.zeros_like(self.buf)
-        views = self.layout.views(out, self.p)
-        for lv, arr in self._data.items():
-            views[lv][...] = arr
-        return out
 
 
 class TensorSpace:
@@ -370,9 +355,8 @@ class TensorOperator:
         """out += sum of terms applied to cs (allocates a zero out if None)."""
         if out is None:
             out = space.zeros(self.out_p(cs.p))
-        x = cs.filled()
         for term in self.terms:
-            cur, p = x, cs.p
+            cur, p = cs.buf, cs.p
             for dim in sweep_order(term.ops):
                 op = term.ops[dim]
                 if op is not None:
@@ -485,9 +469,7 @@ def eval_on_lattice(
     """
     d = space.ndim
     shape = tuple(len(pts) for pts in axes_points)
-    levels = sorted(cs.data)
-    if not levels:
-        return np.zeros(shape)
+    levels = cs.layout.levels
     axis = [
         {l: _axis_level(k, l, pts) for l in {lv[m] for lv in levels}}
         for m, pts in enumerate(axes_points)

@@ -8,8 +8,11 @@ dyadic interval [j * 2^-(l-1), (j+1) * 2^-(l-1)].  Multi-dimensional elements
 are tensor products of these 1D increments.
 
 The classes here know nothing about basis functions or coefficients; they only
-track which elements are active, parent/child relations, and the index sets of
-sparse (|l|_1 <= N) and full (|l|_inf <= N) tensor grids.
+track which elements are active, as one boolean cell mask per level, and the
+index sets of sparse (|l|_1 <= N) and full (|l|_inf <= N) tensor grids.  Grids
+change by whole-mask operations: along one dimension, the children of a
+level's cells are its mask with every cell repeated twice, and their parents
+are the pairwise OR of a finer mask.
 """
 
 from __future__ import annotations
@@ -42,52 +45,6 @@ def cell_width(level: int) -> float:
     return 1.0 if level <= 1 else 2.0 ** (1 - level)
 
 
-def validate_key(key: Key) -> None:
-    levels, cells = key
-    if len(levels) != len(cells):
-        raise ValueError(f"level/cell rank mismatch: {key}")
-    for l, j in zip(levels, cells):
-        if not 0 <= l <= MAX_LEVEL:
-            raise ValueError(f"level out of range 0..{MAX_LEVEL}: level {levels}")
-        if j < 0 or j >= num_cells(l):
-            raise ValueError(f"cell index out of range: level {levels}, cell {cells}")
-
-
-def parent(key: Key, dim: int) -> Key | None:
-    """Parent element one level down in `dim`; None when already at level 0.
-
-    Cells halve (floor); the level 1 -> 0 step maps the single cell to 0.
-    """
-    levels, cells = key
-    l = levels[dim]
-    if l == 0:
-        return None
-    j = cells[dim]
-    pj = 0 if l == 1 else j // 2
-    return _replace(levels, dim, l - 1), _replace(cells, dim, pj)
-
-
-def children(key: Key, dim: int, n_max: int) -> list[Key]:
-    """Child elements one level up in `dim`, empty when level n_max is reached.
-
-    Level 0 has the single child (1, 0); level l >= 1 cell j splits into
-    cells 2j and 2j+1 of level l+1.
-    """
-    levels, cells = key
-    l = levels[dim]
-    if l >= n_max:
-        return []
-    j = cells[dim]
-    child_cells = (0,) if l == 0 else (2 * j, 2 * j + 1)
-    return [
-        (_replace(levels, dim, l + 1), _replace(cells, dim, cj)) for cj in child_cells
-    ]
-
-
-def _replace(tup: tuple[int, ...], dim: int, value: int) -> tuple[int, ...]:
-    return tup[:dim] + (value,) + tup[dim + 1 :]
-
-
 def element_center(key: Key) -> tuple[float, ...]:
     levels, cells = key
     return tuple(
@@ -114,12 +71,12 @@ class AdaptiveGrid:
     """Downward-closed active set of multilevel elements.
 
     The active set is one boolean cell mask per active level, `masks[level]`
-    shaped (num_cells(l_1), ..., num_cells(l_d)); a level whose last cell is
-    deactivated is dropped.  Mutations go through `activate` / `deactivate`,
-    which maintain two invariants: every ancestor of an active element is
-    active (downward closure), and |level|_inf <= n_max.  `version` grows by
-    one per activated or deactivated element, so coefficient containers and
-    cached per-level views can detect staleness.
+    shaped (num_cells(l_1), ..., num_cells(l_d)); a level whose last cell
+    goes is dropped.  The set changes only through `refine` and `coarsen`,
+    which act on whole masks and keep two invariants: every ancestor of an
+    active element is active (downward closure), and |level|_inf <= n_max.
+    `version` grows by the number of cells they add or remove, so
+    coefficient containers and cached per-level views can detect staleness.
     """
 
     def __init__(self, ndim: int, n_max: int):
@@ -127,18 +84,8 @@ class AdaptiveGrid:
             raise ValueError("ndim must be >= 1")
         self.ndim = ndim
         self.n_max = n_max
-        self.masks: dict[Level, np.ndarray] = {}
-        self.version = 0
-        self.activate(((0,) * ndim, (0,) * ndim))
-
-    # -- queries ---------------------------------------------------------
-
-    def __contains__(self, key: Key) -> bool:
-        levels, cells = key
-        mask = self.masks.get(levels)
-        if mask is None or len(cells) != mask.ndim:
-            return False
-        return all(0 <= j < s for j, s in zip(cells, mask.shape)) and bool(mask[cells])
+        self.masks: dict[Level, np.ndarray] = {(0,) * ndim: np.ones((1,) * ndim, bool)}
+        self.version = 1
 
     def __len__(self) -> int:
         return sum(int(mask.sum()) for mask in self.masks.values())
@@ -153,50 +100,58 @@ class AdaptiveGrid:
             ]
         )
 
-    def is_leaf(self, key: Key) -> bool:
-        """No active child in any dimension."""
-        for dim in range(self.ndim):
-            for child in children(key, dim, self.n_max):
-                if child in self:
-                    return False
-        return True
-
     # -- mutation --------------------------------------------------------
 
-    def activate(self, key: Key) -> None:
-        """Activate `key` and any missing ancestors."""
-        validate_key(key)
-        levels = key[0]
-        if max(levels) > self.n_max:
-            raise ValueError(f"level {levels} exceeds n_max={self.n_max}")
-        stack = [key]
-        while stack:
-            k = stack.pop()
-            if k in self:
-                continue
-            lv, cells = k
-            mask = self.masks.get(lv)
-            if mask is None:
-                mask = self.masks[lv] = np.zeros(_shape(lv), dtype=bool)
-            mask[cells] = True
-            self.version += 1
-            for dim in range(self.ndim):
-                par = parent(k, dim)
-                if par is not None:
-                    stack.append(par)
+    def refine(self, flags: dict[Level, np.ndarray]) -> int:
+        """Activate the children, in every dimension, of the flagged cells.
 
-    def deactivate(self, key: Key) -> None:
-        """Remove a leaf element; refuses the root and non-leaves."""
-        if key == ((0,) * self.ndim, (0,) * self.ndim):
-            raise ValueError("cannot deactivate the root element")
-        if not self.is_leaf(key):
-            raise ValueError(f"cannot deactivate non-leaf element {key}")
-        if key in self:
-            mask = self.masks[key[0]]
-            mask[key[1]] = False
-            if not mask.any():
-                del self.masks[key[0]]
-            self.version += 1
+        `flags[lv]` is a cell mask shaped like level lv.  Children stop at
+        level n_max.  The ancestors of every new cell are then added, one
+        |l|_1 layer at a time from the top, so each layer is complete before
+        it is pooled into the next.  Returns the number of cells added.
+        """
+        masks = dict(self.masks)
+        for lv, flag in flags.items():
+            if flag.any():
+                for dim, l in enumerate(lv):
+                    if l < self.n_max:
+                        _merge(masks, _shift(lv, dim, 1), _split(flag, dim, l))
+        for top in range(max(map(sum, masks)), 0, -1):
+            for lv in [lv for lv in masks if sum(lv) == top]:
+                for dim, l in enumerate(lv):
+                    if l > 0:
+                        _merge(masks, _shift(lv, dim, -1), _pool(masks[lv], dim, l))
+        return self._commit(masks)
+
+    def coarsen(self, small: dict[Level, np.ndarray]) -> int:
+        """Remove small cells that keep no active child; the root stays.
+
+        One pass over levels in decreasing |l|_1: a cell goes iff
+        `small[lv]` flags it and none of its children is still active.
+        Removal only ever exposes parents, so this is the fixed point of
+        removing small leaves one at a time.  Returns the number removed.
+        """
+        masks = dict(self.masks)
+        root = (0,) * self.ndim
+        for lv in sorted(masks, key=sum, reverse=True):
+            if lv == root or lv not in small:
+                continue
+            keep = ~small[lv]
+            for dim, l in enumerate(lv):
+                child = masks.get(_shift(lv, dim, 1))
+                if child is not None:
+                    keep |= _pool(child, dim, l + 1)
+            masks[lv] = masks[lv] & keep
+            if not masks[lv].any():
+                del masks[lv]
+        return self._commit(masks)
+
+    def _commit(self, masks: dict[Level, np.ndarray]) -> int:
+        # refine only adds cells and coarsen only removes them
+        changed = abs(sum(int(m.sum()) for m in masks.values()) - len(self))
+        self.masks = masks
+        self.version += changed
+        return changed
 
     # -- construction and export ----------------------------------------
 
@@ -243,3 +198,29 @@ class AdaptiveGrid:
 
 def _shape(lv: Level) -> tuple[int, ...]:
     return tuple(num_cells(l) for l in lv)
+
+
+def _shift(lv: Level, dim: int, step: int) -> Level:
+    return lv[:dim] + (lv[dim] + step,) + lv[dim + 1 :]
+
+
+def _split(mask: np.ndarray, dim: int, level: int) -> np.ndarray:
+    """Children along `dim` of a level-`level` mask's cells, on level + 1.
+
+    Level 0's cell has the single child cell of level 1; a level l >= 1
+    cell j has the cells 2j and 2j + 1.
+    """
+    return mask if level == 0 else np.repeat(mask, 2, axis=dim)
+
+
+def _pool(mask: np.ndarray, dim: int, level: int) -> np.ndarray:
+    """Parents along `dim` of a level-`level` mask's cells (the inverse map)."""
+    if level == 1:
+        return mask
+    shape = mask.shape
+    return mask.reshape(shape[:dim] + (shape[dim] // 2, 2) + shape[dim + 1 :]).any(axis=dim + 1)
+
+
+def _merge(masks: dict[Level, np.ndarray], lv: Level, cells: np.ndarray) -> None:
+    """OR `cells` into level lv's mask, creating the level if absent."""
+    masks[lv] = masks[lv] | cells if lv in masks else cells.copy()

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: dense
 matrices are assembled block-by-block from raw operator entries (ignoring
 triangularity tags), integrals go through per-cell Gauss quadrature of
 pointwise basis evaluations, and grids are grown by random child
-activations so downward closure is the only structure they share.
+activations so downward closure is the only structure they share.  The
+key-by-key grid model below changes a grid one element at a time; the
+whole-mask `AdaptiveGrid.refine` / `coarsen` are checked against it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 
 from mrdg.alpert import Quadrature1D, legendre_values, mother_wavelets
 from mrdg.fastmv import CoeffSet, TensorSpace, TensorTerm
-from mrdg.grids import AdaptiveGrid, children, num_cells
+from mrdg.grids import MAX_LEVEL, AdaptiveGrid, Key, Level, num_cells
 from mrdg.interp import make_interp_basis
 from mrdg.operators1d import alpert_family, point_values
 
@@ -139,7 +141,157 @@ def interp_values_brute(m, variant, n, x, side=0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# grids
+# grids: the key-by-key reference model
+
+
+def validate_key(key: Key) -> None:
+    levels, cells = key
+    if len(levels) != len(cells):
+        raise ValueError(f"level/cell rank mismatch: {key}")
+    for l, j in zip(levels, cells):
+        if not 0 <= l <= MAX_LEVEL:
+            raise ValueError(f"level out of range 0..{MAX_LEVEL}: level {levels}")
+        if j < 0 or j >= num_cells(l):
+            raise ValueError(f"cell index out of range: level {levels}, cell {cells}")
+
+
+def parent(key: Key, dim: int) -> Key | None:
+    """Parent element one level down in `dim`; None when already at level 0.
+
+    Cells halve (floor); the level 1 -> 0 step maps the single cell to 0.
+    """
+    levels, cells = key
+    l = levels[dim]
+    if l == 0:
+        return None
+    j = cells[dim]
+    pj = 0 if l == 1 else j // 2
+    return _replace(levels, dim, l - 1), _replace(cells, dim, pj)
+
+
+def children(key: Key, dim: int, n_max: int) -> list[Key]:
+    """Child elements one level up in `dim`, empty when level n_max is reached.
+
+    Level 0 has the single child (1, 0); level l >= 1 cell j splits into
+    cells 2j and 2j+1 of level l+1.
+    """
+    levels, cells = key
+    l = levels[dim]
+    if l >= n_max:
+        return []
+    j = cells[dim]
+    child_cells = (0,) if l == 0 else (2 * j, 2 * j + 1)
+    return [
+        (_replace(levels, dim, l + 1), _replace(cells, dim, cj)) for cj in child_cells
+    ]
+
+
+def _replace(tup: tuple[int, ...], dim: int, value: int) -> tuple[int, ...]:
+    return tup[:dim] + (value,) + tup[dim + 1 :]
+
+
+def contains(grid: AdaptiveGrid, key: Key) -> bool:
+    levels, cells = key
+    mask = grid.masks.get(levels)
+    if mask is None or len(cells) != mask.ndim:
+        return False
+    return all(0 <= j < s for j, s in zip(cells, mask.shape)) and bool(mask[cells])
+
+
+def is_leaf(grid: AdaptiveGrid, key: Key) -> bool:
+    """No active child in any dimension."""
+    return not any(
+        contains(grid, child)
+        for dim in range(grid.ndim)
+        for child in children(key, dim, grid.n_max)
+    )
+
+
+def activate(grid: AdaptiveGrid, key: Key) -> None:
+    """Activate `key` and any missing ancestors, one element at a time."""
+    validate_key(key)
+    levels = key[0]
+    if max(levels) > grid.n_max:
+        raise ValueError(f"level {levels} exceeds n_max={grid.n_max}")
+    stack = [key]
+    while stack:
+        k = stack.pop()
+        if contains(grid, k):
+            continue
+        lv, cells = k
+        mask = grid.masks.get(lv)
+        if mask is None:
+            mask = grid.masks[lv] = np.zeros(tuple(num_cells(l) for l in lv), dtype=bool)
+        mask[cells] = True
+        grid.version += 1
+        for dim in range(grid.ndim):
+            par = parent(k, dim)
+            if par is not None:
+                stack.append(par)
+
+
+def deactivate(grid: AdaptiveGrid, key: Key) -> None:
+    """Remove a leaf element; refuses the root and non-leaves."""
+    if key == ((0,) * grid.ndim, (0,) * grid.ndim):
+        raise ValueError("cannot deactivate the root element")
+    if not is_leaf(grid, key):
+        raise ValueError(f"cannot deactivate non-leaf element {key}")
+    if contains(grid, key):
+        mask = grid.masks[key[0]]
+        mask[key[1]] = False
+        if not mask.any():
+            del grid.masks[key[0]]
+        grid.version += 1
+
+
+def level_norms(space: TensorSpace, fields: list[CoeffSet]) -> dict[Level, np.ndarray]:
+    """Per-element root-sum-square of the fields' blocks, level by level."""
+    d = space.ndim
+    out = {}
+    for lv in space.levels:
+        acc = None
+        for f in fields:
+            sq = np.add.reduce(f.data[lv] ** 2, axis=tuple(range(d, 2 * d)))
+            acc = sq if acc is None else acc + sq
+        out[lv] = np.sqrt(acc)
+    return out
+
+
+def _flagged(space: TensorSpace, norms, predicate) -> list[Key]:
+    keys = []
+    for lv in space.levels:
+        hits = predicate(norms[lv]) & space.masks[lv]
+        for cells in zip(*np.nonzero(hits)):
+            keys.append((lv, tuple(int(c) for c in cells)))
+    return keys
+
+
+def key_refine(grid: AdaptiveGrid, space: TensorSpace, norms, eps: float) -> bool:
+    """Activate the children (every dimension) of elements above `eps`."""
+    changed = False
+    for key in _flagged(space, norms, lambda a: a > eps):
+        for dim in range(grid.ndim):
+            for child in children(key, dim, grid.n_max):
+                if not contains(grid, child):
+                    activate(grid, child)
+                    changed = True
+    return changed
+
+
+def key_coarsen(grid: AdaptiveGrid, space: TensorSpace, norms, eta: float) -> bool:
+    """Repeatedly drop leaf elements below `eta` until none is left; never the root."""
+    root = ((0,) * grid.ndim, (0,) * grid.ndim)
+    small = set(_flagged(space, norms, lambda a: a < eta))
+    small.discard(root)
+    changed = False
+    while True:
+        removable = [k for k in small if contains(grid, k) and is_leaf(grid, k)]
+        if not removable:
+            return changed
+        for key in removable:
+            deactivate(grid, key)
+            small.discard(key)
+            changed = True
 
 
 def random_pruning(ndim: int, n_max: int, seed: int, steps: int = 40) -> AdaptiveGrid:
@@ -152,7 +304,7 @@ def random_pruning(ndim: int, n_max: int, seed: int, steps: int = 40) -> Adaptiv
         dim = int(rng.integers(ndim))
         kids = children(key, dim, n_max)
         if kids:
-            grid.activate(kids[int(rng.integers(len(kids)))])
+            activate(grid, kids[int(rng.integers(len(kids)))])
     return grid
 
 
@@ -174,9 +326,8 @@ def flatten(space: TensorSpace, cs: CoeffSet) -> np.ndarray:
     offsets, total = space_layout(space, cs.p)
     out = np.zeros(total)
     for lv, (off, shape) in offsets.items():
-        arr = cs.data.get(lv)
-        if arr is not None:
-            out[off : off + arr.size] = arr.ravel()
+        arr = cs.data[lv]
+        out[off : off + arr.size] = arr.ravel()
     return out
 
 

@@ -1,12 +1,24 @@
 """Indicator-driven grid refinement and coarsening."""
 
+import copy
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrdg.adapt import coarsen, element_norms, refine
 from mrdg.fastmv import TensorSpace, eval_on_lattice, project_separable
-from mrdg.grids import AdaptiveGrid, children
+from mrdg.grids import AdaptiveGrid
 
-from conftest import random_coeffs
+from conftest import (
+    children,
+    contains,
+    key_coarsen,
+    key_refine,
+    level_norms,
+    random_coeffs,
+    random_pruning,
+)
 
 
 def test_element_norms_are_per_element_rss():
@@ -32,7 +44,7 @@ def test_refine_activates_children_of_flagged_elements():
     key = ((0, 0), (0, 0))
     for dim in range(2):
         for child in children(key, dim, 4):
-            assert child in grid
+            assert contains(grid, child)
     # zero detail everywhere else: nothing further to refine
     space2 = TensorSpace(grid)
     u2 = space2.conform(u)
@@ -53,7 +65,7 @@ def test_refine_keeps_grid_downward_closed():
             pc = list(cells)
             pl[dim] -= 1
             pc[dim] = 0 if pl[dim] == 0 else pc[dim] // 2
-            assert (tuple(pl), tuple(pc)) in grid
+            assert contains(grid, (tuple(pl), tuple(pc)))
 
 
 def test_coarsen_removes_only_small_leaves_and_keeps_root():
@@ -88,9 +100,60 @@ def test_coarsen_respects_protected_interior():
     u.data[(0,)][0, 0] = 1.0
     u.data[(2,)][:, 0] = 1.0  # both level-2 elements carry signal
     coarsen(grid, space, [u], 0.5)
-    assert ((2,), (0,)) in grid and ((2,), (1,)) in grid
-    assert ((3,), (0,)) not in grid
-    assert ((1,), (0,)) in grid  # ancestor of protected elements
+    assert contains(grid, ((2,), (0,))) and contains(grid, ((2,), (1,)))
+    assert not contains(grid, ((3,), (0,)))
+    assert contains(grid, ((1,), (0,)))  # ancestor of protected elements
+
+
+def same_grid(a: AdaptiveGrid, b: AdaptiveGrid) -> None:
+    assert sorted(a.masks) == sorted(b.masks)
+    for lv, mask in a.masks.items():
+        np.testing.assert_array_equal(mask, b.masks[lv], err_msg=str(lv))
+    assert a.version == b.version
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(0, 2**16),
+    st.floats(-5, 1),
+    st.floats(-5, 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_mask_regrid_matches_key_by_key_reference(d, p, seed, log_eps, log_eta):
+    # whole-mask refine and coarsen against the one-element-at-a-time model,
+    # on random grids with indicators spread over several decades
+    n = {1: 5, 2: 4, 3: 3}[d]
+    grid = random_pruning(d, n, seed)
+    space = TensorSpace(grid)
+    rng = np.random.default_rng(seed)
+    fields = []
+    for i in range(2):
+        f = random_coeffs(space, (p,) * d, seed + i)
+        f.buf.reshape(space.layout.cells, -1)[...] *= 10.0 ** rng.uniform(
+            -5, 0, (space.layout.cells, 1)
+        )
+        fields.append(f)
+    norms = level_norms(space, fields)
+    got_norms = element_norms(space, fields)
+    assert list(got_norms) == space.levels
+    for lv in space.levels:
+        np.testing.assert_array_equal(got_norms[lv], norms[lv])
+    eps, eta = 10.0**log_eps, 10.0**log_eta
+
+    fast, ref = copy.deepcopy(grid), copy.deepcopy(grid)
+    assert refine(fast, space, fields, eps) == key_refine(ref, space, norms, eps)
+    same_grid(fast, ref)
+    # coarsen the refined grid as a run does: new cells hold zero details
+    space2 = TensorSpace(fast)
+    moved = [space2.conform(f) for f in fields]
+    norms2 = level_norms(space2, moved)
+    assert coarsen(fast, space2, moved, eta) == key_coarsen(ref, space2, norms2, eta)
+    same_grid(fast, ref)
+
+    fast, ref = copy.deepcopy(grid), copy.deepcopy(grid)
+    assert coarsen(fast, space, fields, eta) == key_coarsen(ref, space, norms, eta)
+    same_grid(fast, ref)
 
 
 def gaussian(x):

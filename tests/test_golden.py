@@ -1,10 +1,10 @@
-"""Byte-for-byte regression of ``mrdg run`` outputs on seven small cases.
+"""Byte-for-byte regression of ``mrdg run`` outputs on eight small cases.
 
 Each directory under ``tests/golden`` holds a ``case.cfg`` and the files a
 run of it wrote when the fixture was made.  A refactor that keeps behaviour
 reproduces every one of those files exactly.  The cases cover a sparse 2D
-grid with an interior snapshot, a full 1D grid, an adaptive 2D run whose grid
-refines and coarsens between snapshots, the Dirichlet boundary load of
+grid with an interior snapshot, a full 1D grid, adaptive 2D and 3D runs whose
+grids refine and coarsen between snapshots, the Dirichlet boundary load of
 ``cosine-mixed``, the interpolated ``c^2`` coefficient pipeline of
 ``smooth-speed`` and ``layered-aligned``, and that pipeline between the
 Dirichlet walls of ``layered-pulse``.
@@ -26,6 +26,7 @@ CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
 def test_all_cases_present():
     assert CASES == [
         "adaptive2d",
+        "adaptive3d",
         "aligned2d",
         "full1d",
         "mixed2d",

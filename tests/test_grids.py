@@ -1,4 +1,8 @@
-"""Multilevel element bookkeeping: keys, closure, per-level cell masks."""
+"""Multilevel element bookkeeping: keys, closure, per-level cell masks.
+
+The key-by-key tests check the reference model in `conftest.py`, which
+`test_adapt.py` compares the whole-mask regrid against.
+"""
 
 import itertools
 
@@ -8,19 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrdg.grids import (
-    MAX_LEVEL,
     AdaptiveGrid,
     cell_width,
-    children,
     element_center,
     num_cells,
-    parent,
     sparse_levels,
-    validate_key,
 )
 from mrdg.fastmv import TensorSpace
 
-from conftest import random_pruning
+from conftest import (
+    activate,
+    children,
+    contains,
+    deactivate,
+    is_leaf,
+    parent,
+    random_pruning,
+    validate_key,
+)
 
 
 def valid_keys(ndim, n_max):
@@ -103,13 +112,13 @@ def test_random_growth_stays_downward_closed(seed):
     for key in grid:
         for dim in range(2):
             par = parent(key, dim)
-            assert par is None or par in grid
+            assert par is None or contains(grid, par)
         assert max(key[0]) <= 4
 
 
 def test_activate_fills_in_ancestors():
     grid = AdaptiveGrid(2, 4)
-    grid.activate(((3, 2), (2, 1)))
+    activate(grid, ((3, 2), (2, 1)))
     # the full ancestor rectangle must be present
     for la in range(4):
         for lb in range(3):
@@ -119,34 +128,34 @@ def test_activate_fills_in_ancestors():
 def test_activate_rejects_levels_beyond_cap():
     grid = AdaptiveGrid(1, 3)
     with pytest.raises(ValueError):
-        grid.activate(((4,), (0,)))
+        activate(grid, ((4,), (0,)))
 
 
 def test_deactivate_leaf_only_and_never_root():
     grid = AdaptiveGrid(1, 3)
-    grid.activate(((2,), (0,)))
+    activate(grid, ((2,), (0,)))
     with pytest.raises(ValueError):
-        grid.deactivate(((0,), (0,)))
+        deactivate(grid, ((0,), (0,)))
     with pytest.raises(ValueError):
-        grid.deactivate(((1,), (0,)))  # has an active child
-    grid.deactivate(((2,), (0,)))
-    assert ((2,), (0,)) not in grid
-    assert grid.is_leaf(((1,), (0,)))
+        deactivate(grid, ((1,), (0,)))  # has an active child
+    deactivate(grid, ((2,), (0,)))
+    assert not contains(grid, ((2,), (0,)))
+    assert is_leaf(grid, ((1,), (0,)))
 
 
 def test_version_bumps_on_mutation_only():
     grid = AdaptiveGrid(1, 3)
     v = grid.version
-    grid.activate(((1,), (0,)))
+    activate(grid, ((1,), (0,)))
     assert grid.version > v
     v = grid.version
-    grid.activate(((1,), (0,)))  # already active: no-op
+    activate(grid, ((1,), (0,)))  # already active: no-op
     assert grid.version == v
 
 
 def test_levels_view_flat_indices():
     grid = AdaptiveGrid(2, 3)
-    grid.activate(((2, 2), (1, 1)))
+    activate(grid, ((2, 2), (1, 1)))
     # one mask per level, shaped by the level's cell counts
     assert grid.masks[(2, 2)].shape == (2, 2)
     assert sorted(grid.masks) == [(a, b) for a in range(3) for b in range(3)]
@@ -194,7 +203,7 @@ def test_mutations_match_key_set_model(data):
         version = grid.version
         if data.draw(st.booleans()):
             key = data.draw(valid_keys(ndim, n_max))
-            grid.activate(key)
+            activate(grid, key)
             changed = closure(key) - model
             model |= changed
         else:
@@ -205,17 +214,17 @@ def test_mutations_match_key_set_model(data):
             changed = ()
             if key == root or model_children(model, key):
                 with pytest.raises(ValueError):
-                    grid.deactivate(key)
+                    deactivate(grid, key)
             else:
-                grid.deactivate(key)
+                deactivate(grid, key)
                 if key in model:
                     model.discard(key)
                     changed = (key,)
         assert (grid.version > version) == bool(changed)
-        assert (key in grid) == (key in model)
+        assert contains(grid, key) == (key in model)
         assert list(grid) == sorted(model)
         assert len(grid) == len(model)
         for key in model:
-            assert key in grid
-            assert grid.is_leaf(key) == (not model_children(model, key))
+            assert contains(grid, key)
+            assert is_leaf(grid, key) == (not model_children(model, key))
         assert TensorSpace(grid).levels == sorted({lv for lv, _ in model})
