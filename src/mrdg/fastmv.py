@@ -19,13 +19,14 @@ A sweep along dimension m works on fibers: the level tuples that agree on
 every coordinate but m, which in a downward-closed set form a chain 0..A.
 The 1D index of (level a, cell c, poly i) is p * (cells of levels < a + c)
 + i, so a fiber's levels 0..A, stacked along the cell axis of m, have the 1D
-layout, and the block `op.mat[:rows(B), :cols(A)]` maps them to the fiber's
-output levels 0..B.  A cached `_SweepPlan` gathers the input buffer so that
-fibers with equal (A, B) sit side by side as the columns of one matrix,
-multiplies each such group once, and scatters the products into a zeroed
-output buffer.  A plan depends only on the level list, m, the polynomial
-counts and the factor's tag, so it lives on the `LevelLayout` that every
-space with that level list shares.
+layout, and the leading block `op.block(rows(B), cols(A))` of the 1D matrix
+maps them to the fiber's output levels 0..B: a view of a dense matrix, or a
+slice of a CSR one cached on the operator.  A cached `_SweepPlan` gathers
+the input buffer so that fibers with equal (A, B) sit side by side as the
+columns of one matrix, multiplies each such group once, and scatters the
+products into a zeroed output buffer.  A plan depends only on the level
+list, m, the polynomial counts and the factor's tag, so it lives on the
+`LevelLayout` that every space with that level list shares.
 
 Operators with more than one unconstrained dimension are expanded into at
 most 2^(d-1) sweepable terms by L+U splitting of the surplus factors.
@@ -40,13 +41,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .alpert import legendre_values, mother_wavelets, project_1d
+from .alpert import project_1d
 from .grids import AdaptiveGrid, num_cells
 from .interp import make_interp_basis
 from .operators1d import (
     FamilySpec,
     Operator1D,
     alpert_family,
+    level_values,
     lu_split,
 )
 
@@ -239,7 +241,7 @@ def expand_term(term: TensorTerm) -> list[TensorTerm]:
 class _SweepPlan:
     """Index maps of one sweep: gather, per-group products, scatter.
 
-    Group g multiplies `op.mat[:rows, :cols]` with the (cols, width) block
+    Group g multiplies `op.block(rows, cols)` with the (cols, width) block
     at `x_at` of the gathered input and writes the (rows, width) block at
     `y_at` of the gathered output.
     """
@@ -319,11 +321,13 @@ def _sweep(
     xg = x[plan.gather]
     yg = np.empty(len(plan.scatter))
     for rows, cols, width, x_at, y_at in plan.groups:
-        np.matmul(
-            op.mat[:rows, :cols],
-            xg[x_at : x_at + cols * width].reshape(cols, width),
-            out=yg[y_at : y_at + rows * width].reshape(rows, width),
-        )
+        block = op.block(rows, cols)
+        xb = xg[x_at : x_at + cols * width].reshape(cols, width)
+        yb = yg[y_at : y_at + rows * width].reshape(rows, width)
+        if isinstance(block, np.ndarray):
+            np.matmul(block, xb, out=yb)
+        else:
+            yb[...] = block @ xb
     y = np.zeros(layout.cells * math.prod(p_out))
     y[plan.scatter] = yg
     return y, p_out
@@ -403,25 +407,6 @@ def separable_from_vectors(
     return space.mask(out)
 
 
-def _level_points(k: int, level: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Level-`level` cell of each point and the k+1 Alpert values there.
-
-    A point on a dyadic breakpoint takes the cell to its right, x = 1 the
-    last cell.  On the half of its cell that holds x, the level-l function i
-    (l >= 1) is 2^(l/2) times the Legendre expansion of mother wavelet i on
-    that half, in the half's local coordinate.
-    """
-    if level == 0:
-        return np.zeros(len(x), dtype=int), legendre_values(k, x)
-    halves = 1 << level
-    t = x * halves
-    half = np.clip(np.floor(t).astype(int), 0, halves - 1)
-    leg = legendre_values(k, t - half)
-    mothers = 2.0 ** (0.5 * level) * mother_wavelets(k)  # [i, half, q]
-    right = (half & 1).astype(bool)[:, None]
-    return half >> 1, np.where(right, leg @ mothers[:, 1].T, leg @ mothers[:, 0].T)
-
-
 def _axis_level(
     k: int, level: int, x: np.ndarray
 ) -> tuple[slice, np.ndarray | None, np.ndarray]:
@@ -433,7 +418,7 @@ def _axis_level(
     Otherwise each point carries its cell's offset in the range and its
     own k+1 values.
     """
-    cell, vals = _level_points(k, level, x)
+    cell, vals = level_values(alpert_family(k, level), level, x)
     first, runs = cell[0], cell[-1] - cell[0] + 1
     if runs > 0 and len(x) % runs == 0:
         r = len(x) // runs

@@ -26,8 +26,9 @@ Level = tuple[int, ...]
 Cell = tuple[int, ...]
 Key = tuple[Level, Cell]
 
-# Input bound on levels, not a storage limit: a dense 1D operator at level 13
-# already takes more than 2 GB ((2 * 2^13)^2 doubles at k = 1).
+# Input bound on levels.  For constant speed it is also a storage limit: a
+# dense 1D operator at level 13 takes more than 2 GB ((2 * 2^13)^2 doubles at
+# k = 1).  Variable-speed operators are CSR, with O(n p) entries per row.
 MAX_LEVEL = 13
 
 # Coefficient cap of a full grid, block^d * 2^(n*d) per field; `AdaptiveGrid.full`
@@ -108,19 +109,26 @@ class AdaptiveGrid:
         `flags[lv]` is a cell mask shaped like level lv.  Children stop at
         level n_max.  The ancestors of every new cell are then added, one
         |l|_1 layer at a time from the top, so each layer is complete before
-        it is pooled into the next.  Returns the number of cells added.
+        it is pooled into the next.  Only levels that gained cells are
+        pooled: the others kept their ancestors when they got them.  Returns
+        the number of cells added.
         """
         masks = dict(self.masks)
+        dirty: set[Level] = set()
         for lv, flag in flags.items():
             if flag.any():
                 for dim, l in enumerate(lv):
                     if l < self.n_max:
-                        _merge(masks, _shift(lv, dim, 1), _split(flag, dim, l))
-        for top in range(max(map(sum, masks)), 0, -1):
-            for lv in [lv for lv in masks if sum(lv) == top]:
+                        child = _shift(lv, dim, 1)
+                        if _merge(masks, child, _split(flag, dim, l)):
+                            dirty.add(child)
+        for top in range(max(map(sum, dirty), default=0), 0, -1):
+            for lv in [lv for lv in dirty if sum(lv) == top]:
                 for dim, l in enumerate(lv):
                     if l > 0:
-                        _merge(masks, _shift(lv, dim, -1), _pool(masks[lv], dim, l))
+                        up = _shift(lv, dim, -1)
+                        if _merge(masks, up, _pool(masks[lv], dim, l)):
+                            dirty.add(up)
         return self._commit(masks)
 
     def coarsen(self, small: dict[Level, np.ndarray]) -> int:
@@ -221,6 +229,14 @@ def _pool(mask: np.ndarray, dim: int, level: int) -> np.ndarray:
     return mask.reshape(shape[:dim] + (shape[dim] // 2, 2) + shape[dim + 1 :]).any(axis=dim + 1)
 
 
-def _merge(masks: dict[Level, np.ndarray], lv: Level, cells: np.ndarray) -> None:
-    """OR `cells` into level lv's mask, creating the level if absent."""
-    masks[lv] = masks[lv] | cells if lv in masks else cells.copy()
+def _merge(masks: dict[Level, np.ndarray], lv: Level, cells: np.ndarray) -> bool:
+    """OR `cells` into level lv's mask, creating the level if absent; True
+    if a cell was added."""
+    old = masks.get(lv)
+    if old is None:
+        masks[lv] = cells.copy()
+        return True
+    if not (cells & ~old).any():
+        return False
+    masks[lv] = old | cells
+    return True

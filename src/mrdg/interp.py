@@ -170,6 +170,33 @@ class InterpBasis1D:
                 out.extend(self.nodes_for(level, cell))
         return out
 
+    def coarse_stencil(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Interpolation of each level from the nodes of the coarser ones.
+
+        On a level-l cell (l >= 1) the coarser nodes are the base nodes X0
+        mapped onto the cell.  Returns ``(weights, coarse)``: weights[i, k]
+        is the level-0 Lagrange function k at fresh node i, computed in exact
+        rationals, and coarse[c, k] is the `all_nodes(n)` index of base node
+        k mapped onto the c-th cell of levels 1..n (level-major).
+        """
+        base = [x for x, _ in self.base_nodes]
+        weights = np.empty((self.p, self.p))
+        for i, (x, _) in enumerate(self.fresh_nodes):
+            for k, xk in enumerate(base):
+                w = Fraction(1)
+                for j, xj in enumerate(base):
+                    if j != k:
+                        w *= (x - xj) / (xk - xj)
+                weights[i, k] = float(w)
+        index = {node: a for a, node in enumerate(self.all_nodes(n))}
+        coarse = [
+            [index[float((x + cell) * scale), s] for x, s in self.base_nodes]
+            for level in range(1, n + 1)
+            for scale in [Fraction(1, 1 << (level - 1))]
+            for cell in range(num_cells(level))
+        ]
+        return weights, np.array(coarse, dtype=int).reshape(-1, self.p)
+
 
 @lru_cache(maxsize=None)
 def make_interp_basis(m: int, variant: str = "interface") -> InterpBasis1D:

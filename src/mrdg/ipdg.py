@@ -154,8 +154,9 @@ class WaveOperator:
         I = interp_family(cfg.m, cfg.variant, n)
         Nd = node_family(cfg.m, cfg.variant, n)
         self.p_i = (cfg.m + 1,) * d
-        C = assemble_mass(A, I)
-        EA = assemble_node_values(Nd, A)
+        # sparse factors: scipy CSR, built from their entries
+        C = assemble_mass(A, I, sparse=True)
+        EA = assemble_node_values(Nd, A, sparse=True)
         Einv = assemble_node_to_surplus(Nd)
         self._nodeval = TensorOperator.from_factors((EA,) * d)
         self._surplus = TensorOperator.from_factors((Einv,) * d)
@@ -165,16 +166,16 @@ class WaveOperator:
         self._pd_nodeval = []
         pen_terms = []
         for m in range(d):
-            Vd = assemble_volume_derivative(A, I)
-            Tav = assemble_trace(A, I, "jump", "avg", cfg.bc[m])
+            Vd = assemble_volume_derivative(A, I, sparse=True)
+            Tav = assemble_trace(A, I, "jump", "avg", cfg.bc[m], sparse=True)
             ops = [C] * d
             ops[m] = Operator1D(Tav.mat - Vd.mat, A, I, "general")
             self._p_ops.append(TensorOperator.from_factors(tuple(ops)))
-            EdA = assemble_node_values(Nd, A, deriv=True)
+            EdA = assemble_node_values(Nd, A, deriv=True, sparse=True)
             nops = [EA] * d
             nops[m] = EdA
             self._pd_nodeval.append(TensorOperator.from_factors(tuple(nops)))
-            J = assemble_trace(A, A, "jump", "jump", cfg.bc[m])
+            J = assemble_trace(A, A, "jump", "jump", cfg.bc[m], sparse=True)
             jops: list[Operator1D | None] = [None] * d
             jops[m] = J
             pen_terms.append(TensorTerm(tuple(jops), scale=-soh))
@@ -185,10 +186,12 @@ class WaveOperator:
             self._q_sided = []
             for m in range(d):
                 for s, kind in ((-1, "dminus"), (1, "dplus")):
-                    EAf = assemble_node_values(Nd, A, force_side=s)
+                    EAf = assemble_node_values(Nd, A, force_side=s, sparse=True)
                     nv_ops = [EA] * d
                     nv_ops[m] = EAf
-                    F = assemble_trace(A, I, kind, "jump", cfg.bc[m], half=True)
+                    F = assemble_trace(
+                        A, I, kind, "jump", cfg.bc[m], half=True, sparse=True
+                    )
                     q_ops = [C] * d
                     q_ops[m] = F
                     self._q_sided.append(
@@ -202,7 +205,7 @@ class WaveOperator:
         else:
             q_terms = []
             for m in range(d):
-                Fq = assemble_trace(A, I, "davg", "jump", cfg.bc[m])
+                Fq = assemble_trace(A, I, "davg", "jump", cfg.bc[m], sparse=True)
                 ops = [C] * d
                 ops[m] = Fq
                 q_terms.append(TensorTerm(tuple(ops)))

@@ -1,15 +1,23 @@
-"""Dense 1D operator blocks in hierarchical multiwavelet coordinates.
+"""1D operator blocks in hierarchical multiwavelet coordinates.
 
-Every hierarchical function is piecewise polynomial on the finest dyadic
-mesh, and `fine_matrix` holds its local orthonormal Legendre coefficients on
-each finest cell.  Every operator is built from those coefficients in one of
-two ways, exactly up to roundoff:
+Every operator is built from point-value matrices R: one row per point,
+holding the value (or derivative) there of every function of a family.  A
+level-l function is one polynomial on each half of its cell, so a point
+meets p functions per level, and `level_values` evaluates them on the
+point's own level cell.  A row of R has (n + 1) p entries, and:
 
-* volume terms (mass, stiffness, volume derivative) are cellwise tables:
-  one reference-cell table applied to each finest cell's block;
+* volume terms (mass, stiffness, volume derivative) are R_row^T W R_col at
+  the Gauss points of every finest cell, W the quadrature weights; the rule
+  is exact for the polynomial products, so these are exact up to roundoff;
 * face terms (traces, node values, boundary data) are products of one-sided
-  point values from `point_values`; a trace is R_row^T R_col with one row of
-  R per face.
+  point values; a trace is R_row^T R_col with one row of R per face;
+* the node-to-surplus map is an exact local stencil (see
+  `assemble_node_to_surplus`).
+
+Storage.  An operator is a dense array unless its assembly is asked for
+`sparse=True`, which gives a scipy CSR matrix built from the entries, with
+no dense intermediate.  The variable-speed pipeline asks for that; constant
+speed stays dense and never imports scipy.
 
 Operators carry block-triangularity metadata with respect to the level-major
 ordering (level 0 first; within a level, cells then polynomial index).  Rows
@@ -19,18 +27,12 @@ output level >= input level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .alpert import (
-    Quadrature1D,
-    legendre_derivs,
-    legendre_values,
-    mother_wavelets,
-    two_scale,
-)
+from .alpert import Quadrature1D, legendre_derivs, legendre_values, mother_wavelets
 from .grids import num_cells
 from .interp import make_interp_basis
 
@@ -77,25 +79,58 @@ def node_family(m: int, variant: str, n: int) -> FamilySpec:
     return FamilySpec("nodes", m, n, variant)
 
 
-@dataclass
+@dataclass(eq=False)
 class Operator1D:
-    """Dense hierarchical operator; every level block outside its tag is 0."""
+    """Hierarchical operator; every level block outside its tag is 0.
 
-    mat: np.ndarray
+    `mat` is a dense array, or a scipy CSR matrix when the operator was
+    assembled sparse.  Its structural zeros are exact: entries no point,
+    face or stencil touches are never stored.
+    """
+
+    mat: object
     row: FamilySpec
     col: FamilySpec
     tag: str
+    _blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown triangularity tag {self.tag!r}")
 
+    def block(self, rows: int, cols: int):
+        """The leading rows x cols block of `mat`; CSR slices are cached."""
+        if isinstance(self.mat, np.ndarray):
+            return self.mat[:rows, :cols]
+        hit = self._blocks.get((rows, cols))
+        if hit is None:
+            hit = self._blocks[rows, cols] = self.mat[:rows, :cols]
+        return hit
 
-def _zero_upper(mat: np.ndarray, row: FamilySpec, col: FamilySpec) -> np.ndarray:
-    """Zero, in place, every block whose output level is below its input level."""
-    for a in range(1, col.n + 1):
-        mat[: row.level_offset(a), col.level_slice(a)] = 0.0
+
+def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+    """CSR matrix of coordinate entries; repeated entries add, exact zeros go.
+
+    scipy is imported here, so only a sparse assembly loads it.
+    """
+    from scipy import sparse
+
+    mat = sparse.csr_array((data, (rows, cols)), shape=shape)
+    mat.eliminate_zeros()
     return mat
+
+
+def _lower(mat, row: FamilySpec, col: FamilySpec):
+    """The blocks of `mat` whose output level is >= their input level."""
+    bound = np.repeat(
+        [col.level_offset(a + 1) for a in range(row.n + 1)],
+        [row.level_size(a) for a in range(row.n + 1)],
+    )
+    if isinstance(mat, np.ndarray):
+        return np.where(np.arange(col.ndof) < bound[:, None], mat, 0.0)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    keep = mat.indices < bound[rows]
+    return _csr(mat.data[keep], rows[keep], mat.indices[keep], mat.shape)
 
 
 def lu_split(op: Operator1D) -> tuple[Operator1D, Operator1D]:
@@ -103,154 +138,143 @@ def lu_split(op: Operator1D) -> tuple[Operator1D, Operator1D]:
 
     The two parts reconstruct `op.mat` exactly; they share no blocks.
     """
-    lmat = _zero_upper(op.mat.copy(), op.row, op.col)
+    lmat = _lower(op.mat, op.row, op.col)
     low = Operator1D(lmat, op.row, op.col, "lower")
     up = Operator1D(op.mat - lmat, op.row, op.col, "strictly-upper")
     return low, up
 
 
 # ---------------------------------------------------------------------------
-# finest-mesh representations
+# point values
 
 
-def _refine_rep(rep: np.ndarray, levels: int, pf: int) -> np.ndarray:
-    """Push a per-cell modal representation `levels` times down the dyadic tree."""
-    r0, r1 = two_scale(pf)
-    out = rep
-    for _ in range(levels):
-        nxt = np.empty((2 * out.shape[0], pf + 1))
-        nxt[0::2] = out @ r0.T
-        nxt[1::2] = out @ r1.T
-        out = nxt
+def level_values(
+    fam: FamilySpec, level: int, x: np.ndarray, sides=1, deriv: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level-`level` cell of each point and the p values there of that
+    cell's functions (derivatives with `deriv`), shape (len(x), p).
+
+    At a level-l breakpoint a negative side takes the half to its left and
+    any other side the half to its right; the domain ends clip to the first
+    and last half.  On the half that holds x, level-l function i (l >= 1) is
+    c_l times the Legendre expansion of mother i on that half, in the half's
+    local coordinate: c_l = 2^(l/2) for Alpert (unitary dilation) and
+    sqrt(2) for the interpolatory family, whose functions keep value 1 at
+    their node.
+    """
+    x = np.asarray(x, dtype=float)
+    halves = 1 << level
+    t = x * halves
+    half = np.floor(t).astype(int)
+    half = np.where((t == half) & (np.asarray(sides) < 0), half - 1, half)
+    half = np.clip(half, 0, halves - 1)
+    if deriv:
+        leg = halves * legendre_derivs(fam.degree, t - half)
+    else:
+        leg = legendre_values(fam.degree, t - half)
+    if fam.kind == "alpert":
+        if level == 0:
+            return half, leg
+        pieces = 2.0 ** (0.5 * level) * mother_wavelets(fam.degree)  # [i, half, q]
+    else:
+        basis = make_interp_basis(fam.degree, fam.variant)
+        if level == 0:
+            return half, leg @ basis.phi.T
+        pieces = np.sqrt(2.0) * basis.mothers
+    right = (half & 1).astype(bool)[:, None]
+    return half >> 1, np.where(right, leg @ pieces[:, 1].T, leg @ pieces[:, 0].T)
+
+
+def _point_entries(
+    fam: FamilySpec, x: np.ndarray, sides, deriv: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column and value of every function of `fam` that can be nonzero at
+    each point: two arrays of shape (len(x), (n + 1) p), one level after
+    another."""
+    cols, vals = [], []
+    for level in range(fam.n + 1):
+        cell, v = level_values(fam, level, x, sides, deriv)
+        cols.append(fam.level_offset(level) + fam.p * cell[:, None] + np.arange(fam.p))
+        vals.append(v)
+    return np.hstack(cols), np.hstack(vals)
+
+
+def _point_matrix(cols: np.ndarray, vals: np.ndarray, ncols: int, sparse: bool):
+    """Row i holds the entries (cols[i], vals[i]); repeated columns add."""
+    nrows = len(cols)
+    rows = np.repeat(np.arange(nrows), cols.shape[1])
+    if sparse:
+        return _csr(vals.ravel(), rows, cols.ravel(), (nrows, ncols))
+    flat = rows * ncols + cols.ravel()
+    return np.bincount(flat, vals.ravel(), nrows * ncols).reshape(nrows, ncols)
+
+
+def _gram(r_row, r_col):
+    """R_row^T R_col in the storage of its factors."""
+    out = r_row.T @ r_col
+    if isinstance(out, np.ndarray):
+        return out
+    out = out.tocsr()
+    out.eliminate_zeros()
     return out
 
 
-@lru_cache(maxsize=None)
-def fine_matrix(fam: FamilySpec, pf: int) -> np.ndarray:
-    """Expansion of the hierarchical family on the level-N fine mesh.
+def point_values(fam: FamilySpec, x, sides, deriv: bool = False, sparse: bool = False):
+    """Value (derivative with `deriv`) of every function of `fam` at the
+    points x in [0, 1], shape (len(x), ndof); sides as in `level_values`.
 
-    Returns Q with shape (2^N * (pf+1), ndof); column (level, cell, i) holds
-    the local orthonormal Legendre coefficients of that basis function on
-    every finest cell (zero off support).  pf >= degree is required; the
-    coefficients above the family's degree are exact zeros.
+    Left and right limits at a point inside a level's half are bit for bit
+    equal, so jumps of the functions smooth there are exact zeros.
     """
-    if fam.kind == "nodes":
-        raise ValueError("node layouts have no fine representation")
-    if pf < fam.degree:
-        raise ValueError("fine degree too small")
-    n, p = fam.n, fam.p
-    ncf = 1 << n
-    if pf > fam.degree:
-        # pad the family's own expansion rather than refine at degree pf
-        q = np.zeros((ncf, pf + 1, fam.ndof))
-        q[:, :p] = fine_matrix(fam, fam.degree).reshape(ncf, p, fam.ndof)
-        return q.reshape(ncf * (pf + 1), fam.ndof)
-    q = np.zeros((ncf * p, fam.ndof))
-    deg = fam.degree
-    if fam.kind == "alpert":
-        level0 = np.eye(p)  # orthonormal Legendre
-        mothers = mother_wavelets(deg)
-        scale = lambda level: 1.0  # unitary dilation keeps local coefficients
-    else:
-        basis = make_interp_basis(deg, fam.variant)
-        level0 = basis.phi
-        mothers = basis.mothers
-        scale = lambda level: 2.0 ** (0.5 * (1 - level))
-
-    col = 0
-    for i in range(p):
-        q[:, col] = _refine_rep(level0[i : i + 1], n, deg).ravel()
-        col += 1
-    for level in range(1, n + 1):
-        s = scale(level)
-        for cell in range(num_cells(level)):
-            for i in range(p):
-                rep = _refine_rep(s * mothers[i], n - level, deg)
-                # support cells of (level, cell): the two level-l halves of
-                # cell (level-1, cell) refined to level n
-                start = cell * (1 << (n - level + 1)) if level > 1 else 0
-                q[start * p : (start + rep.shape[0]) * p, col] = rep.ravel()
-                col += 1
-    assert col == q.shape[1]
-    return q
+    return _point_matrix(*_point_entries(fam, x, sides, deriv), fam.ndof, sparse)
 
 
-@lru_cache(maxsize=None)
-def _ref_volume_tables(pf: int) -> dict[str, tuple[np.ndarray, int]]:
-    """Reference-cell tables with the power of 2^N a level-N cell scales them by.
+# ---------------------------------------------------------------------------
+# volume terms
 
-    mass: identity; stiffness: S~[p,q] = int P~'_p P~'_q; derivative:
-    K~[p,q] = int P~'_p P~_q.
+
+def _cellwise(
+    row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool, sparse: bool
+) -> Operator1D:
+    """Gauss quadrature on every finest cell of the pairing of the row and
+    column functions, each differentiated when its flag is set.
+
+    max(degree) + 1 points per cell integrate every product exactly.
     """
-    quad = Quadrature1D.gauss(pf + 2)
-    v = legendre_values(pf, quad.nodes)
-    d = legendre_derivs(pf, quad.nodes)
-    s = np.einsum("x,xp,xq->pq", quad.weights, d, d)
-    kk = np.einsum("x,xp,xq->pq", quad.weights, d, v)
-    return {"mass": (np.eye(pf + 1), 0), "stiffness": (s, 2), "derivative": (kk, 1)}
-
-
-def _cellwise(row: FamilySpec, col: FamilySpec, name: str) -> Operator1D:
-    """Sum over finest cells of Q_row^T (table Q_col) for one reference table."""
-    pf = max(row.degree, col.degree)
-    table, power = _ref_volume_tables(pf)[name]
+    quad = Quadrature1D.gauss(max(row.degree, col.degree) + 1)
     ncf = 1 << row.n
-    qc = fine_matrix(col, pf).reshape(ncf, pf + 1, col.ndof)
-    tq = (ncf**power * table) @ qc
-    mat = fine_matrix(row, pf).T @ tq.reshape(ncf * (pf + 1), col.ndof)
-    return Operator1D(mat, row, col, "general")
+    x = ((np.arange(ncf)[:, None] + quad.nodes) / ncf).ravel()
+    w = np.tile(quad.weights / ncf, ncf)
+    cols, vals = _point_entries(row, x, 1, drow)
+    r_row = _point_matrix(cols, w[:, None] * vals, row.ndof, sparse)
+    r_col = point_values(col, x, 1, dcol, sparse)
+    return Operator1D(_gram(r_row, r_col), row, col, "general")
 
 
 @lru_cache(maxsize=None)
-def assemble_mass(row: FamilySpec, col: FamilySpec) -> Operator1D:
-    """Exact L2 pairing of two families; Alpert x Alpert is the identity."""
+def assemble_mass(row: FamilySpec, col: FamilySpec, sparse: bool = False) -> Operator1D:
+    """Exact L2 pairing of two families; Alpert x Alpert is the dense identity."""
     if row == col and row.kind == "alpert":
         return Operator1D(np.eye(row.ndof), row, col, "diag")
-    return _cellwise(row, col, "mass")
+    return _cellwise(row, col, False, False, sparse)
 
 
 @lru_cache(maxsize=None)
 def assemble_stiffness(row: FamilySpec, col: FamilySpec) -> Operator1D:
     """Broken stiffness sum_cells int col' row' on the finest mesh."""
-    return _cellwise(row, col, "stiffness")
+    return _cellwise(row, col, True, True, False)
 
 
 @lru_cache(maxsize=None)
-def assemble_volume_derivative(row: FamilySpec, col: FamilySpec) -> Operator1D:
+def assemble_volume_derivative(
+    row: FamilySpec, col: FamilySpec, sparse: bool = False
+) -> Operator1D:
     """Entries sum_cells int col_b * row_a' (test differentiated)."""
-    return _cellwise(row, col, "derivative")
+    return _cellwise(row, col, True, False, sparse)
 
 
 # ---------------------------------------------------------------------------
-# point values and face traces
-
-
-def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
-    """Value (derivative with `deriv`) of every function of `fam` at the
-    points x in [0, 1], shape (len(x), ndof).
-
-    Each point gathers its finest cell's block of `fine_matrix`.  At a dyadic
-    breakpoint a negative side takes the left cell and any other side the
-    right cell; the domain ends clip to the first and last cell whatever
-    their side.
-    """
-    pf = fam.degree
-    ncf = 1 << fam.n
-    t = np.asarray(x, dtype=float) * ncf
-    cell = np.floor(t).astype(int)
-    cell = np.where((t == cell) & (np.asarray(sides) < 0), cell - 1, cell)
-    cell = np.clip(cell, 0, ncf - 1)
-    if deriv:
-        vals = ncf**1.5 * legendre_derivs(pf, t - cell)
-    else:
-        vals = ncf**0.5 * legendre_values(pf, t - cell)
-    q = fine_matrix(fam, pf).reshape(ncf, pf + 1, fam.ndof)
-    out = np.empty((cell.size, fam.ndof))
-    order = np.argsort(cell, kind="stable")
-    for at in np.split(order, np.flatnonzero(np.diff(cell[order])) + 1):
-        # one product per cell: no (points, pf+1, ndof) gather is built
-        out[at] = vals[at] @ q[cell[at[0]]]
-    return out
+# face traces
 
 
 # (left, right) weight of the one-sided limits on a two-sided face
@@ -287,7 +311,7 @@ def _face_points(n: int, bc: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(xl), np.array(xr)
 
 
-def _trace_rows(fam: FamilySpec, kind: str, faces) -> np.ndarray:
+def _trace_rows(fam: FamilySpec, kind: str, faces, sparse: bool):
     """Trace `kind` of every function of `fam`, one row per face.
 
     A wall face has a single limit: the jump there is q n, and every other
@@ -301,9 +325,10 @@ def _trace_rows(fam: FamilySpec, kind: str, faces) -> np.ndarray:
     wl = np.where(np.isnan(xl), 0.0, wl)
     wr = np.where(np.isnan(xr), 0.0, wr)
     deriv = kind.startswith("d")
-    left = point_values(fam, np.nan_to_num(xl), -1, deriv)
-    right = point_values(fam, np.nan_to_num(xr), 1, deriv)
-    return wl[:, None] * left + wr[:, None] * right
+    cl, vl = _point_entries(fam, np.nan_to_num(xl), -1, deriv)
+    cr, vr = _point_entries(fam, np.nan_to_num(xr), 1, deriv)
+    vals = np.hstack([wl[:, None] * vl, wr[:, None] * vr])
+    return _point_matrix(np.hstack([cl, cr]), vals, fam.ndof, sparse)
 
 
 @lru_cache(maxsize=None)
@@ -314,6 +339,7 @@ def assemble_trace(
     col_kind: str,
     bc: tuple[str, str],
     half: bool = False,
+    sparse: bool = False,
 ) -> Operator1D:
     """Face sum of outer products row_kind(test) x col_kind(trial) over all
     finest-mesh interfaces selected by the boundary condition pair.
@@ -322,21 +348,30 @@ def assemble_trace(
     with that weight).
     """
     faces = _face_points(row.n, bc)
-    mat = _trace_rows(row, row_kind, faces).T @ _trace_rows(col, col_kind, faces)
+    r_row = _trace_rows(row, row_kind, faces, sparse)
+    mat = _gram(r_row, _trace_rows(col, col_kind, faces, sparse))
     if half:
-        mat *= 0.5
+        mat = 0.5 * mat
     return Operator1D(mat, row, col, "general")
+
+
+# ---------------------------------------------------------------------------
+# node values and surpluses
 
 
 @lru_cache(maxsize=None)
 def assemble_node_values(
-    rows: FamilySpec, col: FamilySpec, deriv: bool = False, force_side: int = 0
+    rows: FamilySpec,
+    col: FamilySpec,
+    deriv: bool = False,
+    force_side: int = 0,
+    sparse: bool = False,
 ) -> Operator1D:
     """Values (or derivatives) of the column family at the hierarchical nodes.
 
     A nonzero `force_side` replaces every node's side tag, which samples both
     one-sided limits across coefficient-jump planes (the domain ends keep
-    their cell, see `point_values`).  With col = the matching interp family,
+    their cell, see `level_values`).  With col = the matching interp family,
     deriv=False and no side forcing this is the interpolation system: unit
     lower triangular by the delta property, so the roundoff in its strictly
     upper blocks is dropped.
@@ -347,26 +382,37 @@ def assemble_node_values(
     x, sides = np.array(nodes, dtype=float).T
     if force_side:
         sides = np.full_like(sides, force_side)
-    mat = point_values(col, x, sides, deriv)
+    mat = point_values(col, x, sides, deriv, sparse)
     same = col.kind == "interp" and (col.degree, col.variant) == (
         rows.degree,
         rows.variant,
     )
     if same and not deriv and not force_side:
-        return Operator1D(_zero_upper(mat, rows, col), rows, col, "lower")
+        return Operator1D(_lower(mat, rows, col), rows, col, "lower")
     return Operator1D(mat, rows, col, "general")
 
 
 @lru_cache(maxsize=None)
 def assemble_node_to_surplus(nodes: FamilySpec) -> Operator1D:
-    """Inverse of the interpolation system: node values -> surpluses.
+    """Node values -> surpluses, the exact inverse of the interpolation system.
 
-    The inverse of a unit lower triangular matrix is unit lower triangular,
-    so the roundoff `inv` leaves in its strictly upper blocks is dropped.
+    A surplus is the node value minus the coarser interpolant there.  For a
+    node of level l >= 1 in level-l cell c, that interpolant is the Lagrange
+    polynomial through the m + 1 coarser nodes of the cell, so the row is
+    e_node - sum_k w[i, k] e_coarse(c, k) with one weight table for every
+    level and cell (`InterpBasis1D.coarse_stencil`).  Level-0 surpluses are
+    the node values.  The map is unit lower triangular, with m + 2 entries
+    per row at levels >= 1, fewer where a weight is exactly 0; it is always
+    CSR.
     """
     fam = interp_family(nodes.degree, nodes.variant, nodes.n)
-    e = assemble_node_values(nodes, fam)
-    return Operator1D(_zero_upper(np.linalg.inv(e.mat), fam, nodes), fam, nodes, "lower")
+    weights, coarse = make_interp_basis(nodes.degree, nodes.variant).coarse_stencil(nodes.n)
+    p, ndof = fam.p, fam.ndof
+    fine = np.arange(p, ndof)  # every node of levels >= 1, p per cell
+    rows = np.concatenate([np.arange(ndof), np.repeat(fine, p)])
+    cols = np.concatenate([np.arange(ndof), np.repeat(coarse, p, axis=0).ravel()])
+    data = np.concatenate([np.ones(ndof), -np.tile(weights, (len(coarse), 1)).ravel()])
+    return Operator1D(_csr(data, rows, cols, (ndof, ndof)), fam, nodes, "lower")
 
 
 @lru_cache(maxsize=None)

@@ -14,11 +14,69 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mrdg.alpert import Quadrature1D, legendre_values, mother_wavelets
+from mrdg.alpert import Quadrature1D, legendre_values, mother_wavelets, two_scale
 from mrdg.fastmv import CoeffSet, TensorSpace, TensorTerm
 from mrdg.grids import MAX_LEVEL, AdaptiveGrid, Key, Level, num_cells
 from mrdg.interp import make_interp_basis
-from mrdg.operators1d import alpert_family, point_values
+from mrdg.operators1d import FamilySpec, Operator1D, alpert_family, point_values
+
+
+def dense(op: Operator1D) -> np.ndarray:
+    """The matrix of a 1D operator as a dense array, whatever its storage."""
+    return op.mat.toarray() if hasattr(op.mat, "toarray") else op.mat
+
+
+def _refine_rep(rep: np.ndarray, levels: int, pf: int) -> np.ndarray:
+    """Push a per-cell modal representation `levels` times down the dyadic tree."""
+    r0, r1 = two_scale(pf)
+    out = rep
+    for _ in range(levels):
+        nxt = np.empty((2 * out.shape[0], pf + 1))
+        nxt[0::2] = out @ r0.T
+        nxt[1::2] = out @ r1.T
+        out = nxt
+    return out
+
+
+def fine_matrix(fam: FamilySpec, pf: int) -> np.ndarray:
+    """Expansion of a hierarchical family on the level-n fine mesh, by
+    two-scale refinement of the mother wavelets.
+
+    Returns Q with shape (2^n * (pf+1), ndof); column (level, cell, i) holds
+    the local orthonormal Legendre coefficients of that basis function on
+    every finest cell (zero off support).  Coefficients above the family's
+    degree are exact zeros.
+    """
+    if pf < fam.degree:
+        raise ValueError("fine degree too small")
+    n, p = fam.n, fam.p
+    ncf = 1 << n
+    if pf > fam.degree:
+        q = np.zeros((ncf, pf + 1, fam.ndof))
+        q[:, :p] = fine_matrix(fam, fam.degree).reshape(ncf, p, fam.ndof)
+        return q.reshape(ncf * (pf + 1), fam.ndof)
+    q = np.zeros((ncf * p, fam.ndof))
+    deg = fam.degree
+    if fam.kind == "alpert":
+        level0, mothers = np.eye(p), mother_wavelets(deg)
+        scale = lambda level: 1.0  # unitary dilation keeps local coefficients
+    else:
+        basis = make_interp_basis(deg, fam.variant)
+        level0, mothers = basis.phi, basis.mothers
+        scale = lambda level: 2.0 ** (0.5 * (1 - level))
+    col = 0
+    for i in range(p):
+        q[:, col] = _refine_rep(level0[i : i + 1], n, deg).ravel()
+        col += 1
+    for level in range(1, n + 1):
+        for cell in range(num_cells(level)):
+            for i in range(p):
+                rep = _refine_rep(scale(level) * mothers[i], n - level, deg)
+                # the two level-l halves of the cell, refined to level n
+                start = cell * (1 << (n - level + 1)) if level > 1 else 0
+                q[start * p : (start + rep.shape[0]) * p, col] = rep.ravel()
+                col += 1
+    return q
 
 
 def cellwise_gauss(n: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +413,7 @@ def dense_from_terms(
 ) -> np.ndarray:
     """Dense matrix of sum(scale * kron(ops)) restricted to the active set.
 
-    Entries are read straight from `op.mat` level blocks; tags, sweep order,
+    Entries are read straight from `dense(op)` level blocks; tags, sweep order,
     and the L+U expansion are never consulted, so the result is an
     independent reference for the fast apply.
     """
@@ -365,7 +423,7 @@ def dense_from_terms(
     )
     off_in, tot_in = space_layout(space, p_in)
     off_out, tot_out = space_layout(space, p_out)
-    dense = np.zeros((tot_out, tot_in))
+    mat = np.zeros((tot_out, tot_in))
     for term in terms:
         for lvo in space.levels:
             for lvi in space.levels:
@@ -379,7 +437,7 @@ def dense_from_terms(
                         factors.append(np.eye(num_cells(lvi[m]) * p_in[m]))
                     else:
                         factors.append(
-                            op.mat[op.row.level_slice(lvo[m]), op.col.level_slice(lvi[m])]
+                            dense(op)[op.row.level_slice(lvo[m]), op.col.level_slice(lvi[m])]
                         )
                 if factors is None:
                     continue
@@ -394,7 +452,7 @@ def dense_from_terms(
                 cols = _grouped_to_interleaved(ci, p_in)
                 oo, so = off_out[lvo]
                 oi, si = off_in[lvi]
-                dense[oo : oo + int(np.prod(so)), oi : oi + int(np.prod(si))] += (
+                mat[oo : oo + int(np.prod(so)), oi : oi + int(np.prod(si))] += (
                     term.scale * kron[np.ix_(rows, cols)]
                 )
     row_mask = np.concatenate(
@@ -403,9 +461,9 @@ def dense_from_terms(
     col_mask = np.concatenate(
         [_active_mask_flat(space, lv, p_in) for lv in space.levels]
     )
-    dense[~row_mask] = 0.0
-    dense[:, ~col_mask] = 0.0
-    return dense
+    mat[~row_mask] = 0.0
+    mat[:, ~col_mask] = 0.0
+    return mat
 
 
 def random_coeffs(space: TensorSpace, p: tuple[int, ...], seed: int) -> CoeffSet:

@@ -18,9 +18,9 @@ from mrdg.alpert import (
     synthesis_matrix,
     two_scale,
 )
-from mrdg.operators1d import alpert_family, fine_matrix
+from mrdg.operators1d import alpert_family
 
-from conftest import alpert_mother, alpert_values_brute, cellwise_gauss
+from conftest import alpert_mother, alpert_values_brute, cellwise_gauss, fine_matrix
 
 ORTHO_TOL = 1e-11
 

@@ -6,6 +6,10 @@ leaves behind.  The 1D cosine problem keeps each run in the millisecond range.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,3 +328,34 @@ def test_rejected_config_exits_2_with_one_line(tmp_path, cfg_file, capsys, overr
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "config,loads",
+    [
+        # the const2d benchmark workload: constant speed stays dense
+        ("problem = cosine-periodic\nndim = 2\nk = 1\nn = 8\nmode = sparse\nt_final = 0.005\n", False),
+        # variable speed assembles CSR factors, so the check can see an import
+        ("problem = smooth-speed\nndim = 2\nk = 1\nm = 2\nn = 3\nt_final = 0.001\n", True),
+    ],
+    ids=["constant", "variable"],
+)
+def test_scipy_sparse_is_imported_only_for_variable_speed(tmp_path, config, loads):
+    # a fresh process, so no other test's import counts; scipy.sparse alone
+    # adds about 22 MB of resident memory to a run
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(config)
+    code = (
+        "import sys\n"
+        "from mrdg.cli import main\n"
+        f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == str(loads)

@@ -19,7 +19,7 @@ from mrdg.operators1d import (
     point_values,
 )
 
-from conftest import interp_mother, interp_phi, interp_values_brute
+from conftest import dense, interp_mother, interp_phi, interp_values_brute
 
 EXACT = 1e-12
 
@@ -88,7 +88,7 @@ def interpolate(f, m, variant, n):
     """Surpluses of the level-n interpolant of f(x, side) via the solver path."""
     nodes = make_interp_basis(m, variant).all_nodes(n)
     vals = np.array([f(x, s) for x, s in nodes])
-    return assemble_node_to_surplus(node_family(m, variant, n)).mat @ vals
+    return dense(assemble_node_to_surplus(node_family(m, variant, n))) @ vals
 
 
 def eval_interpolant(surplus, m, variant, n, x, sides=0):

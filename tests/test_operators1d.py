@@ -2,12 +2,15 @@
 
 The brute path evaluates basis functions pointwise (`alpert_hier` and
 `interp_hier` in conftest), re-expands them per finest cell in orthonormal
-Legendre coefficients, and integrates with Gauss quadrature — sidestepping
-the two-scale refinement (`fine_matrix`) that the assembly code builds on.
+Legendre coefficients, and integrates with Gauss quadrature, one function
+at a time; the assembly code evaluates a whole level per point instead
+(`level_values`).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrdg.alpert import Quadrature1D, legendre_derivs, legendre_values
 from mrdg.fastmv import TensorOperator
@@ -23,7 +26,6 @@ from mrdg.operators1d import (
     assemble_trace,
     assemble_volume_derivative,
     boundary_vectors,
-    fine_matrix,
     interp_family,
     lu_split,
     node_family,
@@ -31,7 +33,7 @@ from mrdg.operators1d import (
 )
 from mrdg.problems import make_problem
 
-from conftest import alpert_values_brute, interp_values_brute
+from conftest import alpert_values_brute, dense, fine_matrix, interp_values_brute
 
 BRUTE_TOL = 1e-10
 
@@ -315,7 +317,7 @@ def test_interp_node_system_is_unit_lower():
     np.testing.assert_allclose(np.diag(e.mat), 1.0, atol=1e-12)
     assert np.max(np.abs(np.triu(e.mat, 1))) < 1e-12
     inv = assemble_node_to_surplus(nd)
-    np.testing.assert_allclose(inv.mat @ e.mat, np.eye(fam.ndof), atol=1e-10)
+    np.testing.assert_allclose(dense(inv) @ e.mat, np.eye(fam.ndof), atol=1e-10)
 
 
 def test_forced_side_sampling_flips_interior_nodes_only():
@@ -337,6 +339,110 @@ def test_forced_side_sampling_flips_interior_nodes_only():
 
 
 # ---------------------------------------------------------------------------
+# level-wise point values, sparse storage and the exact surplus map
+
+
+POINT_FAMILIES = [alpert_family(k, 5) for k in range(5)] + [
+    interp_family(m, variant, 5) for m in range(1, 6) for variant in ("interface", "inner")
+]
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("fam", POINT_FAMILIES, ids=lambda f: f"{f.kind}{f.degree}{f.variant}")
+def test_point_values_match_direct_mother_evaluation(fam, side):
+    # random points and every interior breakpoint, against each function
+    # evaluated on its own from the mother table (conftest)
+    x = np.concatenate([np.random.default_rng(3).random(40), np.arange(1, 32) / 32])
+    got = point_values(fam, x, side)
+    if fam.kind == "alpert":
+        want = alpert_values_brute(fam.degree, fam.n, x, side).T
+    else:
+        want = interp_values_brute(fam.degree, fam.variant, fam.n, x, side).T
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+@pytest.mark.parametrize("fam", [alpert_family(2, 5), interp_family(3, "interface", 5)])
+def test_limits_inside_a_level_half_agree_bit_for_bit(fam, deriv):
+    # so the jump of a function smooth across a face is an exact zero
+    x = np.arange(1, 32) / 32
+    left = point_values(fam, x, -1, deriv)
+    right = point_values(fam, x, 1, deriv)
+    for level in range(fam.n + 1):
+        inside = (x * (1 << level)) % 1 != 0  # not a breakpoint of this level
+        sl = fam.level_slice(level)
+        assert np.array_equal(left[inside, sl], right[inside, sl])
+        if level:  # the level's own breakpoints do jump
+            assert not np.array_equal(left[~inside, sl], right[~inside, sl])
+
+
+def variable_speed_factors(n, bc):
+    """(assembler, args) of every factor kind the variable-speed path builds."""
+    a, i = alpert_family(2, n), interp_family(3, "interface", n)
+    nd = node_family(3, "interface", n)
+    return [
+        (assemble_mass, (a, i)),
+        (assemble_volume_derivative, (a, i)),
+        (assemble_trace, (a, i, "jump", "avg", bc)),
+        (assemble_trace, (a, i, "davg", "jump", bc)),
+        (assemble_trace, (a, i, "dminus", "jump", bc, True)),
+        (assemble_trace, (a, a, "jump", "jump", bc)),
+        (assemble_node_values, (nd, a)),
+        (assemble_node_values, (nd, a, True)),
+        (assemble_node_values, (nd, a, False, -1)),
+        (assemble_node_values, (nd, i)),
+    ]
+
+
+@pytest.mark.parametrize("bc", [("periodic", "periodic"), ("dirichlet", "neumann")], ids="-".join)
+def test_sparse_assembly_matches_dense(bc):
+    for assemble, args in variable_speed_factors(4, bc):
+        want = assemble(*args)
+        got = assemble(*args, sparse=True)
+        assert not isinstance(got.mat, np.ndarray) and got.mat.format == "csr"
+        assert got.tag == want.tag
+        atol = 1e-13 * np.abs(want.mat).max()
+        np.testing.assert_allclose(dense(got), want.mat, rtol=0, atol=atol)
+        for part, whole in zip(lu_split(got), lu_split(want)):
+            assert part.mat.format == "csr"
+            np.testing.assert_allclose(dense(part), whole.mat, rtol=0, atol=atol)
+
+
+def test_sparse_lu_split_reconstructs_exactly():
+    a, i = alpert_family(2, 4), interp_family(3, "interface", 4)
+    op = assemble_trace(a, i, "davg", "jump", ("periodic", "periodic"), sparse=True)
+    low, up = lu_split(op)
+    assert np.array_equal(dense(low) + dense(up), dense(op))
+    assert np.array_equal(dense(low), dense(lu_split(Operator1D(dense(op), a, i, "general"))[0]))
+
+
+@given(st.integers(1, 5), st.sampled_from(["interface", "inner"]), st.integers(0, 7))
+@settings(max_examples=40, deadline=None)
+def test_node_to_surplus_is_the_exact_local_inverse(m, variant, n):
+    nd, fam = node_family(m, variant, n), interp_family(m, variant, n)
+    x_op = assemble_node_to_surplus(nd)
+    assert x_op.tag == "lower" and x_op.mat.format == "csr"
+    # one entry per level-0 row, m + 2 per row above: the node and the m + 1
+    # coarser nodes of its cell.  A fresh node at the position of a coarser
+    # node, as its other one-sided limit (interface nodes, even m), keeps
+    # the two entries e_node - e_coarse: its other Lagrange weights are 0.
+    per_row = np.diff(x_op.mat.indptr)
+    basis = make_interp_basis(m, variant)
+    base = {x for x, _ in basis.base_nodes}
+    stencil = [2 if x in base else m + 2 for x, _ in basis.fresh_nodes]
+    assert (per_row[: fam.p] == 1).all()
+    assert (per_row[fam.p :].reshape(-1, fam.p) == stencil).all()
+    # exact up to the roundoff of E itself; the inner nodes of high m make
+    # E ill-conditioned, so the bound scales with the two norms
+    e = assemble_node_values(nd, fam).mat
+    x = dense(x_op)
+    nx, ne = np.abs(x).sum(axis=1).max(), np.abs(e).sum(axis=1).max()
+    tol = 1e-12 * nx * ne
+    assert np.abs(x @ e - np.eye(fam.ndof)).max() <= tol
+    assert np.abs(x - np.linalg.inv(e)).max() <= tol * nx
+
+
+# ---------------------------------------------------------------------------
 # endpoints, splits, metadata
 
 
@@ -354,7 +460,7 @@ def test_boundary_vectors_match_one_sided_limits():
 
 
 def level_block(op, b, a):
-    return op.mat[op.row.level_slice(b), op.col.level_slice(a)]
+    return dense(op)[op.row.level_slice(b), op.col.level_slice(a)]
 
 
 def test_lu_split_reconstructs_and_tags():
