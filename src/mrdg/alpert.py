@@ -87,6 +87,11 @@ def two_scale(p: int) -> tuple[np.ndarray, np.ndarray]:
     return filters[0], filters[1]
 
 
+# Highest degree with a mother table: the Gram-Schmidt of monomial seeds in
+# `mother_wavelets` loses every digit of a seed from k = 11 on.
+MAX_DEGREE = 10
+
+
 @lru_cache(maxsize=None)
 def mother_wavelets(k: int) -> np.ndarray:
     """Mother wavelet table, shape (k+1, 2, k+1).

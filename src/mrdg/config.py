@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .grids import FULL_GRID_COEFFS, MAX_LEVEL
+from .alpert import MAX_DEGREE
+from .grids import DENSE_OPERATOR_BYTES, FULL_GRID_COEFFS, MAX_LEVEL
 from .problems import REGISTRY
 
 
@@ -92,8 +93,11 @@ class RunConfig:
             raise ValueError(f"mode must be one of {_MODES}")
         if not 1 <= ndim <= 3:
             raise ValueError("ndim must be 1, 2, or 3")
-        if k < 1:
-            raise ValueError("k must be positive")
+        if not 1 <= k <= MAX_DEGREE:
+            raise ValueError(
+                f"k must be in 1..{MAX_DEGREE}: the Alpert wavelet construction"
+                f" loses all precision at higher degree, got {k}"
+            )
         if not all(1 <= v <= MAX_LEVEL for v in (n,) + cfg.n_values):
             raise ValueError(f"n and n_values must be in 1..{MAX_LEVEL}")
         need = max((k + 1) ** ndim << (v * ndim) for v in (n,) + cfg.n_values)
@@ -118,7 +122,17 @@ class RunConfig:
             raise ValueError(
                 f"slice_points must be in 1..{_MAX_SLICE_POINTS}, got {cfg.slice_points}"
             )
-        REGISTRY[cfg.problem](ndim)  # raises ValueError when ndim is unsupported
+        problem = REGISTRY[cfg.problem](ndim)  # raises ValueError when ndim is unsupported
+        if problem.csq.is_constant:
+            # one dense (k+1)^2 4^n-double operator per boundary pair and level
+            levels = set((n,) + cfg.n_values)
+            dense = 8 * len(set(problem.bc)) * sum(((k + 1) << v) ** 2 for v in levels)
+            if dense > DENSE_OPERATOR_BYTES:
+                raise ValueError(
+                    f"constant-speed operators need {dense / 2**30:.3g} GiB dense,"
+                    f" (k+1)^2 4^n doubles per boundary pair and level;"
+                    f" the cap is {DENSE_OPERATOR_BYTES / 2**30:g} GiB"
+                )
         return cfg
 
     def echo_lines(self) -> list[str]:

@@ -26,14 +26,19 @@ Level = tuple[int, ...]
 Cell = tuple[int, ...]
 Key = tuple[Level, Cell]
 
-# Input bound on levels.  For constant speed it is also a storage limit: a
-# dense 1D operator at level 13 takes more than 2 GB ((2 * 2^13)^2 doubles at
-# k = 1).  Variable-speed operators are CSR, with O(n p) entries per row.
+# Input bound on levels.  Storage is bounded separately: a constant-speed 1D
+# operator is dense, (k+1)^2 4^n doubles (2 GiB at n = 13, k = 1), and the
+# config check caps those at DENSE_OPERATOR_BYTES; variable-speed operators
+# are CSR, with O(n p) entries per row.
 MAX_LEVEL = 13
 
 # Coefficient cap of a full grid, block^d * 2^(n*d) per field; `AdaptiveGrid.full`
 # and the config check refuse anything larger before allocating.
 FULL_GRID_COEFFS = 1 << 26
+
+# Byte cap of the dense constant-speed 1D operators a run holds, one per
+# distinct boundary pair and level; the config check refuses more.
+DENSE_OPERATOR_BYTES = 1 << 30
 
 
 def num_cells(level: int) -> int:

@@ -10,7 +10,8 @@ u is assembled from Kronecker factors per dimension:
 
 with q = I(c^2 u) and p_m = I(c^2 d_m u) interpolated onto the interpolatory
 multiwavelet space.  For constant speed the interpolants are exact and the
-whole operator collapses to one 1D matrix per dimension.  For speeds with
+whole operator collapses to one 1D matrix per dimension (`assemble_ipdg`),
+shared by the dimensions with equal boundary conditions.  For speeds with
 jumps aligned to dyadic planes, the third group samples both one-sided limits
 of c^2 u separately (side-forced node evaluation); for continuous speeds both
 halves merge into an averaged-derivative trace term.
@@ -38,10 +39,10 @@ from .fastmv import (
 from .operators1d import (
     Operator1D,
     alpert_family,
+    assemble_ipdg,
     assemble_mass,
     assemble_node_to_surplus,
     assemble_node_values,
-    assemble_stiffness,
     assemble_trace,
     assemble_volume_derivative,
     interp_family,
@@ -138,15 +139,11 @@ class WaveOperator:
         soh = cfg.sigma / cfg.h_min
 
         if cfg.csq.is_constant:
-            c2 = cfg.csq.constant
+            # one matrix per distinct bc pair, shared by its dimensions
             terms = []
             for m in range(d):
-                S = assemble_stiffness(A, A)
-                T = assemble_trace(A, A, "jump", "davg", cfg.bc[m])
-                J = assemble_trace(A, A, "jump", "jump", cfg.bc[m])
-                mat = c2 * (S.mat - T.mat - T.mat.T) + soh * J.mat
                 ops: list[Operator1D | None] = [None] * d
-                ops[m] = Operator1D(mat, A, A, "general")
+                ops[m] = assemble_ipdg(A, cfg.bc[m], cfg.csq.constant, soh)
                 terms.append(TensorTerm(tuple(ops), scale=-1.0))
             self._op_const = TensorOperator(terms)
             return

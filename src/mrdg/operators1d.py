@@ -1,23 +1,27 @@
 """1D operator blocks in hierarchical multiwavelet coordinates.
 
-Every operator is built from point-value matrices R: one row per point,
-holding the value (or derivative) there of every function of a family.  A
-level-l function is one polynomial on each half of its cell, so a point
-meets p functions per level, and `level_values` evaluates them on the
-point's own level cell.  A row of R has (n + 1) p entries, and:
+A level-l function is one polynomial on each half of its cell, so a point
+meets p functions per level; `level_values` evaluates them on the point's
+own level cell.  Every operator is a sum of entry blocks (rows, columns,
+values), written by `_matrix` into either storage, and a block forms only
+products that can be nonzero:
 
-* volume terms (mass, stiffness, volume derivative) are R_row^T W R_col at
-  the Gauss points of every finest cell, W the quadrature weights; the rule
-  is exact for the polynomial products, so these are exact up to roundoff;
-* face terms (traces, node values, boundary data) are products of one-sided
-  point values; a trace is R_row^T R_col with one row of R per face;
-* the node-to-surplus map is an exact local stencil (see
-  `assemble_node_to_surplus`).
+* volume terms (mass, stiffness, volume derivative): exact Gauss
+  quadrature, batched over the cells of one level (`_volume_blocks`);
+* face terms (traces): outer products of one-sided limits whose shared
+  columns are summed first, so a jump inside a level's half is an exact
+  zero, batched over the faces of one depth (`_face_traces`);
+* point values (node values, boundary data): (n + 1) p entries per row;
+* the node-to-surplus map: an exact local stencil
+  (`assemble_node_to_surplus`).
+
+The constant-speed IPDG matrix of one dimension, c2 (S - T - T^T) +
+penalty J, is one dense sum of volume and face blocks (`assemble_ipdg`).
 
 Storage.  An operator is a dense array unless its assembly is asked for
-`sparse=True`, which gives a scipy CSR matrix built from the entries, with
-no dense intermediate.  The variable-speed pipeline asks for that; constant
-speed stays dense and never imports scipy.
+`sparse=True`, which gives a scipy CSR matrix built from the same entry
+blocks, with no dense intermediate.  The variable-speed pipeline asks for
+that; constant speed stays dense and never imports scipy.
 
 Operators carry block-triangularity metadata with respect to the level-major
 ordering (level 0 first; within a level, cells then polynomial index).  Rows
@@ -117,7 +121,8 @@ def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int,
 
     mat = sparse.csr_array((data, (rows, cols)), shape=shape)
     mat.eliminate_zeros()
-    return mat
+    # the conversion sizes its arrays by the entries before they were summed
+    return mat.copy()
 
 
 def _lower(mat, row: FamilySpec, col: FamilySpec):
@@ -185,6 +190,29 @@ def level_values(
     return half >> 1, np.where(right, leg @ pieces[:, 1].T, leg @ pieces[:, 0].T)
 
 
+def _level_cols(fam: FamilySpec, level: int, cell: np.ndarray) -> np.ndarray:
+    """Columns of the p functions of each given level-`level` cell, shape
+    cell.shape + (p,)."""
+    return fam.level_offset(level) + fam.p * cell[..., None] + np.arange(fam.p)
+
+
+def _matrix(blocks, shape: tuple[int, int], sparse: bool):
+    """Sum of entry blocks (rows, cols, values): the index arrays broadcast
+    against the values, and repeated positions add.
+
+    Dense storage is one bincount over the flat positions; sparse storage
+    is CSR (`_csr`).  Positions no block names are exact zeros in both.
+    """
+    flat, vals = [np.zeros(0, int)], [np.zeros(0)]
+    for r, c, v in blocks:
+        flat.append(np.broadcast_to(r * shape[1] + c, v.shape).ravel())
+        vals.append(v.ravel())
+    flat, vals = np.concatenate(flat), np.concatenate(vals)
+    if sparse:
+        return _csr(vals, *np.divmod(flat, shape[1]), shape)
+    return np.bincount(flat, vals, shape[0] * shape[1]).reshape(shape)
+
+
 def _point_entries(
     fam: FamilySpec, x: np.ndarray, sides, deriv: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -194,29 +222,9 @@ def _point_entries(
     cols, vals = [], []
     for level in range(fam.n + 1):
         cell, v = level_values(fam, level, x, sides, deriv)
-        cols.append(fam.level_offset(level) + fam.p * cell[:, None] + np.arange(fam.p))
+        cols.append(_level_cols(fam, level, cell))
         vals.append(v)
     return np.hstack(cols), np.hstack(vals)
-
-
-def _point_matrix(cols: np.ndarray, vals: np.ndarray, ncols: int, sparse: bool):
-    """Row i holds the entries (cols[i], vals[i]); repeated columns add."""
-    nrows = len(cols)
-    rows = np.repeat(np.arange(nrows), cols.shape[1])
-    if sparse:
-        return _csr(vals.ravel(), rows, cols.ravel(), (nrows, ncols))
-    flat = rows * ncols + cols.ravel()
-    return np.bincount(flat, vals.ravel(), nrows * ncols).reshape(nrows, ncols)
-
-
-def _gram(r_row, r_col):
-    """R_row^T R_col in the storage of its factors."""
-    out = r_row.T @ r_col
-    if isinstance(out, np.ndarray):
-        return out
-    out = out.tocsr()
-    out.eliminate_zeros()
-    return out
 
 
 def point_values(fam: FamilySpec, x, sides, deriv: bool = False, sparse: bool = False):
@@ -226,29 +234,54 @@ def point_values(fam: FamilySpec, x, sides, deriv: bool = False, sparse: bool = 
     Left and right limits at a point inside a level's half are bit for bit
     equal, so jumps of the functions smooth there are exact zeros.
     """
-    return _point_matrix(*_point_entries(fam, x, sides, deriv), fam.ndof, sparse)
+    cols, vals = _point_entries(fam, x, sides, deriv)
+    return _matrix([(np.arange(len(x))[:, None], cols, vals)], (len(x), fam.ndof), sparse)
 
 
 # ---------------------------------------------------------------------------
 # volume terms
 
 
-def _cellwise(
-    row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool, sparse: bool
-) -> Operator1D:
-    """Gauss quadrature on every finest cell of the pairing of the row and
-    column functions, each differentiated when its flag is set.
+def _volume_blocks(row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool):
+    """Entry blocks of the Gauss-quadrature pairing of the row and column
+    functions on every finest cell, each differentiated when its flag is set.
 
-    max(degree) + 1 points per cell integrate every product exactly.
+    max(degree) + 1 points per cell integrate every product exactly.  The
+    points are sorted, so the points of each cell of level f are contiguous,
+    and there every function of a level <= f is one polynomial.  Level f
+    therefore gives two batched products over its cells: row level f against
+    column levels 0..f, and row levels 0..f-1 against column level f.
     """
     quad = Quadrature1D.gauss(max(row.degree, col.degree) + 1)
     ncf = 1 << row.n
     x = ((np.arange(ncf)[:, None] + quad.nodes) / ncf).ravel()
-    w = np.tile(quad.weights / ncf, ncf)
-    cols, vals = _point_entries(row, x, 1, drow)
-    r_row = _point_matrix(cols, w[:, None] * vals, row.ndof, sparse)
-    r_col = point_values(col, x, 1, dcol, sparse)
-    return Operator1D(_gram(r_row, r_col), row, col, "general")
+    w = np.tile(quad.weights / ncf, ncf)[:, None]
+    ccols, cvals = _point_entries(col, x, 1, dcol)
+    rcols, rvals = (ccols, cvals)
+    if (row, drow) != (col, dcol):
+        rcols, rvals = _point_entries(row, x, 1, drow)
+    rvals = w * rvals
+    pr, pc = row.p, col.p
+    for f in range(row.n + 1):
+        cells = num_cells(f)
+        per = len(x) // cells  # points per cell
+        pairs = [(slice(f * pr, (f + 1) * pr), slice((f + 1) * pc))]
+        if f:
+            pairs.append((slice(f * pr), slice(f * pc, (f + 1) * pc)))
+        for r, c in pairs:
+            vals = np.matmul(
+                rvals[:, r].reshape(cells, per, -1).transpose(0, 2, 1),
+                cvals[:, c].reshape(cells, per, -1),
+            )
+            yield rcols[::per, r][:, :, None], ccols[::per, c][:, None, :], vals
+
+
+def _cellwise(
+    row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool, sparse: bool
+) -> Operator1D:
+    """The volume pairing of `_volume_blocks` as an operator."""
+    mat = _matrix(_volume_blocks(row, col, drow, dcol), (row.ndof, col.ndof), sparse)
+    return Operator1D(mat, row, col, "general")
 
 
 @lru_cache(maxsize=None)
@@ -257,12 +290,6 @@ def assemble_mass(row: FamilySpec, col: FamilySpec, sparse: bool = False) -> Ope
     if row == col and row.kind == "alpert":
         return Operator1D(np.eye(row.ndof), row, col, "diag")
     return _cellwise(row, col, False, False, sparse)
-
-
-@lru_cache(maxsize=None)
-def assemble_stiffness(row: FamilySpec, col: FamilySpec) -> Operator1D:
-    """Broken stiffness sum_cells int col' row' on the finest mesh."""
-    return _cellwise(row, col, True, True, False)
 
 
 @lru_cache(maxsize=None)
@@ -311,24 +338,52 @@ def _face_points(n: int, bc: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(xl), np.array(xr)
 
 
-def _trace_rows(fam: FamilySpec, kind: str, faces, sparse: bool):
-    """Trace `kind` of every function of `fam`, one row per face.
+def _face_traces(fam: FamilySpec, kind: str, faces) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Trace `kind` of the functions of `fam` at the faces, per group of
+    faces: columns and values, (faces of the group, width), of the entries
+    nonzero at some face of the group.
 
-    A wall face has a single limit: the jump there is q n, and every other
-    kind takes that limit whole.
+    Per level, a face holds the p functions of its left limit's cell, then
+    those of its right limit's; where both lie in one cell their values are
+    summed into the left entries, so a jump inside a level's half is an
+    exact zero.  Interior faces of one depth (the coarsest level breaking
+    there) meet every level alike and form one group; the wall or wrap
+    faces form the last.  A wall face has a single limit: the jump there is
+    q n, and every other kind takes that limit whole.
     """
     xl, xr = faces
     wl, wr = _TRACE_WEIGHTS[kind]
     if kind != "jump":
         wall = np.isnan(xl) | np.isnan(xr)
         wl, wr = np.where(wall, 1.0, wl), np.where(wall, 1.0, wr)
-    wl = np.where(np.isnan(xl), 0.0, wl)
-    wr = np.where(np.isnan(xr), 0.0, wr)
+    wl = np.where(np.isnan(xl), 0.0, wl)[:, None]
+    wr = np.where(np.isnan(xr), 0.0, wr)[:, None]
     deriv = kind.startswith("d")
-    cl, vl = _point_entries(fam, np.nan_to_num(xl), -1, deriv)
-    cr, vr = _point_entries(fam, np.nan_to_num(xr), 1, deriv)
-    vals = np.hstack([wl[:, None] * vl, wr[:, None] * vr])
-    return _point_matrix(np.hstack([cl, cr]), vals, fam.ndof, sparse)
+    cols, vals = [], []
+    for level in range(fam.n + 1):
+        cl, vl = level_values(fam, level, np.nan_to_num(xl), -1, deriv)
+        cr, vr = level_values(fam, level, np.nan_to_num(xr), 1, deriv)
+        vl, vr = wl * vl, wr * vr
+        same = (cl == cr)[:, None]
+        cols += [_level_cols(fam, level, cl), _level_cols(fam, level, cr)]
+        vals += [np.where(same, vl + vr, vl), np.where(same, 0.0, vr)]
+    cols, vals = np.hstack(cols), np.hstack(vals)
+    inner = np.arange(1, 1 << fam.n)
+    lowbit = inner & -inner  # 2^t at an odd multiple of 2^(t - n): depth n - t
+    groups = [np.flatnonzero(lowbit == 1 << t) for t in range(fam.n)]
+    groups.append(np.arange(len(inner), len(xl)))
+    out = []
+    for g in groups:
+        keep = vals[g].any(axis=0)
+        out.append((cols[g][:, keep], vals[g][:, keep]))
+    return out
+
+
+def _face_blocks(row_traces, col_traces):
+    """Entry blocks of the face sum of outer products of two `_face_traces`
+    of the same faces, one per group."""
+    for (rc, rv), (cc, cv) in zip(row_traces, col_traces):
+        yield rc[:, :, None], cc[:, None, :], rv[:, :, None] * cv[:, None, :]
 
 
 @lru_cache(maxsize=None)
@@ -348,11 +403,31 @@ def assemble_trace(
     with that weight).
     """
     faces = _face_points(row.n, bc)
-    r_row = _trace_rows(row, row_kind, faces, sparse)
-    mat = _gram(r_row, _trace_rows(col, col_kind, faces, sparse))
+    blocks = _face_blocks(_face_traces(row, row_kind, faces), _face_traces(col, col_kind, faces))
+    mat = _matrix(blocks, (row.ndof, col.ndof), sparse)
     if half:
         mat = 0.5 * mat
     return Operator1D(mat, row, col, "general")
+
+
+@lru_cache(maxsize=None)
+def assemble_ipdg(
+    fam: FamilySpec, bc: tuple[str, str], c2: float, penalty: float
+) -> Operator1D:
+    """The constant-speed IPDG matrix of one dimension, dense:
+    c2 (S - T - T^T) + penalty J, with S the broken stiffness, T the face sum
+    of jump(test) x derivative average(trial) and J that of jump x jump.
+
+    All four terms are entry blocks of one dense sum, so no term is stored
+    on its own.
+    """
+    faces = _face_points(fam.n, bc)
+    jump = _face_traces(fam, "jump", faces)
+    trace = [(r, c, -c2 * v) for r, c, v in _face_blocks(jump, _face_traces(fam, "davg", faces))]
+    blocks = [(r, c, c2 * v) for r, c, v in _volume_blocks(fam, fam, True, True)]
+    blocks += trace + [(c, r, v) for r, c, v in trace]
+    blocks += [(r, c, penalty * v) for r, c, v in _face_blocks(jump, jump)]
+    return Operator1D(_matrix(blocks, (fam.ndof, fam.ndof), False), fam, fam, "general")
 
 
 # ---------------------------------------------------------------------------

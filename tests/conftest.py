@@ -3,13 +3,17 @@
 Everything here deliberately avoids the code paths under test: dense
 matrices are assembled block-by-block from raw operator entries (ignoring
 triangularity tags), integrals go through per-cell Gauss quadrature of
-pointwise basis evaluations, and grids are grown by random child
+pointwise basis evaluations, 1D volume and face terms are whole dense
+products R_row^T W R_col of point-value matrices (the level-block assembly
+forms only their nonzero parts), and grids are grown by random child
 activations so downward closure is the only structure they share.  The
 key-by-key grid model below changes a grid one element at a time; the
 whole-mask `AdaptiveGrid.refine` / `coarsen` are checked against it.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,12 +22,82 @@ from mrdg.alpert import Quadrature1D, legendre_values, mother_wavelets, two_scal
 from mrdg.fastmv import CoeffSet, TensorSpace, TensorTerm
 from mrdg.grids import MAX_LEVEL, AdaptiveGrid, Key, Level, num_cells
 from mrdg.interp import make_interp_basis
-from mrdg.operators1d import FamilySpec, Operator1D, alpert_family, point_values
+from mrdg.operators1d import (
+    _TRACE_WEIGHTS,
+    FamilySpec,
+    Operator1D,
+    _cellwise,
+    _face_points,
+    alpert_family,
+    point_values,
+)
 
 
 def dense(op: Operator1D) -> np.ndarray:
     """The matrix of a 1D operator as a dense array, whatever its storage."""
     return op.mat.toarray() if hasattr(op.mat, "toarray") else op.mat
+
+
+# ---------------------------------------------------------------------------
+# 1D assembly: dense products of point-value matrices
+
+
+def gram_oracle(row, col, drow: bool, dcol: bool, absolute: bool = False) -> np.ndarray:
+    """Volume pairing R_row^T W R_col: dense point-value matrices at the
+    Gauss points of every finest cell, each differentiated when its flag is
+    set, W the quadrature weights.
+
+    With `absolute`, the same product of absolute values: the largest sum
+    an entry's terms can reach, which scales its roundoff.
+    """
+    quad = Quadrature1D.gauss(max(row.degree, col.degree) + 1)
+    ncf = 1 << row.n
+    x = ((np.arange(ncf)[:, None] + quad.nodes) / ncf).ravel()
+    w = np.tile(quad.weights / ncf, ncf)
+    r_row, r_col = point_values(row, x, 1, drow), point_values(col, x, 1, dcol)
+    if absolute:
+        r_row, r_col = np.abs(r_row), np.abs(r_col)
+    return (w[:, None] * r_row).T @ r_col
+
+
+def trace_rows_oracle(fam: FamilySpec, kind: str, faces) -> np.ndarray:
+    """Dense trace `kind` of every function of `fam`, one row per face: the
+    weighted sum of the two one-sided point-value rows.  A wall face has a
+    single limit: the jump there is q n, and every other kind takes that
+    limit whole."""
+    xl, xr = faces
+    wl, wr = _TRACE_WEIGHTS[kind]
+    if kind != "jump":
+        wall = np.isnan(xl) | np.isnan(xr)
+        wl, wr = np.where(wall, 1.0, wl), np.where(wall, 1.0, wr)
+    wl = np.where(np.isnan(xl), 0.0, wl)
+    wr = np.where(np.isnan(xr), 0.0, wr)
+    deriv = kind.startswith("d")
+    left = point_values(fam, np.nan_to_num(xl), -1, deriv)
+    right = point_values(fam, np.nan_to_num(xr), 1, deriv)
+    return wl[:, None] * left + wr[:, None] * right
+
+
+def trace_oracle(row, col, row_kind, col_kind, bc, half=False, absolute=False) -> np.ndarray:
+    """Face sum R_row^T R_col of the dense trace rows of the two families;
+    `absolute` as in `gram_oracle`."""
+    faces = _face_points(row.n, bc)
+    r_row = trace_rows_oracle(row, row_kind, faces)
+    r_col = trace_rows_oracle(col, col_kind, faces)
+    if absolute:
+        r_row, r_col = np.abs(r_row), np.abs(r_col)
+    mat = r_row.T @ r_col
+    return 0.5 * mat if half else mat
+
+
+@lru_cache(maxsize=None)
+def assemble_stiffness(row: FamilySpec, col: FamilySpec) -> Operator1D:
+    """Broken stiffness sum_cells int col' row' on the finest mesh, dense."""
+    return _cellwise(row, col, True, True, False)
+
+
+# ---------------------------------------------------------------------------
+# hierarchical families on the fine mesh
 
 
 def _refine_rep(rep: np.ndarray, levels: int, pf: int) -> np.ndarray:

@@ -80,6 +80,10 @@ def test_list_valued_keys():
         {"m": "0"},
         {"m": "6"},
         {"k": "5"},  # m defaults to k + 1 = 6
+        {"k": "11", "m": "3"},  # no Alpert mother table above degree 10
+        {"n": "13"},  # constant speed: a 2 GiB dense 1D operator
+        {"k": "2", "n": "12"},  # 1.1 GiB dense
+        {"problem": "cosine-mixed", "n": "12", "n_values": "11,12"},  # two bc pairs
         {"cfl": "0"},
         {"cfl": "-0.1"},
         {"cfl": "nan"},
@@ -106,9 +110,15 @@ def test_invalid_mappings_raise(bad):
 
 def test_range_limits_are_accepted():
     cfg = RunConfig.from_mapping(
-        {"n": "13", "m": "5", "t_final": "0", "slice_points": "1", "eps": "1e-12"}
-    )
+        {"problem": "smooth-speed", "n": "13", "m": "5", "t_final": "0",
+         "slice_points": "1", "eps": "1e-12"}
+    )  # variable-speed operators are CSR, so n = 13 is no dense allocation
     assert (cfg.n, cfg.m, cfg.t_final, cfg.slice_points) == (13, 5, 0.0, 1)
+    assert RunConfig.from_mapping({"k": "10", "m": "3"}).k == 10
+    # dense constant-speed operators: 640 MiB for two levels, and the cap of
+    # 2^30 bytes for two bc pairs of 512 MiB
+    assert RunConfig.from_mapping({"n": "12", "n_values": "11"}).n == 12
+    assert RunConfig.from_mapping({"problem": "cosine-mixed", "n": "12"}).n == 12
     cfg = RunConfig.from_mapping({"ndim": "2", "slice_points": "1024"})
     assert cfg.slice_points == 1024  # a 2^20-point slice
     cfg = RunConfig.from_mapping({"n": "6", "init_n": "0", "sigma": "1e-300"})

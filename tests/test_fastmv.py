@@ -28,7 +28,6 @@ from mrdg.operators1d import (
     alpert_family,
     assemble_mass,
     assemble_node_values,
-    assemble_stiffness,
     assemble_trace,
     interp_family,
     lu_split,
@@ -39,6 +38,7 @@ from conftest import (
     activate,
     alpert_point_matrix,
     alpert_values_brute,
+    assemble_stiffness,
     children,
     deactivate,
     dense_from_terms,

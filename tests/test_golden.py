@@ -13,6 +13,9 @@ To regenerate after an intended change of output, run each case with
 ``mrdg run --config tests/golden/<case>/case.cfg --out tests/golden/<case>``.
 """
 
+import itertools
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -43,4 +46,55 @@ def test_run_outputs_match_golden(case, tmp_path):
     expected = sorted(p.name for p in src.iterdir() if p.name != "case.cfg")
     assert sorted(p.name for p in tmp_path.iterdir()) == expected
     for name in expected:
-        assert (tmp_path / name).read_bytes() == (src / name).read_bytes(), name
+        got, want = (tmp_path / name).read_bytes(), (src / name).read_bytes()
+        if got != want:
+            pytest.fail(mismatch_report(f"{case}/{name}", want, got), pytrace=False)
+
+
+def _numbers(line: str) -> list[float]:
+    """The fields of a line that parse as numbers."""
+    out = []
+    for field in re.split(r"[\s,=]+", line):
+        try:
+            out.append(float(field))
+        except ValueError:
+            pass
+    return out
+
+
+def mismatch_report(name: str, want: bytes, got: bytes, shown: int = 5) -> str:
+    """How an output differs from its golden file: the file, its first
+    differing lines, and the largest relative difference of the numeric
+    fields of all differing lines (inf where their fields do not pair up)."""
+    old, new = want.decode().splitlines(), got.decode().splitlines()
+    diffs = [
+        (i, a, b)
+        for i, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue=""), 1)
+        if a != b
+    ]
+    worst = 0.0
+    for _, a, b in diffs:
+        x, y = _numbers(a), _numbers(b)
+        if len(x) != len(y):
+            worst = math.inf
+        for u, v in zip(x, y):
+            if u != v:
+                worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+    out = [f"{name}: {len(diffs)} of {max(len(old), len(new))} lines differ"]
+    for i, a, b in diffs[:shown]:
+        out += [f"  line {i} golden: {a}", f"  line {i} run:    {b}"]
+    out.append(f"  largest relative difference of numeric fields: {worst:.3g}")
+    return "\n".join(out)
+
+
+def test_mismatch_report_names_lines_and_relative_difference():
+    want = b"# problem = x\nt,err\n0.1,6.09249e-14\n0.2,1\n"
+    got = b"# problem = x\nt,err\n0.1,6.09246e-14\n0.2,1\n"
+    report = mismatch_report("case/table.csv", want, got)
+    assert report.splitlines() == [
+        "case/table.csv: 1 of 4 lines differ",
+        "  line 3 golden: 0.1,6.09249e-14",
+        "  line 3 run:    0.1,6.09246e-14",
+        "  largest relative difference of numeric fields: 4.92e-06",
+    ]
+    assert "inf" in mismatch_report("f", b"1,2\n", b"1\n")

@@ -18,11 +18,12 @@ from mrdg.interp import make_interp_basis
 from mrdg.ipdg import SchemeConfig, WaveOperator
 from mrdg.operators1d import (
     Operator1D,
+    _cellwise,
     alpert_family,
+    assemble_ipdg,
     assemble_mass,
     assemble_node_to_surplus,
     assemble_node_values,
-    assemble_stiffness,
     assemble_trace,
     assemble_volume_derivative,
     boundary_vectors,
@@ -33,7 +34,15 @@ from mrdg.operators1d import (
 )
 from mrdg.problems import make_problem
 
-from conftest import alpert_values_brute, dense, fine_matrix, interp_values_brute
+from conftest import (
+    alpert_values_brute,
+    assemble_stiffness,
+    dense,
+    fine_matrix,
+    gram_oracle,
+    interp_values_brute,
+    trace_oracle,
+)
 
 BRUTE_TOL = 1e-10
 
@@ -406,6 +415,90 @@ def test_sparse_assembly_matches_dense(bc):
         for part, whole in zip(lu_split(got), lu_split(want)):
             assert part.mat.format == "csr"
             np.testing.assert_allclose(dense(part), whole.mat, rtol=0, atol=atol)
+
+
+ORACLE_BCS = [("periodic", "periodic")] + [
+    (left, right) for left in ("dirichlet", "neumann") for right in ("dirichlet", "neumann")
+]
+
+
+@st.composite
+def family_pairs(draw):
+    """An Alpert test family against itself (A x A) or against an
+    interpolatory trial family of the same level (A x I)."""
+    n = draw(st.integers(0, 6))
+    row = alpert_family(draw(st.integers(0, 4)), n)
+    if draw(st.booleans()):
+        return row, row
+    return row, interp_family(draw(st.integers(1, 5)), draw(st.sampled_from(["interface", "inner"])), n)
+
+
+def assert_matches_oracle(op, want, scale):
+    # 1e-13 of the largest sum of absolute terms, not of the largest entry:
+    # an entry that is zero in exact arithmetic is roundoff in both forms
+    # (k = 0, n = 1, jump x davg against m = 1 holds only 1e-31 values), and
+    # an oracle with no terms needs exact zeros
+    assert np.abs(dense(op) - want).max() <= 1e-13 * scale.max()
+
+
+@given(family_pairs(), st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_volume_assembly_matches_dense_products(pair, drow, dcol, sparse):
+    row, col = pair
+    op = _cellwise(row, col, drow, dcol, sparse)
+    assert isinstance(op.mat, np.ndarray) != sparse
+    want = gram_oracle(row, col, drow, dcol)
+    assert_matches_oracle(op, want, gram_oracle(row, col, drow, dcol, absolute=True))
+
+
+@given(
+    family_pairs(),
+    st.sampled_from(KINDS),
+    st.sampled_from(KINDS),
+    st.sampled_from(ORACLE_BCS),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_trace_assembly_matches_dense_products(pair, row_kind, col_kind, bc, half, sparse):
+    row, col = pair
+    op = assemble_trace(row, col, row_kind, col_kind, bc, half, sparse)
+    assert isinstance(op.mat, np.ndarray) != sparse
+    want = trace_oracle(row, col, row_kind, col_kind, bc, half)
+    scale = trace_oracle(row, col, row_kind, col_kind, bc, half, absolute=True)
+    assert_matches_oracle(op, want, scale)
+
+
+@given(st.integers(0, 4), st.integers(0, 6), st.sampled_from(ORACLE_BCS))
+@settings(max_examples=40, deadline=None)
+def test_ipdg_matrix_matches_dense_products(k, n, bc):
+    fam = alpert_family(k, n)
+    c2, penalty = 0.7, 10.0 * (1 << n)
+    s = gram_oracle(fam, fam, True, True)
+    t = trace_oracle(fam, fam, "jump", "davg", bc)
+    want = c2 * (s - t - t.T) + penalty * trace_oracle(fam, fam, "jump", "jump", bc)
+    s = gram_oracle(fam, fam, True, True, absolute=True)
+    t = trace_oracle(fam, fam, "jump", "davg", bc, absolute=True)
+    scale = c2 * (s + t + t.T) + penalty * trace_oracle(fam, fam, "jump", "jump", bc, absolute=True)
+    op = assemble_ipdg(fam, bc, c2, penalty)
+    assert isinstance(op.mat, np.ndarray) and op.tag == "general"
+    assert_matches_oracle(op, want, scale)
+
+
+@pytest.mark.parametrize("problem,ndim", [("cosine-periodic", 3), ("cosine-mixed", 2)])
+def test_constant_speed_dimensions_share_one_matrix_per_bc_pair(problem, ndim):
+    prob = make_problem(problem, ndim)
+    wop = WaveOperator(
+        SchemeConfig(
+            ndim=ndim, k=2, m=3, variant="interface", n_max=4, sigma=10.0,
+            bc=prob.bc, csq=prob.csq,
+        )
+    )
+    ops = [term.ops[m] for m, term in enumerate(wop._op_const.terms)]
+    assert len(ops) == ndim
+    for m, op in enumerate(ops):
+        same = [other is op for other in ops]
+        assert same == [bc == prob.bc[m] for bc in prob.bc]
 
 
 def test_sparse_lu_split_reconstructs_exactly():
