@@ -183,15 +183,14 @@ def fine_to_hier(fine: np.ndarray, k: int, n: int) -> np.ndarray:
     return out
 
 
-def project_1d(f, k: int, n: int, quad_points: int | None = None) -> np.ndarray:
+def project_1d(f, k: int, n: int) -> np.ndarray:
     """L2 projection of a callable onto the degree-k broken space at level n,
     returned in hierarchical coordinates.
 
     Gauss-Legendre with k+3 points per finest cell (enough for every benchmark
-    integrand at the tolerances used; pass `quad_points` to override).
+    integrand at the tolerances used).
     """
-    npts = quad_points if quad_points is not None else k + 3
-    quad = Quadrature1D.gauss(npts)
+    quad = Quadrature1D.gauss(k + 3)
     cells = 1 << n
     width = 1.0 / cells
     fine = np.zeros((cells, k + 1))

@@ -10,6 +10,9 @@ import numpy as np
 
 from .fastmv import CoeffSet, TensorSpace, eval_on_lattice, project_separable
 
+# lattice points evaluated at once by `linf_error`, which bounds its memory
+SLAB_POINTS = 2**22
+
 
 def l2_error(
     space: TensorSpace,
@@ -50,13 +53,13 @@ def linf_error(
     k: int,
     n: int,
     exact_fn: Callable,
-    npts: int | None = None,
 ) -> float:
-    """Max-norm distance on a uniform midpoint lattice (slabbed along x1)."""
+    """Max-norm distance on the midpoint lattice `center_lattice(n)`, in
+    slabs along x1 of at most `SLAB_POINTS` points (or one x1 plane)."""
     d = space.ndim
-    pts = center_lattice(n) if npts is None else (np.arange(npts) + 0.5) / npts
+    pts = center_lattice(n)
     worst = 0.0
-    chunk = max(1, 2**22 // max(1, len(pts) ** (d - 1)))
+    chunk = max(1, SLAB_POINTS // len(pts) ** (d - 1))
     for lo in range(0, len(pts), chunk):
         axes = [pts[lo : lo + chunk]] + [pts] * (d - 1)
         vals = eval_on_lattice(space, u, k, n, axes)

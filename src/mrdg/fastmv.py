@@ -7,9 +7,10 @@ of level lv's part.  Every level is dense over all its cells, and inactive
 cells are kept at zero, so a buffer is also a (cells of all levels,
 polys per cell) array and one fancy index zeroes every inactive cell.
 
-A tensor-product operator is applied one dimension at a time.  Sweeps are
-ordered by block-triangularity — dimensions whose factor only lowers the
-level first, then at most one unconstrained dimension, then the
+A tensor-product operator is applied one dimension at a time, along the
+dimensions that carry a factor (an absent factor is the identity).  Sweeps
+are ordered by block-triangularity — dimensions whose factor only lowers
+the level first, then at most one unconstrained dimension, then the
 level-raising ones — which keeps every intermediate that can still reach an
 active output inside the (downward-closed) level set.  With that ordering,
 discarding out-of-set blocks reproduces the Galerkin restriction of the full
@@ -20,13 +21,14 @@ every coordinate but m, which in a downward-closed set form a chain 0..A.
 The 1D index of (level a, cell c, poly i) is p * (cells of levels < a + c)
 + i, so a fiber's levels 0..A, stacked along the cell axis of m, have the 1D
 layout, and the leading block `op.block(rows(B), cols(A))` of the 1D matrix
-maps them to the fiber's output levels 0..B: a view of a dense matrix, or a
-slice of a CSR one cached on the operator.  A cached `_SweepPlan` gathers
-the input buffer so that fibers with equal (A, B) sit side by side as the
-columns of one matrix, multiplies each such group once, and scatters the
-products into a zeroed output buffer.  A plan depends only on the level
-list, m, the polynomial counts and the factor's tag, so it lives on the
-`LevelLayout` that every space with that level list shares.
+maps them to the fiber's output levels 0..B: a view of the dense
+constant-speed matrix, or a slice of a CSR factor cached on the operator.
+A cached `_SweepPlan` gathers the input buffer so that fibers with equal
+(A, B) sit side by side as the columns of one matrix, multiplies each such
+group once, and scatters the products into a zeroed output buffer.  A plan
+depends only on the level list, m, the polynomial counts and the factor's
+tag, so it lives on the `LevelLayout` that every space with that level list
+shares.
 
 Operators with more than one unconstrained dimension are expanded into at
 most 2^(d-1) sweepable terms by L+U splitting of the surplus factors.
@@ -43,7 +45,6 @@ import numpy as np
 
 from .alpert import project_1d
 from .grids import AdaptiveGrid, num_cells
-from .interp import make_interp_basis
 from .operators1d import (
     FamilySpec,
     Operator1D,
@@ -54,8 +55,8 @@ from .operators1d import (
 
 Level = tuple[int, ...]
 
-_UPPERISH = {"strictly-upper", "diag"}
-_LOWERISH = {"lower", "diag"}
+# sweep position of each triangularity tag: level-lowering, pivot, raising
+_SWEEP_RANK = {"strictly-upper": 0, "general": 1, "lower": 2}
 
 
 class LevelLayout:
@@ -185,30 +186,17 @@ class TensorSpace:
         return self.mask(out)
 
 
-def _tag(op: Operator1D | None) -> str:
-    return "diag" if op is None else op.tag
-
-
 def sweep_order(ops: tuple[Operator1D | None, ...]) -> list[int]:
-    """Valid dimension order: level-lowering sweeps, one pivot, level-raising.
+    """The dimensions that carry a factor, in a valid order: level-lowering
+    sweeps, one pivot, level-raising; dimensions of one kind keep their order.
 
     Raises if more than one factor is unconstrained ('general'); such terms
     must be expanded with `expand_term` first.
     """
-    uppers, lowers, generals = [], [], []
-    for dim, op in enumerate(ops):
-        t = _tag(op)
-        if t == "general":
-            generals.append(dim)
-        elif t in _UPPERISH:
-            uppers.append(dim)
-        elif t in _LOWERISH:
-            lowers.append(dim)
-        else:
-            raise ValueError(f"unknown tag {t!r}")
-    if len(generals) > 1:
+    dims = [dim for dim, op in enumerate(ops) if op is not None]
+    if sum(ops[dim].tag == "general" for dim in dims) > 1:
         raise ValueError("more than one unconstrained factor; split first")
-    return uppers + generals + lowers
+    return sorted(dims, key=lambda dim: _SWEEP_RANK[ops[dim].tag])
 
 
 @dataclass(frozen=True)
@@ -223,7 +211,9 @@ def expand_term(term: TensorTerm) -> list[TensorTerm]:
     The first 'general' dimension is kept as the pivot; every further one is
     L+U split, giving 2^(g-1) terms whose sum equals the original.
     """
-    generals = [d for d, op in enumerate(term.ops) if _tag(op) == "general"]
+    generals = [
+        d for d, op in enumerate(term.ops) if op is not None and op.tag == "general"
+    ]
     if len(generals) <= 1:
         return [term]
     split_dims = generals[1:]
@@ -257,8 +247,9 @@ def _build_plan(
     """Gather and scatter maps of a sweep along `dim` over `layout`.
 
     Inputs of a fiber run over its whole chain 0..A; its outputs 0..B are
-    cut by the tag to the levels the inputs reach (B = A for 'diag', A - 1
-    for 'strictly-upper'), and the zeroed output buffer stands for the rest.
+    cut by the tag to the levels the inputs reach (B = A - 1 for
+    'strictly-upper', else A), and the zeroed output buffer stands for the
+    rest.
     """
     d = len(p_in)
     where = dict(zip(layout.levels, zip(layout.starts, layout.shapes)))
@@ -285,7 +276,7 @@ def _build_plan(
     gather, scatter, groups = [], [], []
     x_at = y_at = 0
     for a_hi, rests in sorted(fibers.items()):
-        b_hi = {"diag": a_hi, "strictly-upper": a_hi - 1}.get(tag, a_hi)
+        b_hi = a_hi - 1 if tag == "strictly-upper" else a_hi
         if b_hi < 0:
             continue
         x = np.concatenate([rows(r, a_hi, p_in) for r in rests], axis=1)
@@ -342,10 +333,8 @@ class TensorOperator:
             sweep_order(t.ops)  # validate now, not at apply time
 
     @classmethod
-    def from_factors(
-        cls, ops: tuple[Operator1D | None, ...], scale: float = 1.0
-    ) -> "TensorOperator":
-        return cls([TensorTerm(ops, scale)])
+    def from_factors(cls, ops: tuple[Operator1D | None, ...]) -> "TensorOperator":
+        return cls([TensorTerm(ops)])
 
     def out_p(self, p_in: tuple[int, ...]) -> tuple[int, ...]:
         ops = self.terms[0].ops
@@ -362,9 +351,7 @@ class TensorOperator:
         for term in self.terms:
             cur, p = cs.buf, cs.p
             for dim in sweep_order(term.ops):
-                op = term.ops[dim]
-                if op is not None:
-                    cur, p = _sweep(space.layout, cur, p, op, dim)
+                cur, p = _sweep(space.layout, cur, p, term.ops[dim], dim)
             out.buf += term.scale * cur
         return space.mask(out)
 
@@ -483,29 +470,3 @@ def eval_on_lattice(
         return acc
 
     return expand(levels, 0).reshape(shape)
-
-
-@lru_cache(maxsize=None)
-def _node_grid_cached(m: int, variant: str, level: int):
-    """Coordinates and side tags of one level's nodes, shaped (cells, p)."""
-    basis = make_interp_basis(m, variant)
-    nc = num_cells(level)
-    coords = np.empty((nc, m + 1))
-    sides = np.empty((nc, m + 1), dtype=int)
-    for c in range(nc):
-        for i, (x, s) in enumerate(basis.nodes_for(level, c)):
-            coords[c, i] = x
-            sides[c, i] = s
-    return coords, sides
-
-
-def node_lattice(
-    m: int, variant: str, lv: Level
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-dimension node coordinate/side arrays for one level tuple."""
-    coords, sides = [], []
-    for l in lv:
-        c, s = _node_grid_cached(m, variant, l)
-        coords.append(c)
-        sides.append(s)
-    return coords, sides

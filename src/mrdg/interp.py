@@ -119,6 +119,7 @@ class InterpBasis1D:
             raise AssertionError("expected M+1 fresh nodes at level 1")
         self.base_nodes = sorted(base)
         self.fresh_nodes = fresh
+        self._level_nodes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.halves = [self._half(x, s) for x, s in fresh]
 
         self.phi = np.zeros((self.p, self.p))
@@ -162,13 +163,23 @@ class InterpBasis1D:
         scale = Fraction(1, 1 << (level - 1))
         return [(float((x + cell) * scale), s) for x, s in self.fresh_nodes]
 
-    def all_nodes(self, n: int) -> list[tuple[float, int]]:
-        """Every node of levels 0..n in the hierarchical (level, cell, i) order."""
-        out = list(self.nodes_level0())
-        for level in range(1, n + 1):
-            for cell in range(num_cells(level)):
-                out.extend(self.nodes_for(level, cell))
-        return out
+    def level_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates and side tags of one level's nodes, each shaped
+        (cells, p); built once per level and read-only."""
+        table = self._level_nodes.get(level)
+        if table is None:
+            nodes = np.array([self.nodes_for(level, c) for c in range(num_cells(level))])
+            table = (nodes[..., 0], nodes[..., 1].astype(int))
+            for arr in table:
+                arr.flags.writeable = False
+            self._level_nodes[level] = table
+        return table
+
+    def all_nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates and side tags of every node of levels 0..n, in the
+        hierarchical (level, cell, i) order."""
+        tables = [self.level_nodes(level) for level in range(n + 1)]
+        return tuple(np.concatenate([t[j].ravel() for t in tables]) for j in (0, 1))
 
     def coarse_stencil(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Interpolation of each level from the nodes of the coarser ones.
@@ -188,7 +199,8 @@ class InterpBasis1D:
                     if j != k:
                         w *= (x - xj) / (xk - xj)
                 weights[i, k] = float(w)
-        index = {node: a for a, node in enumerate(self.all_nodes(n))}
+        coords, sides = self.all_nodes(n)
+        index = {node: a for a, node in enumerate(zip(coords.tolist(), sides.tolist()))}
         coarse = [
             [index[float((x + cell) * scale), s] for x, s in self.base_nodes]
             for level in range(1, n + 1)

@@ -29,13 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fastmv import (
-    CoeffSet,
-    TensorOperator,
-    TensorSpace,
-    TensorTerm,
-    node_lattice,
-)
+from .fastmv import CoeffSet, TensorOperator, TensorSpace, TensorTerm
+from .interp import make_interp_basis
 from .operators1d import (
     Operator1D,
     alpert_family,
@@ -84,9 +79,6 @@ class Coefficient:
         if self.is_constant:
             return np.broadcast_to(self.constant, np.broadcast(*xs).shape).copy()
         return self.fn(xs, sides)
-
-    def __hash__(self):  # usable as part of cache keys
-        return hash((id(self.fn), self.constant, self.aligned_jumps))
 
 
 @dataclass(frozen=True)
@@ -151,9 +143,8 @@ class WaveOperator:
         I = interp_family(cfg.m, cfg.variant, n)
         Nd = node_family(cfg.m, cfg.variant, n)
         self.p_i = (cfg.m + 1,) * d
-        # sparse factors: scipy CSR, built from their entries
-        C = assemble_mass(A, I, sparse=True)
-        EA = assemble_node_values(Nd, A, sparse=True)
+        C = assemble_mass(A, I)
+        EA = assemble_node_values(Nd, A)
         Einv = assemble_node_to_surplus(Nd)
         self._nodeval = TensorOperator.from_factors((EA,) * d)
         self._surplus = TensorOperator.from_factors((Einv,) * d)
@@ -163,16 +154,16 @@ class WaveOperator:
         self._pd_nodeval = []
         pen_terms = []
         for m in range(d):
-            Vd = assemble_volume_derivative(A, I, sparse=True)
-            Tav = assemble_trace(A, I, "jump", "avg", cfg.bc[m], sparse=True)
+            Vd = assemble_volume_derivative(A, I)
+            Tav = assemble_trace(A, I, "jump", "avg", cfg.bc[m])
             ops = [C] * d
             ops[m] = Operator1D(Tav.mat - Vd.mat, A, I, "general")
             self._p_ops.append(TensorOperator.from_factors(tuple(ops)))
-            EdA = assemble_node_values(Nd, A, deriv=True, sparse=True)
+            EdA = assemble_node_values(Nd, A, deriv=True)
             nops = [EA] * d
             nops[m] = EdA
             self._pd_nodeval.append(TensorOperator.from_factors(tuple(nops)))
-            J = assemble_trace(A, A, "jump", "jump", cfg.bc[m], sparse=True)
+            J = assemble_trace(A, A, "jump", "jump", cfg.bc[m])
             jops: list[Operator1D | None] = [None] * d
             jops[m] = J
             pen_terms.append(TensorTerm(tuple(jops), scale=-soh))
@@ -183,12 +174,10 @@ class WaveOperator:
             self._q_sided = []
             for m in range(d):
                 for s, kind in ((-1, "dminus"), (1, "dplus")):
-                    EAf = assemble_node_values(Nd, A, force_side=s, sparse=True)
+                    EAf = assemble_node_values(Nd, A, force_side=s)
                     nv_ops = [EA] * d
                     nv_ops[m] = EAf
-                    F = assemble_trace(
-                        A, I, kind, "jump", cfg.bc[m], half=True, sparse=True
-                    )
+                    F = assemble_trace(A, I, kind, "jump", cfg.bc[m], half=True)
                     q_ops = [C] * d
                     q_ops[m] = F
                     self._q_sided.append(
@@ -202,7 +191,7 @@ class WaveOperator:
         else:
             q_terms = []
             for m in range(d):
-                Fq = assemble_trace(A, I, "davg", "jump", cfg.bc[m], sparse=True)
+                Fq = assemble_trace(A, I, "davg", "jump", cfg.bc[m])
                 ops = [C] * d
                 ops[m] = Fq
                 q_terms.append(TensorTerm(tuple(ops)))
@@ -221,9 +210,12 @@ class WaveOperator:
         for kk in stale:
             del self._cval_cache[kk]
         cfg = self.cfg
+        basis = make_interp_basis(cfg.m, cfg.variant)
         vals = space.zeros(self.p_i)
         for lv, view in vals.data.items():
-            coords, sides = node_lattice(cfg.m, cfg.variant, lv)
+            tables = [basis.level_nodes(l) for l in lv]
+            coords = [c for c, _ in tables]
+            sides = [s for _, s in tables]
             if force is not None:
                 m, side = force
                 inner = (coords[m] > 0.0) & (coords[m] < 1.0)

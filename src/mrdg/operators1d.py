@@ -3,8 +3,7 @@
 A level-l function is one polynomial on each half of its cell, so a point
 meets p functions per level; `level_values` evaluates them on the point's
 own level cell.  Every operator is a sum of entry blocks (rows, columns,
-values), written by `_matrix` into either storage, and a block forms only
-products that can be nonzero:
+values), and a block forms only products that can be nonzero:
 
 * volume terms (mass, stiffness, volume derivative): exact Gauss
   quadrature, batched over the cells of one level (`_volume_blocks`);
@@ -15,13 +14,13 @@ products that can be nonzero:
 * the node-to-surplus map: an exact local stencil
   (`assemble_node_to_surplus`).
 
-The constant-speed IPDG matrix of one dimension, c2 (S - T - T^T) +
-penalty J, is one dense sum of volume and face blocks (`assemble_ipdg`).
-
-Storage.  An operator is a dense array unless its assembly is asked for
-`sparse=True`, which gives a scipy CSR matrix built from the same entry
-blocks, with no dense intermediate.  The variable-speed pipeline asks for
-that; constant speed stays dense and never imports scipy.
+Storage is fixed per assembler.  The constant-speed IPDG matrix of one
+dimension, c2 (S - T - T^T) + penalty J, is one dense sum of volume and face
+blocks (`assemble_ipdg`), and constant speed never imports scipy.  Every
+factor of the variable-speed pipeline (mass, volume derivative, traces, node
+values, node-to-surplus and the `lu_split` halves) is a scipy CSR matrix
+built from its entry blocks, with no dense intermediate.  `point_values` is
+a dense table, for the boundary data and the tests.
 
 Operators carry block-triangularity metadata with respect to the level-major
 ordering (level 0 first; within a level, cells then polynomial index).  Rows
@@ -40,7 +39,7 @@ from .alpert import Quadrature1D, legendre_derivs, legendre_values, mother_wavel
 from .grids import num_cells
 from .interp import make_interp_basis
 
-_TAGS = ("diag", "lower", "strictly-upper", "general")
+_TAGS = ("lower", "strictly-upper", "general")
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,9 @@ def node_family(m: int, variant: str, n: int) -> FamilySpec:
 class Operator1D:
     """Hierarchical operator; every level block outside its tag is 0.
 
-    `mat` is a dense array, or a scipy CSR matrix when the operator was
-    assembled sparse.  Its structural zeros are exact: entries no point,
-    face or stencil touches are never stored.
+    `mat` is a dense array for the constant-speed IPDG matrix and a scipy
+    CSR matrix for every other operator.  Its structural zeros are exact:
+    entries no point, face or stencil touches are never stored.
     """
 
     mat: object
@@ -115,7 +114,7 @@ class Operator1D:
 def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
     """CSR matrix of coordinate entries; repeated entries add, exact zeros go.
 
-    scipy is imported here, so only a sparse assembly loads it.
+    scipy is imported here, so only a CSR assembly loads it.
     """
     from scipy import sparse
 
@@ -126,20 +125,19 @@ def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int,
 
 
 def _lower(mat, row: FamilySpec, col: FamilySpec):
-    """The blocks of `mat` whose output level is >= their input level."""
+    """The blocks of CSR `mat` whose output level is >= their input level."""
     bound = np.repeat(
         [col.level_offset(a + 1) for a in range(row.n + 1)],
         [row.level_size(a) for a in range(row.n + 1)],
     )
-    if isinstance(mat, np.ndarray):
-        return np.where(np.arange(col.ndof) < bound[:, None], mat, 0.0)
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     keep = mat.indices < bound[rows]
     return _csr(mat.data[keep], rows[keep], mat.indices[keep], mat.shape)
 
 
 def lu_split(op: Operator1D) -> tuple[Operator1D, Operator1D]:
-    """Split into L (output level >= input level) plus strictly-upper U.
+    """Split a CSR operator into L (output level >= input level) plus
+    strictly-upper U, both CSR.
 
     The two parts reconstruct `op.mat` exactly; they share no blocks.
     """
@@ -196,21 +194,21 @@ def _level_cols(fam: FamilySpec, level: int, cell: np.ndarray) -> np.ndarray:
     return fam.level_offset(level) + fam.p * cell[..., None] + np.arange(fam.p)
 
 
-def _matrix(blocks, shape: tuple[int, int], sparse: bool):
-    """Sum of entry blocks (rows, cols, values): the index arrays broadcast
-    against the values, and repeated positions add.
-
-    Dense storage is one bincount over the flat positions; sparse storage
-    is CSR (`_csr`).  Positions no block names are exact zeros in both.
-    """
+def _entries(blocks, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions (row * ncols + col) and values of entry blocks (rows,
+    cols, values) whose index arrays broadcast against the values."""
     flat, vals = [np.zeros(0, int)], [np.zeros(0)]
     for r, c, v in blocks:
-        flat.append(np.broadcast_to(r * shape[1] + c, v.shape).ravel())
+        flat.append(np.broadcast_to(r * ncols + c, v.shape).ravel())
         vals.append(v.ravel())
-    flat, vals = np.concatenate(flat), np.concatenate(vals)
-    if sparse:
-        return _csr(vals, *np.divmod(flat, shape[1]), shape)
-    return np.bincount(flat, vals, shape[0] * shape[1]).reshape(shape)
+    return np.concatenate(flat), np.concatenate(vals)
+
+
+def _matrix(blocks, shape: tuple[int, int]):
+    """CSR sum of entry blocks; repeated positions add, and positions no
+    block names are exact zeros."""
+    flat, vals = _entries(blocks, shape[1])
+    return _csr(vals, *np.divmod(flat, shape[1]), shape)
 
 
 def _point_entries(
@@ -227,15 +225,18 @@ def _point_entries(
     return np.hstack(cols), np.hstack(vals)
 
 
-def point_values(fam: FamilySpec, x, sides, deriv: bool = False, sparse: bool = False):
+def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
     """Value (derivative with `deriv`) of every function of `fam` at the
-    points x in [0, 1], shape (len(x), ndof); sides as in `level_values`.
+    points x in [0, 1], a dense (len(x), ndof) array; sides as in
+    `level_values`.
 
     Left and right limits at a point inside a level's half are bit for bit
     equal, so jumps of the functions smooth there are exact zeros.
     """
     cols, vals = _point_entries(fam, x, sides, deriv)
-    return _matrix([(np.arange(len(x))[:, None], cols, vals)], (len(x), fam.ndof), sparse)
+    out = np.zeros((len(x), fam.ndof))
+    out[np.arange(len(x))[:, None], cols] += vals  # a row's columns are distinct
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,28 +277,22 @@ def _volume_blocks(row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool):
             yield rcols[::per, r][:, :, None], ccols[::per, c][:, None, :], vals
 
 
-def _cellwise(
-    row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool, sparse: bool
-) -> Operator1D:
-    """The volume pairing of `_volume_blocks` as an operator."""
-    mat = _matrix(_volume_blocks(row, col, drow, dcol), (row.ndof, col.ndof), sparse)
+def _cellwise(row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool) -> Operator1D:
+    """The volume pairing of `_volume_blocks` as a CSR operator."""
+    mat = _matrix(_volume_blocks(row, col, drow, dcol), (row.ndof, col.ndof))
     return Operator1D(mat, row, col, "general")
 
 
 @lru_cache(maxsize=None)
-def assemble_mass(row: FamilySpec, col: FamilySpec, sparse: bool = False) -> Operator1D:
-    """Exact L2 pairing of two families; Alpert x Alpert is the dense identity."""
-    if row == col and row.kind == "alpert":
-        return Operator1D(np.eye(row.ndof), row, col, "diag")
-    return _cellwise(row, col, False, False, sparse)
+def assemble_mass(row: FamilySpec, col: FamilySpec) -> Operator1D:
+    """Exact L2 pairing of two families."""
+    return _cellwise(row, col, False, False)
 
 
 @lru_cache(maxsize=None)
-def assemble_volume_derivative(
-    row: FamilySpec, col: FamilySpec, sparse: bool = False
-) -> Operator1D:
+def assemble_volume_derivative(row: FamilySpec, col: FamilySpec) -> Operator1D:
     """Entries sum_cells int col_b * row_a' (test differentiated)."""
-    return _cellwise(row, col, True, False, sparse)
+    return _cellwise(row, col, True, False)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +389,6 @@ def assemble_trace(
     col_kind: str,
     bc: tuple[str, str],
     half: bool = False,
-    sparse: bool = False,
 ) -> Operator1D:
     """Face sum of outer products row_kind(test) x col_kind(trial) over all
     finest-mesh interfaces selected by the boundary condition pair.
@@ -404,7 +398,7 @@ def assemble_trace(
     """
     faces = _face_points(row.n, bc)
     blocks = _face_blocks(_face_traces(row, row_kind, faces), _face_traces(col, col_kind, faces))
-    mat = _matrix(blocks, (row.ndof, col.ndof), sparse)
+    mat = _matrix(blocks, (row.ndof, col.ndof))
     if half:
         mat = 0.5 * mat
     return Operator1D(mat, row, col, "general")
@@ -427,7 +421,9 @@ def assemble_ipdg(
     blocks = [(r, c, c2 * v) for r, c, v in _volume_blocks(fam, fam, True, True)]
     blocks += trace + [(c, r, v) for r, c, v in trace]
     blocks += [(r, c, penalty * v) for r, c, v in _face_blocks(jump, jump)]
-    return Operator1D(_matrix(blocks, (fam.ndof, fam.ndof), False), fam, fam, "general")
+    flat, vals = _entries(blocks, fam.ndof)
+    mat = np.bincount(flat, vals, fam.ndof**2).reshape(fam.ndof, fam.ndof)
+    return Operator1D(mat, fam, fam, "general")
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +436,21 @@ def assemble_node_values(
     col: FamilySpec,
     deriv: bool = False,
     force_side: int = 0,
-    sparse: bool = False,
 ) -> Operator1D:
-    """Values (or derivatives) of the column family at the hierarchical nodes.
+    """Values (or derivatives) of the column family at the hierarchical
+    nodes, as CSR.
 
     A nonzero `force_side` replaces every node's side tag, which samples both
     one-sided limits across coefficient-jump planes (the domain ends keep
-    their cell, see `level_values`).  With col = the matching interp family,
-    deriv=False and no side forcing this is the interpolation system: unit
-    lower triangular by the delta property, so the roundoff in its strictly
-    upper blocks is dropped.
+    their cell, see `level_values`).
     """
     if rows.kind != "nodes":
         raise ValueError("row family must be a node layout")
-    nodes = make_interp_basis(rows.degree, rows.variant).all_nodes(rows.n)
-    x, sides = np.array(nodes, dtype=float).T
+    x, sides = make_interp_basis(rows.degree, rows.variant).all_nodes(rows.n)
     if force_side:
         sides = np.full_like(sides, force_side)
-    mat = point_values(col, x, sides, deriv, sparse)
-    same = col.kind == "interp" and (col.degree, col.variant) == (
-        rows.degree,
-        rows.variant,
-    )
-    if same and not deriv and not force_side:
-        return Operator1D(_lower(mat, rows, col), rows, col, "lower")
+    cols, vals = _point_entries(col, x, sides, deriv)
+    mat = _matrix([(np.arange(len(x))[:, None], cols, vals)], (len(x), col.ndof))
     return Operator1D(mat, rows, col, "general")
 
 

@@ -92,8 +92,8 @@ def trace_oracle(row, col, row_kind, col_kind, bc, half=False, absolute=False) -
 
 @lru_cache(maxsize=None)
 def assemble_stiffness(row: FamilySpec, col: FamilySpec) -> Operator1D:
-    """Broken stiffness sum_cells int col' row' on the finest mesh, dense."""
-    return _cellwise(row, col, True, True, False)
+    """Broken stiffness sum_cells int col' row' on the finest mesh (CSR)."""
+    return _cellwise(row, col, True, True)
 
 
 # ---------------------------------------------------------------------------

@@ -340,10 +340,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     [
         # the const2d benchmark workload: constant speed stays dense
         ("problem = cosine-periodic\nndim = 2\nk = 1\nn = 8\nmode = sparse\nt_final = 0.005\n", False),
+        # constant speed with Dirichlet loads, which read `boundary_vectors`
+        ("problem = cosine-mixed\nndim = 2\nk = 1\nn = 3\nt_final = 0.005\n", False),
         # variable speed assembles CSR factors, so the check can see an import
         ("problem = smooth-speed\nndim = 2\nk = 1\nm = 2\nn = 3\nt_final = 0.001\n", True),
     ],
-    ids=["constant", "variable"],
+    ids=["constant", "constant-dirichlet", "variable"],
 )
 def test_scipy_sparse_is_imported_only_for_variable_speed(tmp_path, config, loads):
     # a fresh process, so no other test's import counts; scipy.sparse alone

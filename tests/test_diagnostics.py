@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mrdg import diagnostics
 from mrdg.diagnostics import (
     RunRecord,
     center_lattice,
@@ -75,7 +76,7 @@ def test_l2_error_flags_nonfinite_and_bad_norms():
         l2_error(space, ok, k, n, [(lambda x: 1.0 + 0 * x, lambda y: 1.0 + 0 * y)], 0.5)
 
 
-def test_linf_error_on_lattice_and_chunked_path():
+def test_linf_error_on_lattice_and_chunked_path(monkeypatch):
     k, n = 1, 3
     space = TensorSpace(AdaptiveGrid.full(2, n))
     terms = [(lambda x: x, lambda y: 1.0 - y)]
@@ -84,9 +85,21 @@ def test_linf_error_on_lattice_and_chunked_path():
     assert linf_error(space, u, k, n, exact) < 1e-12
     # shifted exact field: the max deviation on the lattice is known
     off = lambda x, y: x * (1.0 - y) + 0.25
-    assert abs(linf_error(space, u, k, n, off) - 0.25) < 1e-12
-    # tiny npts exercises the slab loop boundaries
-    assert abs(linf_error(space, u, k, n, off, npts=3) - 0.25) < 1e-12
+    whole = linf_error(space, u, k, n, off)
+    assert abs(whole - 0.25) < 1e-12
+    # a small slab budget splits the 16 x 16 lattice into x1 slabs of 5, 5,
+    # 5 and 1 rows, which give the one-slab result
+    slabs = []
+    evaluate = diagnostics.eval_on_lattice
+
+    def counted(space, cs, k, n, axes):
+        slabs.append(len(axes[0]))
+        return evaluate(space, cs, k, n, axes)
+
+    monkeypatch.setattr(diagnostics, "eval_on_lattice", counted)
+    monkeypatch.setattr(diagnostics, "SLAB_POINTS", 5 * 16 + 3)
+    assert abs(linf_error(space, u, k, n, off) - whole) < 1e-12
+    assert slabs == [5, 5, 5, 1]
 
 
 EXACT_FIELDS = [

@@ -24,8 +24,8 @@ from mrdg.fastmv import (
 )
 from mrdg.grids import AdaptiveGrid, num_cells
 from mrdg.operators1d import (
-    Operator1D,
     alpert_family,
+    assemble_ipdg,
     assemble_mass,
     assemble_node_values,
     assemble_trace,
@@ -212,15 +212,13 @@ def operator_menu(d: int, k: int, n: int) -> list[tuple[str, list[TensorTerm]]]:
     Nd = node_family(m, "interface", n)
     bc = ("periodic", "periodic")
     S = assemble_stiffness(A, A)
-    T = assemble_trace(A, A, "jump", "davg", bc)
-    J = assemble_trace(A, A, "jump", "jump", bc)
     C = assemble_mass(A, I)
     EA = assemble_node_values(Nd, A)
-    E = assemble_node_values(Nd, I)
-    wave = Operator1D(S.mat - T.mat - T.mat.T + 20.0 * J.mat, A, A, "general")
+    E = lu_split(assemble_node_values(Nd, I))[0]  # the unit-lower interpolation system
+    wave = assemble_ipdg(A, bc, 1.0, 20.0)
 
     menu = []
-    # constant-coefficient scheme shape: one pivot per dimension, rest identity
+    # constant-coefficient scheme shape, dense: one pivot per dimension, rest identity
     terms = []
     for dim in range(d):
         ops: list = [None] * d

@@ -10,8 +10,9 @@ to the projected strong form at the expected rate.
 import numpy as np
 import pytest
 
-from mrdg.fastmv import TensorSpace, node_lattice, project_separable
+from mrdg.fastmv import TensorSpace, project_separable
 from mrdg.grids import AdaptiveGrid
+from mrdg.interp import make_interp_basis
 from mrdg.ipdg import (
     Coefficient,
     SchemeConfig,
@@ -177,8 +178,9 @@ def sample_at_nodes(space, m, variant, fn):
     """Values of an analytic function at every active element's node tuple."""
     p = (m + 1,) * space.ndim
     out = space.zeros(p)
+    basis = make_interp_basis(m, variant)
     for lv in space.levels:
-        coords, _sides = node_lattice(m, variant, lv)
+        coords = [basis.level_nodes(l)[0] for l in lv]
         out.data[lv][...] = fn(*_on_level(coords, space.masks[lv].shape + p))
     return space.mask(out)
 
@@ -188,7 +190,7 @@ def test_sample_at_nodes_evaluates_fn_on_lattice():
     fn = lambda x, y: np.sin(x) + 2.0 * y
     cs = sample_at_nodes(space, 3, "interface", fn)
     lv = (1, 1)
-    coords, _sides = node_lattice(3, "interface", lv)
+    coords = [make_interp_basis(3, "interface").level_nodes(l)[0] for l in lv]
     x = coords[0].reshape(coords[0].shape[0], 1, coords[0].shape[1], 1)
     y = coords[1].reshape(1, coords[1].shape[0], 1, coords[1].shape[1])
     np.testing.assert_allclose(cs.data[lv], fn(x, y), atol=1e-14)

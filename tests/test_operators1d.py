@@ -99,9 +99,9 @@ def test_fine_matrix_padding_is_exact_zero(fam):
 
 
 def test_alpert_mass_is_identity():
+    # the Alpert family is orthonormal
     op = assemble_mass(alpert_family(2, 3), alpert_family(2, 3))
-    assert op.tag == "diag"
-    np.testing.assert_allclose(op.mat, np.eye(op.row.ndof), atol=1e-12)
+    np.testing.assert_allclose(dense(op), np.eye(op.row.ndof), atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["interface", "inner"])
@@ -118,7 +118,7 @@ def test_cross_mass_matches_quadrature(variant):
         av = alpert_values_brute(k, n, x)
         iv = interp_values_brute(m, variant, n, x)
         ref += (av * w) @ iv.T
-    np.testing.assert_allclose(op.mat, ref, atol=BRUTE_TOL)
+    np.testing.assert_allclose(dense(op), ref, atol=BRUTE_TOL)
 
 
 def test_stiffness_matches_quadrature():
@@ -132,7 +132,7 @@ def test_stiffness_matches_quadrature():
     for c in range(ncf):
         dv = derivative_values(coef, n, k, q.nodes, c)
         ref += (dv * (q.weights / ncf)) @ dv.T
-    np.testing.assert_allclose(op.mat, ref, atol=BRUTE_TOL)
+    np.testing.assert_allclose(dense(op), ref, atol=BRUTE_TOL)
 
 
 def test_volume_derivative_matches_quadrature():
@@ -153,7 +153,7 @@ def test_volume_derivative_matches_quadrature():
         da = derivative_values(acoef, n, pf, q.nodes, c)
         iv = interp_values_brute(m, "interface", n, x)
         ref += (da * w) @ iv.T
-    np.testing.assert_allclose(op.mat, ref, atol=BRUTE_TOL)
+    np.testing.assert_allclose(dense(op), ref, atol=BRUTE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_periodic_trace_matches_face_sums(row_kind, col_kind):
     bc = ("periodic", "periodic")
     op = assemble_trace(fam, fam, row_kind, col_kind, bc)
     ref = brute_trace(fam, fam, row_kind, col_kind, bc)
-    np.testing.assert_allclose(op.mat, ref, atol=BRUTE_TOL)
+    np.testing.assert_allclose(dense(op), ref, atol=BRUTE_TOL)
 
 
 @pytest.mark.parametrize("bc", WALL_BCS, ids="-".join)
@@ -239,7 +239,7 @@ def test_wall_trace_matches_face_sums(row_kind, bc):
             ref = brute_trace(arow, col, row_kind, col_kind, bc)
             # derivative pairs reach 1e5 at n=3, so the bound scales with them
             atol = BRUTE_TOL * max(1.0, np.abs(ref).max())
-            np.testing.assert_allclose(op.mat, ref, rtol=0, atol=atol, err_msg=col_kind)
+            np.testing.assert_allclose(dense(op), ref, rtol=0, atol=atol, err_msg=col_kind)
 
 
 def test_half_traces_sum_to_average():
@@ -250,7 +250,7 @@ def test_half_traces_sum_to_average():
     minus = assemble_trace(arow, icol, "dminus", "jump", bc, half=True)
     plus = assemble_trace(arow, icol, "dplus", "jump", bc, half=True)
     davg = assemble_trace(arow, icol, "davg", "jump", bc)
-    np.testing.assert_allclose(minus.mat + plus.mat, davg.mat, atol=1e-12)
+    np.testing.assert_allclose(dense(minus) + dense(plus), dense(davg), atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -266,10 +266,10 @@ def test_operator_spectrum_matches_laplacian(bc, expected):
     # boundary conditions; its low eigenvalues approximate pi^2 multiples
     k, n, sigma = 2, 4, 10.0
     fam = alpert_family(k, n)
-    s = assemble_stiffness(fam, fam)
-    t = assemble_trace(fam, fam, "jump", "davg", bc)
-    j = assemble_trace(fam, fam, "jump", "jump", bc)
-    mat = s.mat - t.mat - t.mat.T + (sigma * (1 << n)) * j.mat
+    s = dense(assemble_stiffness(fam, fam))
+    t = dense(assemble_trace(fam, fam, "jump", "davg", bc))
+    j = dense(assemble_trace(fam, fam, "jump", "jump", bc))
+    mat = s - t - t.T + (sigma * (1 << n)) * j
     eigs = np.sort(np.linalg.eigvalsh(mat))
     ref = np.pi**2 * np.asarray(expected)
     scale = np.maximum(ref, 1.0)
@@ -290,7 +290,7 @@ def test_node_values_match_pointwise_evaluation(deriv):
     pf = max(k, m)
     coef = fine_legendre_coeffs(lambda x: alpert_values_brute(k, n, x), acol.ndof, n, pf)
     ncf = 1 << n
-    for a, (x, s) in enumerate(basis.all_nodes(n)):
+    for a, (x, s) in enumerate(zip(*basis.all_nodes(n))):
         t = x * ncf
         if t == int(t):
             vals = one_sided(coef, n, pf, int(t), s, deriv)
@@ -301,7 +301,7 @@ def test_node_values_match_pointwise_evaluation(deriv):
                 vals = derivative_values(coef, n, pf, xi, cell)[:, 0]
             else:
                 vals = (coef[:, cell, :] @ (ncf**0.5 * legendre_values(pf, np.array([xi]))).T)[:, 0]
-        np.testing.assert_allclose(op.mat[a], vals, atol=BRUTE_TOL)
+        np.testing.assert_allclose(dense(op)[a], vals, atol=BRUTE_TOL)
 
 
 @pytest.mark.parametrize("side", [-1, 0, 1])
@@ -321,12 +321,12 @@ def test_interp_node_system_is_unit_lower():
     m, n = 3, 3
     nd = node_family(m, "inner", n)
     fam = interp_family(m, "inner", n)
-    e = assemble_node_values(nd, fam)
-    assert e.tag == "lower"
-    np.testing.assert_allclose(np.diag(e.mat), 1.0, atol=1e-12)
-    assert np.max(np.abs(np.triu(e.mat, 1))) < 1e-12
+    low, up = lu_split(assemble_node_values(nd, fam))
+    np.testing.assert_allclose(np.diag(dense(low)), 1.0, atol=1e-12)
+    assert np.max(np.abs(np.triu(dense(low), 1))) < 1e-12
+    assert np.max(np.abs(dense(up))) < 1e-12  # roundoff of the delta property
     inv = assemble_node_to_surplus(nd)
-    np.testing.assert_allclose(dense(inv) @ e.mat, np.eye(fam.ndof), atol=1e-10)
+    np.testing.assert_allclose(dense(inv) @ dense(low), np.eye(fam.ndof), atol=1e-10)
 
 
 def test_forced_side_sampling_flips_interior_nodes_only():
@@ -336,19 +336,20 @@ def test_forced_side_sampling_flips_interior_nodes_only():
     plus = assemble_node_values(nd, acol, force_side=+1)
     minus = assemble_node_values(nd, acol, force_side=-1)
     basis = make_interp_basis(m, "interface")
-    nodes = basis.all_nodes(n)
+    nodes, _ = basis.all_nodes(n)
     ncf = 1 << n
     dyadic_interior = [
-        a for a, (x, _) in enumerate(nodes) if 0 < x < 1 and (x * ncf) == int(x * ncf)
+        a for a, x in enumerate(nodes) if 0 < x < 1 and (x * ncf) == int(x * ncf)
     ]
     smooth = [a for a in range(len(nodes)) if a not in dyadic_interior]
+    plus, minus = dense(plus), dense(minus)
     # at points where the basis is continuous both samplings agree
-    np.testing.assert_allclose(plus.mat[smooth], minus.mat[smooth], atol=1e-12)
-    assert np.max(np.abs(plus.mat[dyadic_interior] - minus.mat[dyadic_interior])) > 0.1
+    np.testing.assert_allclose(plus[smooth], minus[smooth], atol=1e-12)
+    assert np.max(np.abs(plus[dyadic_interior] - minus[dyadic_interior])) > 0.1
 
 
 # ---------------------------------------------------------------------------
-# level-wise point values, sparse storage and the exact surplus map
+# level-wise point values, CSR storage and the exact surplus map
 
 
 POINT_FAMILIES = [alpert_family(k, 5) for k in range(5)] + [
@@ -386,35 +387,47 @@ def test_limits_inside_a_level_half_agree_bit_for_bit(fam, deriv):
 
 
 def variable_speed_factors(n, bc):
-    """(assembler, args) of every factor kind the variable-speed path builds."""
+    """(operator, dense oracle) of every factor kind the variable-speed path
+    builds."""
     a, i = alpert_family(2, n), interp_family(3, "interface", n)
     nd = node_family(3, "interface", n)
+    x, sides = make_interp_basis(3, "interface").all_nodes(n)
     return [
-        (assemble_mass, (a, i)),
-        (assemble_volume_derivative, (a, i)),
-        (assemble_trace, (a, i, "jump", "avg", bc)),
-        (assemble_trace, (a, i, "davg", "jump", bc)),
-        (assemble_trace, (a, i, "dminus", "jump", bc, True)),
-        (assemble_trace, (a, a, "jump", "jump", bc)),
-        (assemble_node_values, (nd, a)),
-        (assemble_node_values, (nd, a, True)),
-        (assemble_node_values, (nd, a, False, -1)),
-        (assemble_node_values, (nd, i)),
+        (assemble_mass(a, i), gram_oracle(a, i, False, False)),
+        (assemble_volume_derivative(a, i), gram_oracle(a, i, True, False)),
+        (assemble_trace(a, i, "jump", "avg", bc), trace_oracle(a, i, "jump", "avg", bc)),
+        (assemble_trace(a, i, "davg", "jump", bc), trace_oracle(a, i, "davg", "jump", bc)),
+        (
+            assemble_trace(a, i, "dminus", "jump", bc, True),
+            trace_oracle(a, i, "dminus", "jump", bc, True),
+        ),
+        (assemble_trace(a, a, "jump", "jump", bc), trace_oracle(a, a, "jump", "jump", bc)),
+        (assemble_node_values(nd, a), point_values(a, x, sides)),
+        (assemble_node_values(nd, a, True), point_values(a, x, sides, True)),
+        (assemble_node_values(nd, a, False, -1), point_values(a, x, -1)),
+        (assemble_node_values(nd, i), point_values(i, x, sides)),
     ]
+
+
+def lower_mask(row, col):
+    """True at the entries whose output level is >= their input level."""
+    out = np.repeat(np.arange(row.n + 1), [row.level_size(b) for b in range(row.n + 1)])
+    inp = np.repeat(np.arange(col.n + 1), [col.level_size(a) for a in range(col.n + 1)])
+    return out[:, None] >= inp
 
 
 @pytest.mark.parametrize("bc", [("periodic", "periodic"), ("dirichlet", "neumann")], ids="-".join)
 def test_sparse_assembly_matches_dense(bc):
-    for assemble, args in variable_speed_factors(4, bc):
-        want = assemble(*args)
-        got = assemble(*args, sparse=True)
-        assert not isinstance(got.mat, np.ndarray) and got.mat.format == "csr"
-        assert got.tag == want.tag
-        atol = 1e-13 * np.abs(want.mat).max()
-        np.testing.assert_allclose(dense(got), want.mat, rtol=0, atol=atol)
-        for part, whole in zip(lu_split(got), lu_split(want)):
+    # every variable-speed factor and both lu_split halves are CSR, and
+    # equal to the dense oracle and its level-triangular parts
+    for got, want in variable_speed_factors(4, bc):
+        assert got.mat.format == "csr" and got.tag == "general"
+        atol = 1e-13 * np.abs(want).max()
+        np.testing.assert_allclose(dense(got), want, rtol=0, atol=atol)
+        low = lower_mask(got.row, got.col)
+        for part, whole in zip(lu_split(got), (np.where(low, want, 0.0), np.where(low, 0.0, want))):
             assert part.mat.format == "csr"
-            np.testing.assert_allclose(dense(part), whole.mat, rtol=0, atol=atol)
+            np.testing.assert_allclose(dense(part), whole, rtol=0, atol=atol)
 
 
 ORACLE_BCS = [("periodic", "periodic")] + [
@@ -441,12 +454,12 @@ def assert_matches_oracle(op, want, scale):
     assert np.abs(dense(op) - want).max() <= 1e-13 * scale.max()
 
 
-@given(family_pairs(), st.booleans(), st.booleans(), st.booleans())
+@given(family_pairs(), st.booleans(), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_volume_assembly_matches_dense_products(pair, drow, dcol, sparse):
+def test_volume_assembly_matches_dense_products(pair, drow, dcol):
     row, col = pair
-    op = _cellwise(row, col, drow, dcol, sparse)
-    assert isinstance(op.mat, np.ndarray) != sparse
+    op = _cellwise(row, col, drow, dcol)
+    assert op.mat.format == "csr"
     want = gram_oracle(row, col, drow, dcol)
     assert_matches_oracle(op, want, gram_oracle(row, col, drow, dcol, absolute=True))
 
@@ -457,13 +470,12 @@ def test_volume_assembly_matches_dense_products(pair, drow, dcol, sparse):
     st.sampled_from(KINDS),
     st.sampled_from(ORACLE_BCS),
     st.booleans(),
-    st.booleans(),
 )
 @settings(max_examples=120, deadline=None)
-def test_trace_assembly_matches_dense_products(pair, row_kind, col_kind, bc, half, sparse):
+def test_trace_assembly_matches_dense_products(pair, row_kind, col_kind, bc, half):
     row, col = pair
-    op = assemble_trace(row, col, row_kind, col_kind, bc, half, sparse)
-    assert isinstance(op.mat, np.ndarray) != sparse
+    op = assemble_trace(row, col, row_kind, col_kind, bc, half)
+    assert op.mat.format == "csr"
     want = trace_oracle(row, col, row_kind, col_kind, bc, half)
     scale = trace_oracle(row, col, row_kind, col_kind, bc, half, absolute=True)
     assert_matches_oracle(op, want, scale)
@@ -503,10 +515,10 @@ def test_constant_speed_dimensions_share_one_matrix_per_bc_pair(problem, ndim):
 
 def test_sparse_lu_split_reconstructs_exactly():
     a, i = alpert_family(2, 4), interp_family(3, "interface", 4)
-    op = assemble_trace(a, i, "davg", "jump", ("periodic", "periodic"), sparse=True)
+    op = assemble_trace(a, i, "davg", "jump", ("periodic", "periodic"))
     low, up = lu_split(op)
     assert np.array_equal(dense(low) + dense(up), dense(op))
-    assert np.array_equal(dense(low), dense(lu_split(Operator1D(dense(op), a, i, "general"))[0]))
+    assert np.array_equal(dense(low), np.where(lower_mask(a, i), dense(op), 0.0))
 
 
 @given(st.integers(1, 5), st.sampled_from(["interface", "inner"]), st.integers(0, 7))
@@ -527,7 +539,7 @@ def test_node_to_surplus_is_the_exact_local_inverse(m, variant, n):
     assert (per_row[fam.p :].reshape(-1, fam.p) == stencil).all()
     # exact up to the roundoff of E itself; the inner nodes of high m make
     # E ill-conditioned, so the bound scales with the two norms
-    e = assemble_node_values(nd, fam).mat
+    e = dense(lu_split(assemble_node_values(nd, fam))[0])
     x = dense(x_op)
     nx, ne = np.abs(x).sum(axis=1).max(), np.abs(e).sum(axis=1).max()
     tol = 1e-12 * nx * ne
@@ -560,7 +572,7 @@ def test_lu_split_reconstructs_and_tags():
     fam = alpert_family(2, 3)
     op = assemble_stiffness(fam, fam)
     low, up = lu_split(op)
-    np.testing.assert_allclose(low.mat + up.mat, op.mat, atol=0)
+    np.testing.assert_allclose(dense(low) + dense(up), dense(op), atol=0)
     assert (low.tag, up.tag) == ("lower", "strictly-upper")
     for a in range(4):
         for b in range(4):
@@ -572,7 +584,6 @@ def test_lu_split_reconstructs_and_tags():
 
 # level pairs (out b, in a) whose block each tag declares zero
 OUTSIDE_TAG = {
-    "diag": lambda b, a: b != a,
     "lower": lambda b, a: b < a,
     "strictly-upper": lambda b, a: b >= a,
     "general": lambda b, a: False,
@@ -608,6 +619,8 @@ def test_wave_operator_blocks_outside_tags_are_zero(problem, ndim):
     else:  # node-to-surplus factors and lu_split halves
         assert tags == {"general", "lower", "strictly-upper"}
     for op in ops:
+        # dense for constant speed only, CSR for every variable-speed factor
+        assert isinstance(op.mat, np.ndarray) == prob.csq.is_constant
         for a in range(op.col.n + 1):
             for b in range(op.row.n + 1):
                 if OUTSIDE_TAG[op.tag](b, a):
