@@ -23,13 +23,7 @@ def element_norms(space: TensorSpace, fields: list[CoeffSet]) -> dict[Level, np.
     """Per-element indicator, one (cells...)-shaped array per level."""
     layout = space.layout
     sq = sum((f.buf.reshape(layout.cells, -1) ** 2).sum(axis=1) for f in fields)
-    norms = np.sqrt(sq)
-    return {
-        lv: norms[lo:hi].reshape(shape)
-        for lv, shape, lo, hi in zip(
-            layout.levels, layout.shapes, layout.starts, layout.starts[1:]
-        )
-    }
+    return layout.views(np.sqrt(sq), ())
 
 
 def refine(

@@ -122,11 +122,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, args.override)
+        os.makedirs(args.out, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
     if args.command == "run":
         return _cmd_run(cfg, args.out)
     return _cmd_sweep(cfg, args.out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .alpert import MAX_DEGREE
@@ -108,16 +109,16 @@ class RunConfig:
             )
         if not 1 <= cfg.m <= 5:
             raise ValueError(f"m must be in 1..5 (it defaults to k + 1), got {cfg.m}")
-        if not cfg.cfl > 0:
-            raise ValueError(f"cfl must be > 0, got {cfg.cfl:g}")
-        if not cfg.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {cfg.sigma:g}")
+        if not 0 < cfg.cfl < math.inf:
+            raise ValueError(f"cfl must be finite and > 0, got {cfg.cfl:g}")
+        if not 0 < cfg.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {cfg.sigma:g}")
         if cfg.init_n < 0:
             raise ValueError(f"init_n must be >= 0 (0 means min(4, n)), got {cfg.init_n}")
-        if not cfg.t_final >= 0:
-            raise ValueError(f"t_final must be >= 0, got {cfg.t_final:g}")
-        if not all(e > 0 for e in (cfg.eps,) + cfg.eps_values):
-            raise ValueError("eps and eps_values must be > 0")
+        if not 0 <= cfg.t_final < math.inf:
+            raise ValueError(f"t_final must be finite and >= 0, got {cfg.t_final:g}")
+        if not all(0 < e < math.inf for e in (cfg.eps,) + cfg.eps_values):
+            raise ValueError("eps and eps_values must be finite and > 0")
         if not 1 <= cfg.slice_points <= _MAX_SLICE_POINTS:
             raise ValueError(
                 f"slice_points must be in 1..{_MAX_SLICE_POINTS}, got {cfg.slice_points}"

@@ -372,25 +372,33 @@ def project_separable(
     return separable_from_vectors(space, vec_terms, alpert_family(k, n))
 
 
+def on_level(per_dim: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-dimension (cells, p) arrays as views that broadcast to a level's
+    block shape (cells_1, ..., cells_d, p_1, ..., p_d).
+
+    Dimension m's array varies along axes m and d + m only.
+    """
+    d = len(per_dim)
+    out = []
+    for m, arr in enumerate(per_dim):
+        axshape = [1] * (2 * d)
+        axshape[m], axshape[d + m] = arr.shape
+        out.append(arr.reshape(axshape))
+    return out
+
+
 def separable_from_vectors(
     space: TensorSpace, terms: list[tuple[np.ndarray, ...]], fam: FamilySpec
 ) -> CoeffSet:
     """Sum over terms of the outer product of per-dimension 1D coefficient vectors."""
-    d = space.ndim
     p = fam.p
-    # interleaved (c,p,c,p,...) -> (c...,p...)
-    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    out = space.zeros((p,) * d)
+    out = space.zeros((p,) * space.ndim)
     for vecs in terms:
-        for lv in space.levels:
+        for lv, view in out.data.items():
             factors = [
-                vecs[m][fam.level_slice(lv[m])].reshape(num_cells(lv[m]), p)
-                for m in range(d)
+                vec[fam.level_slice(l)].reshape(num_cells(l), p) for vec, l in zip(vecs, lv)
             ]
-            block = factors[0]
-            for fac in factors[1:]:
-                block = np.multiply.outer(block, fac)
-            out.data[lv] += block.transpose(perm)
+            view += math.prod(on_level(factors))
     return space.mask(out)
 
 

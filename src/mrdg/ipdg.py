@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fastmv import CoeffSet, TensorOperator, TensorSpace, TensorTerm
+from .fastmv import CoeffSet, TensorOperator, TensorSpace, TensorTerm, on_level
 from .interp import make_interp_basis
 from .operators1d import (
     Operator1D,
@@ -99,21 +99,6 @@ class SchemeConfig:
         return 2.0 ** (-self.n_max)
 
 
-def _on_level(per_dim: list[np.ndarray], shape: tuple[int, ...]) -> list[np.ndarray]:
-    """Broadcast per-dimension (cells, p) node arrays to a level's block shape.
-
-    `shape` is (cells_1, ..., cells_d, p_1, ..., p_d); dimension m's array
-    varies along axes m and d + m only.
-    """
-    d = len(per_dim)
-    out = []
-    for m, arr in enumerate(per_dim):
-        axshape = [1] * (2 * d)
-        axshape[m], axshape[d + m] = arr.shape
-        out.append(np.broadcast_to(arr.reshape(axshape), shape))
-    return out
-
-
 def _elementwise_mul(cs: CoeffSet, values: np.ndarray) -> CoeffSet:
     cs.buf *= values
     return cs
@@ -168,6 +153,9 @@ class WaveOperator:
             jops[m] = J
             pen_terms.append(TensorTerm(tuple(jops), scale=-soh))
         self._penalty = TensorOperator(pen_terms)
+        # (node operator, forced side, output operator) per interpolated term:
+        # its node samples of u, times c^2, map through surpluses to the output
+        self._terms = list(zip(self._pd_nodeval, [None] * d, self._p_ops))
 
         if cfg.csq.aligned_jumps:
             # sample both one-sided limits of c^2 u across dyadic planes
@@ -180,14 +168,10 @@ class WaveOperator:
                     F = assemble_trace(A, I, kind, "jump", cfg.bc[m], half=True)
                     q_ops = [C] * d
                     q_ops[m] = F
-                    self._q_sided.append(
-                        (
-                            m,
-                            s,
-                            TensorOperator.from_factors(tuple(nv_ops)),
-                            TensorOperator.from_factors(tuple(q_ops)),
-                        )
-                    )
+                    nv_op = TensorOperator.from_factors(tuple(nv_ops))
+                    q_op = TensorOperator.from_factors(tuple(q_ops))
+                    self._q_sided.append((m, s, nv_op, q_op))
+                    self._terms.append((nv_op, (m, s), q_op))
         else:
             q_terms = []
             for m in range(d):
@@ -196,19 +180,20 @@ class WaveOperator:
                 ops[m] = Fq
                 q_terms.append(TensorTerm(tuple(ops)))
             self._q_op = TensorOperator(q_terms)
+            self._terms.append((self._nodeval, None, self._q_op))
 
-        self._cval_cache: dict = {}
+        self._cval: dict = {}  # force -> c^2 at the nodes of `_cval_version`
+        self._cval_version = None
 
     # -- coefficient samples at the hierarchical nodes ------------------
 
     def _csq_at_nodes(self, space: TensorSpace, force: tuple[int, int] | None):
-        key = (space.version, force)
-        hit = self._cval_cache.get(key)
+        if self._cval_version != space.version:
+            self._cval.clear()
+            self._cval_version = space.version
+        hit = self._cval.get(force)
         if hit is not None:
             return hit
-        stale = [kk for kk in self._cval_cache if kk[0] != space.version]
-        for kk in stale:
-            del self._cval_cache[kk]
         cfg = self.cfg
         basis = make_interp_basis(cfg.m, cfg.variant)
         vals = space.zeros(self.p_i)
@@ -220,9 +205,10 @@ class WaveOperator:
                 m, side = force
                 inner = (coords[m] > 0.0) & (coords[m] < 1.0)
                 sides[m] = np.where(inner, side, sides[m])
-            xs, ss = _on_level(coords, view.shape), _on_level(sides, view.shape)
+            xs = np.broadcast_arrays(*on_level(coords))
+            ss = np.broadcast_arrays(*on_level(sides))
             view[...] = cfg.csq(xs, ss)
-        self._cval_cache[key] = vals.buf
+        self._cval[force] = vals.buf
         return vals.buf
 
     # -- operator application -------------------------------------------
@@ -236,42 +222,33 @@ class WaveOperator:
         if out is None:
             out = space.zeros(self.p_a)
         self._penalty.apply(space, u, out)
-        cval = self._csq_at_nodes(space, None)
-        p_nodes = [
-            _elementwise_mul(op.apply(space, u), cval) for op in self._pd_nodeval
+        samples = [
+            _elementwise_mul(node_op.apply(space, u), self._csq_at_nodes(space, force))
+            for node_op, force, _ in self._terms
         ]
-        if not self.cfg.csq.aligned_jumps:
-            q_nodes = _elementwise_mul(self._nodeval.apply(space, u), cval)
-            return self.apply_interpolated(space, p_nodes, q_nodes, out)
-        for p_op, nv in zip(self._p_ops, p_nodes):
-            p_op.apply(space, self._surplus.apply(space, nv), out)
-        for m, s, nv_op, q_op in self._q_sided:
-            nv = nv_op.apply(space, u)
-            _elementwise_mul(nv, self._csq_at_nodes(space, (m, s)))
-            q_op.apply(space, self._surplus.apply(space, nv), out)
-        return out
+        return self.apply_interpolated(space, samples, out)
 
     def apply_interpolated(
         self,
         space: TensorSpace,
-        p_nodes: list[CoeffSet],
-        q_nodes: CoeffSet,
+        samples: list[CoeffSet],
         out: CoeffSet | None = None,
     ) -> CoeffSet:
-        """Smooth-speed interpolated terms driven by node samples (out += ...).
+        """Variable-speed interpolated terms driven by node samples (out += ...).
 
-        `p_nodes[m]` holds node samples of c^2 d_m u and `q_nodes` of c^2 u.
-        `apply` passes samples of the discrete u; exact samples of a smooth u
-        give the truncation error of the scheme.  The penalty term, zero for a
-        continuous u, is not included.
+        `samples` holds one node-sample set per interpolated term: c^2 d_m u
+        for each m, then c^2 u for a smooth speed, or for aligned jumps its
+        one-sided limits across the planes normal to each m (below, then
+        above).  `apply` passes samples of the discrete u; exact samples of a
+        smooth u give the truncation error of the scheme.  The penalty term,
+        zero for a continuous u, is not included.
         """
-        if self.cfg.csq.is_constant or self.cfg.csq.aligned_jumps:
-            raise ValueError("external samples need the smooth-speed pipeline")
+        if self.cfg.csq.is_constant:
+            raise ValueError("node samples need a variable speed")
         if out is None:
             out = space.zeros(self.p_a)
-        for m in range(self.cfg.ndim):
-            self._p_ops[m].apply(space, self._surplus.apply(space, p_nodes[m]), out)
-        self._q_op.apply(space, self._surplus.apply(space, q_nodes), out)
+        for (_, _, op), sample in zip(self._terms, samples, strict=True):
+            op.apply(space, self._surplus.apply(space, sample), out)
         return out
 
     def bilinear(self, space: TensorSpace, u: CoeffSet, v: CoeffSet) -> float:

@@ -2,15 +2,18 @@
 
 Every initial condition and manufactured source here is a sum of separable
 terms (tuples of per-dimension callables), which is what the fast projection
-consumes.  Reference solutions come in two flavors: separable terms plus the
-closed-form value of ``int u^2 dx`` for L2 errors, and a plain pointwise
-callable for max-norm checks on evaluation lattices.
+consumes.  A reference solution is given once: as separable terms, with the
+closed-form value of ``int u^2 dx`` for L2 errors, or, when it is not
+separable, as a pointwise callable.  `Problem.solution` gives the pointwise
+form of either for max-norm checks on evaluation lattices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,14 +38,31 @@ class Problem:
     csq: Coefficient
     bc: tuple
     w0_terms: list
-    u0_terms: list = field(default_factory=list)
     c_max: float = 1.0
     source_time: Callable | None = None
     source_terms: list | None = None
     dirichlet: tuple = ()
     exact_terms: Callable | None = None  # t -> separable terms
     int_exact_sq: Callable | None = None  # t -> float
-    exact_fn: Callable | None = None  # t -> pointwise callable
+    exact_fn: Callable | None = None  # t -> pointwise callable, if not separable
+
+    def solution(self, t: float) -> Callable | None:
+        """Pointwise exact solution at time t, or None when there is none."""
+        if self.exact_fn is not None:
+            return self.exact_fn(t)
+        if self.exact_terms is None:
+            return None
+        terms = self.exact_terms(t)
+
+        def fn(*xs):
+            # reduce, not sum: sum's `0 +` allocates one more lattice-sized array
+            products = (
+                functools.reduce(operator.mul, [f(x) for f, x in zip(fs, xs)])
+                for fs in terms
+            )
+            return functools.reduce(operator.add, products)
+
+        return fn
 
 
 def _cospi(a: float, scale: float = 1.0):
@@ -72,15 +92,6 @@ def cosine_periodic(ndim: int, a: float = 2.0) -> Problem:
     def terms(t):
         return [tuple(_cospi(a, math.sin(freq * t) if i == 0 else 1.0) for i in range(ndim))]
 
-    def exact(t):
-        def fn(*xs):
-            out = math.sin(freq * t) * np.cos(a * np.pi * xs[0])
-            for x in xs[1:]:
-                out = out * np.cos(a * np.pi * x)
-            return out
-
-        return fn
-
     return Problem(
         name="cosine-periodic",
         ndim=ndim,
@@ -89,7 +100,6 @@ def cosine_periodic(ndim: int, a: float = 2.0) -> Problem:
         w0_terms=[tuple(_cospi(a, freq if i == 0 else 1.0) for i in range(ndim))],
         exact_terms=terms,
         int_exact_sq=lambda t: math.sin(freq * t) ** 2 * 0.5**ndim,
-        exact_fn=exact,
     )
 
 
@@ -118,7 +128,6 @@ def cosine_mixed(ndim: int) -> Problem:
         dirichlet=loads,
         exact_terms=base.exact_terms,
         int_exact_sq=base.int_exact_sq,
-        exact_fn=base.exact_fn,
     )
 
 
@@ -186,15 +195,6 @@ def smooth_speed(ndim: int) -> Problem:
         fs = [_sinpi(2, amp), _cospi(2)] + [_cospi(2)] * (ndim - 2)
         return [tuple(fs)]
 
-    def exact(t):
-        def fn(*xs):
-            out = math.sin(math.pi * t) * np.sin(2 * np.pi * xs[0])
-            for x in xs[1:]:
-                out = out * np.cos(2 * np.pi * x)
-            return out
-
-        return fn
-
     return Problem(
         name="smooth-speed",
         ndim=ndim,
@@ -209,7 +209,6 @@ def smooth_speed(ndim: int) -> Problem:
         source_terms=f_terms,
         exact_terms=terms,
         int_exact_sq=lambda t: math.sin(math.pi * t) ** 2 * 0.5**ndim,
-        exact_fn=exact,
     )
 
 
@@ -250,15 +249,6 @@ def layered_aligned(ndim: int) -> Problem:
         fs = [profile(math.sin(omega * t))] + [_cospi(2)] * (ndim - 1)
         return [tuple(fs)]
 
-    def exact(t):
-        def fn(*xs):
-            out = math.sin(omega * t) * profile()(xs[0])
-            for x in xs[1:]:
-                out = out * np.cos(2 * np.pi * x)
-            return out
-
-        return fn
-
     return Problem(
         name="layered-aligned",
         ndim=ndim,
@@ -268,7 +258,6 @@ def layered_aligned(ndim: int) -> Problem:
         exact_terms=terms,
         # each piecewise-cosine factor integrates to 1/2 over its slab union
         int_exact_sq=lambda t: math.sin(omega * t) ** 2 * 0.5**ndim,
-        exact_fn=exact,
     )
 
 

@@ -48,18 +48,9 @@ def scheme_config(cfg: RunConfig, prob: Problem) -> SchemeConfig:
 
 
 def initial_state(space: TensorSpace, prob: Problem, k: int, n: int) -> State:
-    p = (k + 1,) * space.ndim
-    u = (
-        project_separable(space, prob.u0_terms, k, n)
-        if prob.u0_terms
-        else space.zeros(p)
-    )
-    w = (
-        project_separable(space, prob.w0_terms, k, n)
-        if prob.w0_terms
-        else space.zeros(p)
-    )
-    return State(u, w)
+    """Zero displacement and the projected initial velocity `w0_terms`."""
+    w = project_separable(space, prob.w0_terms, k, n)
+    return State(space.zeros(w.p), w)
 
 
 def _dirichlet_spatial(space, dd: DirichletData, cfg: RunConfig, csq: Coefficient):
@@ -112,10 +103,9 @@ def _finish(cfg, prob, space, state, record):
             prob.exact_terms(record.t_final),
             prob.int_exact_sq(record.t_final),
         )
-    if prob.exact_fn is not None:
-        record.linf = linf_error(
-            space, state.u, cfg.k, cfg.n, prob.exact_fn(record.t_final)
-        )
+    solution = prob.solution(record.t_final)
+    if solution is not None:
+        record.linf = linf_error(space, state.u, cfg.k, cfg.n, solution)
 
 
 def _targets(cfg: RunConfig) -> list[float]:

@@ -317,6 +317,7 @@ def test_last_step_lands_on_each_target(mode):
         "ndim=3 n=9 mode=full",  # 2^30 coefficients, over the full-grid cap
         "init_n=-2 mode=adaptive",
         "sigma=nan",
+        "cfl=inf",
     ],
 )
 def test_rejected_config_exits_2_with_one_line(tmp_path, cfg_file, capsys, override):
@@ -330,6 +331,18 @@ def test_rejected_config_exits_2_with_one_line(tmp_path, cfg_file, capsys, overr
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_below_a_file_exits_2_with_one_line(tmp_path, cfg_file, capsys, below):
+    # --out names a file, or a directory below one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = blocker / below if below else blocker
+    assert main(["run", "--config", cfg_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert blocker.read_text() == "keep"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -101,6 +101,11 @@ def test_list_valued_keys():
         {"sigma": "0"},
         {"sigma": "-1"},
         {"sigma": "nan"},
+        {"sigma": "inf"},
+        {"cfl": "inf"},
+        {"t_final": "inf"},  # the run would never end
+        {"eps": "inf"},
+        {"eps_values": "1e-3,inf", "mode": "adaptive"},
     ],
 )
 def test_invalid_mappings_raise(bad):

@@ -106,16 +106,16 @@ EXACT_FIELDS = [
     (name, ndim)
     for name in sorted(REGISTRY)
     for ndim in (2, 3)
-    if make_problem(name, ndim).exact_fn is not None
+    if make_problem(name, ndim).solution(0.0) is not None
 ]
 
 
 @pytest.mark.parametrize("name,ndim", EXACT_FIELDS)
 def test_exact_fields_broadcast_an_open_mesh(name, ndim):
-    # linf_error hands exact_fn a sparse mesh: an elementwise field gives
+    # linf_error hands the solution a sparse mesh: an elementwise field gives
     # the dense-mesh values bit for bit (0, 1/4, 3/4 and the corner included)
     axes = [np.arange(m + 1) / m for m in (32, 16, 8)[:ndim]]
-    fn = make_problem(name, ndim).exact_fn(0.3)
+    fn = make_problem(name, ndim).solution(0.3)
     dense = fn(*np.meshgrid(*axes, indexing="ij"))
     sparse = np.broadcast_to(fn(*np.meshgrid(*axes, indexing="ij", sparse=True)), dense.shape)
     assert np.array_equal(sparse, dense)

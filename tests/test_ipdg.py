@@ -10,7 +10,7 @@ to the projected strong form at the expected rate.
 import numpy as np
 import pytest
 
-from mrdg.fastmv import TensorSpace, project_separable
+from mrdg.fastmv import TensorSpace, on_level, project_separable
 from mrdg.grids import AdaptiveGrid
 from mrdg.interp import make_interp_basis
 from mrdg.ipdg import (
@@ -19,7 +19,6 @@ from mrdg.ipdg import (
     SourceTerm,
     State,
     WaveOperator,
-    _on_level,
     make_rhs,
 )
 
@@ -181,7 +180,7 @@ def sample_at_nodes(space, m, variant, fn):
     basis = make_interp_basis(m, variant)
     for lv in space.levels:
         coords = [basis.level_nodes(l)[0] for l in lv]
-        out.data[lv][...] = fn(*_on_level(coords, space.masks[lv].shape + p))
+        out.data[lv][...] = fn(*np.broadcast_arrays(*on_level(coords)))
     return space.mask(out)
 
 
@@ -236,7 +235,7 @@ def truncation_norm(k, n):
     q_nodes = sample_at_nodes(
         space, m, "interface", lambda x, y: _csq_fn(x, y) * _u_exact(x, y)
     )
-    tau = wop.apply_interpolated(space, p_nodes, q_nodes)
+    tau = wop.apply_interpolated(space, p_nodes + [q_nodes])
     tau.axpy(-1.0, project_separable(space, _strong_form_terms(), k, n))
     return np.sqrt(tau.norm2())
 
@@ -254,7 +253,22 @@ def test_interpolated_rejects_constant_pipeline():
     wop = scheme(2, 1, 2, 2, Coefficient.const(1.0))
     z = space.zeros((2, 2))
     with pytest.raises(ValueError):
-        wop.apply_interpolated(space, [z, z], z)
+        wop.apply_interpolated(space, [z, z, z])
+
+
+@pytest.mark.parametrize(
+    "csq,terms", [(smooth_speed(), 3), (layered_speed(), 6)], ids=["smooth", "aligned"]
+)
+def test_interpolated_takes_one_sample_set_per_term(csq, terms):
+    # 2D: c^2 d_1 u, c^2 d_2 u, then c^2 u (smooth) or its four one-sided
+    # limits (aligned jumps)
+    space = TensorSpace(AdaptiveGrid.sparse(2, 2))
+    wop = scheme(2, 1, 2, 2, csq)
+    z = space.zeros((3, 3))
+    wop.apply_interpolated(space, [z] * terms)
+    for wrong in (terms - 1, terms + 1):
+        with pytest.raises(ValueError):
+            wop.apply_interpolated(space, [z] * wrong)
 
 
 # ---------------------------------------------------------------------------

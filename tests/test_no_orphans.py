@@ -11,7 +11,8 @@ flags a used name.
 
 Likewise every parameter with a default takes two values in those files:
 some call sets it, and not every call sets it to one literal.  Calls are
-matched by name in the same way.
+matched by name in the same way.  And every name a module imports at module
+level is used in that module.
 """
 
 import ast
@@ -122,3 +123,22 @@ def test_every_defaulted_parameter_takes_two_values_outside_tests():
         if unset or one_literal:
             single.append(f"{qual}({param})")
     assert not single, f"parameters only tests set to another value: {single}"
+
+
+def test_every_module_level_import_is_used():
+    # `__init__.py` imports to re-export
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.stem}: {bound}")
+    assert not unused, f"imported but unused: {unused}"

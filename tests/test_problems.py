@@ -43,7 +43,7 @@ def csq_at(prob, *xs):
 def pde_residual(prob, t, pts):
     """u_tt - div(c^2 grad u) - f by flux-form central differences."""
     d = prob.ndim
-    u = lambda tt, q: prob.exact_fn(tt)(*q)
+    u = lambda tt, q: prob.solution(tt)(*q)
     utt = (u(t + H, pts) - 2.0 * u(t, pts) + u(t - H, pts)) / H**2
     div = 0.0
     for m in range(d):
@@ -96,7 +96,7 @@ def test_layered_solution_on_each_side_and_wall():
     # continuity of u and of the normal flux c^2 du/dx1 across x1 = 1/4
     d = 1e-7
     y = np.array([0.37])
-    fn = prob.exact_fn(0.05)
+    fn = prob.solution(0.05)
     left, right = fn(0.25 - d, y), fn(0.25 + d, y)
     assert abs(left - right) < 1e-4
     cl = csq_at(prob, 0.25 - d, y)
@@ -119,7 +119,7 @@ def test_reference_norm_matches_quadrature(name):
     prob = make_problem(name, 2)
     t = 0.07
     x, w = cellwise_gauss(4, 8)  # material walls sit on this mesh
-    fn = prob.exact_fn(t)
+    fn = prob.solution(t)
     vals = fn(x[:, None], x[None, :]) ** 2
     got = float(w @ vals @ w)
     assert got == pytest.approx(prob.int_exact_sq(t), rel=1e-8)
@@ -131,10 +131,10 @@ def test_corner_pulse_radial_reference():
     # free-space residual away from the origin
     pts = interior_points(3, 0.15, 0.4, 10, 7)
     assert np.max(np.abs(pde_residual(prob, t, pts))) < 0.05 * max(
-        1.0, np.max(np.abs(prob.exact_fn(t)(*pts)) * 1000)
+        1.0, np.max(np.abs(prob.solution(t)(*pts)) * 1000)
     )
     # removable singularity: formula -> 100 t exp(-500 t^2) as r -> 0
-    fn = prob.exact_fn(t)
+    fn = prob.solution(t)
     limit = 100.0 * t * math.exp(-500.0 * t * t)
     near = fn(np.array([1e-6]), np.array([1e-6]), np.array([1e-6]))
     assert near[0] == pytest.approx(limit, rel=1e-4)
@@ -144,7 +144,7 @@ def test_corner_pulse_radial_reference():
     # starts from rest with the stated velocity burst
     dt = 1e-5
     xs = [np.array([0.1]), np.array([0.05]), np.array([0.2])]
-    vel = prob.exact_fn(dt)(*xs) / dt
+    vel = prob.solution(dt)(*xs) / dt
     want = eval_terms(prob.w0_terms, *xs)
     assert vel[0] == pytest.approx(want[0], rel=1e-3)
 
@@ -156,6 +156,40 @@ def test_layered_pulse_speed_geometry():
     y = np.zeros(4)
     np.testing.assert_allclose(csq_at(prob, x, y), [1.0, 0.25, 0.25, 1.0])
     assert prob.exact_terms is None
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_solution_is_the_product_of_exact_terms(name, ndim):
+    prob = make_problem(name, ndim)
+    pts = interior_points(ndim, 0.0, 1.0, 50, 3)
+    solution = prob.solution(0.21)
+    if prob.exact_terms is not None:
+        want = eval_terms(prob.exact_terms(0.21), *pts)
+        np.testing.assert_array_equal(solution(*pts), want)
+    else:
+        assert (solution is None) == (prob.exact_fn is None)
+
+
+def supported_problems():
+    for name, factory in sorted(REGISTRY.items()):
+        for ndim in (1, 2, 3):
+            try:
+                yield factory(ndim)
+            except ValueError:
+                pass  # not defined in this dimension
+
+
+@pytest.mark.parametrize(
+    "prob", list(supported_problems()), ids=lambda p: f"{p.name}-{p.ndim}"
+)
+def test_speed_stays_within_c_max(prob):
+    # compute_dt sizes the step by c_max; a faster node sample breaks the CFL bound
+    axis = np.linspace(0.0, 1.0, 65)
+    xs = np.meshgrid(*[axis] * prob.ndim, indexing="ij")
+    for side in (-1.0, 0.0, 1.0):
+        sides = [np.full_like(x, side) for x in xs]
+        assert np.max(prob.csq(xs, sides)) <= prob.c_max**2
 
 
 def steady_residual(u_terms, loads, k=1, n=3, sigma=10.0):
