@@ -34,10 +34,6 @@ class Quadrature1D:
         x, w = npleg.leggauss(npoints)
         return cls(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 
-    def mapped(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights transported to [a, b]."""
-        return a + (b - a) * self.nodes, (b - a) * self.weights
-
 
 def legendre_values(p: int, x: np.ndarray) -> np.ndarray:
     """Matrix of orthonormal shifted Legendre values, shape (len(x), p+1).
@@ -193,9 +189,9 @@ def project_1d(f, k: int, n: int) -> np.ndarray:
     quad = Quadrature1D.gauss(k + 3)
     cells = 1 << n
     width = 1.0 / cells
-    fine = np.zeros((cells, k + 1))
+    # every cell's points at once, cell j's at j * width + width * nodes
+    x = (np.arange(cells) * width)[:, None] + width * quad.nodes
     vals = legendre_values(k, quad.nodes)  # local basis at reference nodes
-    for j in range(cells):
-        x, w = quad.mapped(j * width, (j + 1) * width)
-        fine[j] = np.sqrt(cells) * np.einsum("x,x,xi->i", w, np.asarray(f(x), dtype=float), vals)
+    fx = np.asarray(f(x), dtype=float)
+    fine = np.sqrt(cells) * np.einsum("x,cx,xi->ci", width * quad.weights, fx, vals)
     return fine_to_hier(fine, k, n)

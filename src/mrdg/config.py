@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .alpert import MAX_DEGREE
-from .grids import DENSE_OPERATOR_BYTES, FULL_GRID_COEFFS, MAX_LEVEL
+from .grids import DENSE_OPERATOR_BYTES, FULL_GRID_COEFFS, MAX_LEVEL, num_cells, sparse_levels
 from .problems import REGISTRY
 
 
@@ -107,6 +107,16 @@ class RunConfig:
                 f"full grid needs {need} coefficients, (k+1)^ndim * 2^(n*ndim);"
                 f" the cap is {FULL_GRID_COEFFS}"
             )
+        if cfg.mode == "sparse":
+            cells = max(
+                sum(math.prod(map(num_cells, lv)) for lv in sparse_levels(ndim, v))
+                for v in (n,) + cfg.n_values
+            )
+            if (k + 1) ** ndim * cells > FULL_GRID_COEFFS:
+                raise ValueError(
+                    f"sparse grid needs {(k + 1) ** ndim * cells} coefficients per field,"
+                    f" (k+1)^ndim on each of {cells} cells; the cap is {FULL_GRID_COEFFS}"
+                )
         if not 1 <= cfg.m <= 5:
             raise ValueError(f"m must be in 1..5 (it defaults to k + 1), got {cfg.m}")
         if not 0 < cfg.cfl < math.inf:

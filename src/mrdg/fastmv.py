@@ -20,15 +20,20 @@ A sweep along dimension m works on fibers: the level tuples that agree on
 every coordinate but m, which in a downward-closed set form a chain 0..A.
 The 1D index of (level a, cell c, poly i) is p * (cells of levels < a + c)
 + i, so a fiber's levels 0..A, stacked along the cell axis of m, have the 1D
-layout, and the leading block `op.block(rows(B), cols(A))` of the 1D matrix
-maps them to the fiber's output levels 0..B: a view of the dense
-constant-speed matrix, or a slice of a CSR factor cached on the operator.
-A cached `_SweepPlan` gathers the input buffer so that fibers with equal
+layout, and the leading block `op.mat[:rows(B), :cols(A)]` of a dense
+constant-speed matrix maps them to the fiber's output levels 0..B.  A
+cached `_SweepPlan` gathers the input buffer so that fibers with equal
 (A, B) sit side by side as the columns of one matrix, multiplies each such
-group once, and scatters the products into a zeroed output buffer.  A plan
-depends only on the level list, m, the polynomial counts and the factor's
-tag, so it lives on the `LevelLayout` that every space with that level list
-shares.
+group once, and scatters the products into a zeroed output buffer.
+
+A variable-speed factor is a pyramid form instead (`pyramid`).  Its
+plan gathers the fibers level by level, those reaching level l first at
+level l, and one cascade of the form runs over all of them: synthesis,
+local form and analysis, a few numpy calls per level.  Its outputs are the
+same fibers, so consecutive sweeps of a term pass their fibers on by one
+gather (`_cascades`).  A plan depends only on the level list, m, the
+polynomial counts and, for a dense matrix, the tag, so it lives on the
+`LevelLayout` that every space with that level list shares.
 
 Operators with more than one unconstrained dimension are expanded into at
 most 2^(d-1) sweepable terms by L+U splitting of the surplus factors.
@@ -52,6 +57,7 @@ from .operators1d import (
     level_values,
     lu_split,
 )
+from .pyramid import work_array
 
 Level = tuple[int, ...]
 
@@ -73,6 +79,7 @@ class LevelLayout:
         self.starts = [0, *itertools.accumulate(math.prod(s) for s in self.shapes)]
         self.cells = self.starts[-1]
         self.plans: dict[tuple, _SweepPlan] = {}
+        self.links: dict[tuple[int, int], np.ndarray] = {}
 
     def views(self, buf: np.ndarray, p: tuple[int, ...]) -> dict[Level, np.ndarray]:
         q = math.prod(p)
@@ -229,47 +236,73 @@ def expand_term(term: TensorTerm) -> list[TensorTerm]:
 
 @dataclass(frozen=True)
 class _SweepPlan:
-    """Index maps of one sweep: gather, per-group products, scatter.
+    """Index maps of one sweep: gather, products, scatter.
 
-    Group g multiplies `op.block(rows, cols)` with the (cols, width) block
-    at `x_at` of the gathered input and writes the (rows, width) block at
-    `y_at` of the gathered output.
+    Dense plans list fiber groups: group g multiplies `op.mat[:rows, :cols]`
+    with the (cols, width) block at `x_at` of the gathered input and writes
+    the (rows, width) block at `y_at` of the gathered output.  Cascade plans
+    gather level-major fibers instead (see `pyramid`), `counts[l]`
+    of them at level l.
     """
 
     gather: np.ndarray  # input-buffer index of each gathered entry
     scatter: np.ndarray  # output-buffer index of each product entry
     groups: tuple[tuple[int, int, int, int, int], ...]  # rows, cols, width, x_at, y_at
+    counts: tuple[int, ...]
+    inverse: np.ndarray  # cascade plans: product entry of each output-buffer index
 
 
 def _build_plan(
-    layout: LevelLayout, dim: int, p_in: tuple[int, ...], p_out: tuple[int, ...], tag: str
+    layout: LevelLayout,
+    dim: int,
+    p_in: tuple[int, ...],
+    p_out: tuple[int, ...],
+    tag: str | None,
 ) -> _SweepPlan:
     """Gather and scatter maps of a sweep along `dim` over `layout`.
 
     Inputs of a fiber run over its whole chain 0..A; its outputs 0..B are
     cut by the tag to the levels the inputs reach (B = A - 1 for
     'strictly-upper', else A), and the zeroed output buffer stands for the
-    rest.
+    rest.  A dense plan groups the fibers of equal A side by side, each as
+    one column of its 1D levels.  A cascade plan takes level by level every
+    fiber that reaches it, sorted by A from the top; its outputs are the
+    same fibers, whatever the tag, so it does not depend on the tag.
     """
     d = len(p_in)
     where = dict(zip(layout.levels, zip(layout.starts, layout.shapes)))
     front = (dim, d + dim) + tuple(j for j in range(2 * d) if j not in (dim, d + dim))
+    back = front[2:] + front[:2]
+
+    def block(rest: Level, a: int, p: tuple[int, ...], axes) -> np.ndarray:
+        # buffer indices of level a of a fiber, axes of dim first or last
+        start, cells = where[rest[:dim] + (a,) + rest[dim:]]
+        q = math.prod(p)
+        idx = np.arange(q * start, q * (start + math.prod(cells)))
+        return idx.reshape(cells + p).transpose(axes)
 
     def rows(rest: Level, top: int, p: tuple[int, ...]) -> np.ndarray:
-        # buffer indices of a fiber's levels 0..top as a (1D index, column) array
-        q = math.prod(p)
-        blocks = []
-        for a in range(top + 1):
-            start, cells = where[rest[:dim] + (a,) + rest[dim:]]
-            idx = np.arange(q * start, q * (start + math.prod(cells)))
-            idx = idx.reshape(cells + p).transpose(front)
-            blocks.append(idx.reshape(cells[dim] * p[dim], -1))
-        return np.concatenate(blocks)
+        # a fiber's levels 0..top as a (1D index, column) array
+        blocks = [block(rest, a, p, front) for a in range(top + 1)]
+        return np.concatenate([b.reshape(b.shape[0] * b.shape[1], -1) for b in blocks])
 
     tops: dict[Level, int] = {}
     for lv in layout.levels:
         rest = lv[:dim] + lv[dim + 1 :]
         tops[rest] = max(tops.get(rest, 0), lv[dim])
+    if tag is None:  # a cascade
+        order = sorted(tops, key=lambda rest: (-tops[rest], rest))
+        polys = math.prod(p_in) // p_in[dim]  # per cell of the other dimensions
+        counts, gather, scatter = [], [], []
+        for a in range(max(tops.values()) + 1):
+            reach = [r for r in order if tops[r] >= a]
+            counts.append(polys * sum(math.prod(map(num_cells, r)) for r in reach))
+            gather += [block(r, a, p_in, back).ravel() for r in reach]
+            scatter += [block(r, a, p_out, back).ravel() for r in reach]
+        scatter = np.concatenate(scatter)
+        inverse = np.empty_like(scatter)
+        inverse[scatter] = np.arange(len(scatter))
+        return _SweepPlan(np.concatenate(gather), scatter, (), tuple(counts), inverse)
     fibers: dict[int, list[Level]] = {}
     for rest, top in sorted(tops.items()):
         fibers.setdefault(top, []).append(rest)
@@ -290,38 +323,81 @@ def _build_plan(
         x_at, y_at = x_at + x.size, y_at + y.size
     none = [np.zeros(0, dtype=np.intp)]
     return _SweepPlan(
-        np.concatenate(gather or none), np.concatenate(scatter or none), tuple(groups)
+        np.concatenate(gather or none), np.concatenate(scatter or none), tuple(groups), (), none[0]
     )
+
+
+def _plan(
+    layout: LevelLayout, p: tuple[int, ...], op: Operator1D, dim: int
+) -> tuple[_SweepPlan, tuple[int, ...]]:
+    """The plan of a sweep of `op` along `dim` over fields of polynomial
+    counts p, built on first use, and the output's polynomial counts."""
+    if op.col.p != p[dim]:
+        raise ValueError(f"operator takes {op.col.p} polys, field has {p[dim]}")
+    p_out = p[:dim] + (op.row.p,) + p[dim + 1 :]
+    tag = op.tag if isinstance(op.mat, np.ndarray) else None
+    key = (dim, p, op.row.p, tag)
+    plan = layout.plans.get(key)
+    if plan is None:
+        plan = layout.plans[key] = _build_plan(layout, dim, p, p_out, tag)
+    return plan, p_out
 
 
 def _sweep(
     layout: LevelLayout, x: np.ndarray, p: tuple[int, ...], op: Operator1D, dim: int
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Contract dimension `dim` of buffer `x` with a 1D operator.
+    """Contract dimension `dim` of buffer `x` with a dense 1D matrix.
 
     One gather, one product per (A, B) fiber group and one scatter; returns
     the output buffer and its polynomial counts.
     """
-    if op.col.p != p[dim]:
-        raise ValueError(f"operator takes {op.col.p} polys, field has {p[dim]}")
-    p_out = p[:dim] + (op.row.p,) + p[dim + 1 :]
-    key = (dim, p, op.row.p, op.tag)
-    plan = layout.plans.get(key)
-    if plan is None:
-        plan = layout.plans[key] = _build_plan(layout, dim, p, p_out, op.tag)
+    plan, p_out = _plan(layout, p, op, dim)
     xg = x[plan.gather]
     yg = np.empty(len(plan.scatter))
     for rows, cols, width, x_at, y_at in plan.groups:
-        block = op.block(rows, cols)
         xb = xg[x_at : x_at + cols * width].reshape(cols, width)
         yb = yg[y_at : y_at + rows * width].reshape(rows, width)
-        if isinstance(block, np.ndarray):
-            np.matmul(block, xb, out=yb)
-        else:
-            yb[...] = block @ xb
+        np.matmul(op.mat[:rows, :cols], xb, out=yb)
     y = np.zeros(layout.cells * math.prod(p_out))
     y[plan.scatter] = yg
     return y, p_out
+
+
+def _cascades(
+    layout: LevelLayout, x: np.ndarray, p: tuple[int, ...], ops, dims: list[int]
+) -> np.ndarray:
+    """The sweeps of one term of pyramid factors, one cascade each, into a
+    work array that the next term reuses.
+
+    A cascade's fibers cover every output, so its scatter is a permutation:
+    the next sweep gathers its fibers straight from the cascade's output
+    (`_link`), and the last one's output is gathered into buffer order.
+    """
+    plan, p = _plan(layout, p, ops[dims[0]], dims[0])
+    xg = _take(x, plan.gather, "gathered")
+    for dim, after in zip(dims, dims[1:] + [None]):
+        op = ops[dim]
+        yg = op.mat.cascade(op.tag, xg, plan.counts)
+        if after is not None:
+            nxt, p = _plan(layout, p, ops[after], after)
+            xg = _take(yg, _link(layout, plan, nxt), "gathered")
+            plan = nxt
+    return _take(yg, plan.inverse, "swept")
+
+
+def _take(x: np.ndarray, index: np.ndarray, role: str) -> np.ndarray:
+    """x[index] into the work array of `role`; the index is in range, so
+    `clip` spares numpy the buffered copy of its bounds check."""
+    return np.take(x, index, out=work_array(role, index.shape), mode="clip")
+
+
+def _link(layout: LevelLayout, plan: _SweepPlan, nxt: _SweepPlan) -> np.ndarray:
+    """Where each of `nxt`'s gathered entries sits in `plan`'s output."""
+    key = (id(plan), id(nxt))  # plans live as long as their layout
+    hit = layout.links.get(key)
+    if hit is None:
+        hit = layout.links[key] = plan.inverse[nxt.gather]
+    return hit
 
 
 class TensorOperator:
@@ -329,8 +405,7 @@ class TensorOperator:
 
     def __init__(self, terms: list[TensorTerm]):
         self.terms = [t for raw in terms for t in expand_term(raw)]
-        for t in self.terms:
-            sweep_order(t.ops)  # validate now, not at apply time
+        self.orders = [sweep_order(t.ops) for t in self.terms]  # validated now
 
     @classmethod
     def from_factors(cls, ops: tuple[Operator1D | None, ...]) -> "TensorOperator":
@@ -348,11 +423,16 @@ class TensorOperator:
         """out += sum of terms applied to cs (allocates a zero out if None)."""
         if out is None:
             out = space.zeros(self.out_p(cs.p))
-        for term in self.terms:
-            cur, p = cs.buf, cs.p
-            for dim in sweep_order(term.ops):
-                cur, p = _sweep(space.layout, cur, p, term.ops[dim], dim)
-            out.buf += term.scale * cur
+        for term, dims in zip(self.terms, self.orders):
+            if isinstance(term.ops[dims[0]].mat, np.ndarray):  # constant speed
+                cur, p = cs.buf, cs.p
+                for dim in dims:
+                    cur, p = _sweep(space.layout, cur, p, term.ops[dim], dim)
+            else:
+                cur = _cascades(space.layout, cs.buf, cs.p, term.ops, dims)
+            if term.scale != 1.0:
+                cur *= term.scale
+            out.buf += cur
         return space.mask(out)
 
 

@@ -1,26 +1,24 @@
-"""1D operator blocks in hierarchical multiwavelet coordinates.
+"""1D operators in hierarchical multiwavelet coordinates.
 
 A level-l function is one polynomial on each half of its cell, so a point
 meets p functions per level; `level_values` evaluates them on the point's
-own level cell.  Every operator is a sum of entry blocks (rows, columns,
-values), and a block forms only products that can be nonzero:
+own level cell.  The span of levels 0..l is the broken polynomial space on
+the 2^l intervals of level l.
 
-* volume terms (mass, stiffness, volume derivative): exact Gauss
-  quadrature, batched over the cells of one level (`_volume_blocks`);
-* face terms (traces): outer products of one-sided limits whose shared
-  columns are summed first, so a jump inside a level's half is an exact
-  zero, batched over the faces of one depth (`_face_traces`);
-* point values (node values, boundary data): (n + 1) p entries per row;
-* the node-to-surplus map: an exact local stencil
-  (`assemble_node_to_surplus`).
+The constant-speed IPDG matrix of one dimension, c2 (S - T - T^T) +
+penalty J, is one dense sum of entry blocks (rows, columns, values) that
+form only products that can be nonzero (`assemble_ipdg`): volume terms by
+Gauss quadrature batched over the cells of a level (`_volume_blocks`), face
+terms as outer products of one-sided limits batched over the faces of a
+depth (`_face_traces`).
 
-Storage is fixed per assembler.  The constant-speed IPDG matrix of one
-dimension, c2 (S - T - T^T) + penalty J, is one dense sum of volume and face
-blocks (`assemble_ipdg`), and constant speed never imports scipy.  Every
-factor of the variable-speed pipeline (mass, volume derivative, traces, node
-values, node-to-surplus and the `lu_split` halves) is a scipy CSR matrix
-built from its entry blocks, with no dense intermediate.  `point_values` is
-a dense table, for the boundary data and the tests.
+Every factor of the variable-speed pipeline (mass, volume derivative,
+traces, node values, node-to-surplus and the `lu_split` halves) is a
+multiwavelet pyramid form of `pyramid`; the assemblers here build its
+reference tables: the pairing of the Legendre families on one interval,
+their end values and the values at the nodes.  A form's cascade chooses
+its blocks by the operator's tag, so `lu_split` only retags.
+`point_values` is a dense table, for the boundary data and the tests.
 
 Operators carry block-triangularity metadata with respect to the level-major
 ordering (level 0 first; within a level, cells then polynomial index).  Rows
@@ -30,7 +28,7 @@ output level >= input level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +36,7 @@ import numpy as np
 from .alpert import Quadrature1D, legendre_derivs, legendre_values, mother_wavelets
 from .grids import num_cells
 from .interp import make_interp_basis
+from .pyramid import Faces, GalerkinForm, Inside, NodeForm, SurplusStencil, Volume
 
 _TAGS = ("lower", "strictly-upper", "general")
 
@@ -86,84 +85,47 @@ def node_family(m: int, variant: str, n: int) -> FamilySpec:
 class Operator1D:
     """Hierarchical operator; every level block outside its tag is 0.
 
-    `mat` is a dense array for the constant-speed IPDG matrix and a scipy
-    CSR matrix for every other operator.  Its structural zeros are exact:
-    entries no point, face or stencil touches are never stored.
+    `mat` is a dense array for the constant-speed IPDG matrix and a pyramid
+    form (`GalerkinForm`, `NodeForm` or `SurplusStencil`) for every other
+    operator.
     """
 
     mat: object
     row: FamilySpec
     col: FamilySpec
     tag: str
-    _blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown triangularity tag {self.tag!r}")
 
-    def block(self, rows: int, cols: int):
-        """The leading rows x cols block of `mat`; CSR slices are cached."""
-        if isinstance(self.mat, np.ndarray):
-            return self.mat[:rows, :cols]
-        hit = self._blocks.get((rows, cols))
-        if hit is None:
-            hit = self._blocks[rows, cols] = self.mat[:rows, :cols]
-        return hit
-
-
-def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
-    """CSR matrix of coordinate entries; repeated entries add, exact zeros go.
-
-    scipy is imported here, so only a CSR assembly loads it.
-    """
-    from scipy import sparse
-
-    mat = sparse.csr_array((data, (rows, cols)), shape=shape)
-    mat.eliminate_zeros()
-    # the conversion sizes its arrays by the entries before they were summed
-    return mat.copy()
-
-
-def _lower(mat, row: FamilySpec, col: FamilySpec):
-    """The blocks of CSR `mat` whose output level is >= their input level."""
-    bound = np.repeat(
-        [col.level_offset(a + 1) for a in range(row.n + 1)],
-        [row.level_size(a) for a in range(row.n + 1)],
-    )
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    keep = mat.indices < bound[rows]
-    return _csr(mat.data[keep], rows[keep], mat.indices[keep], mat.shape)
-
 
 def lu_split(op: Operator1D) -> tuple[Operator1D, Operator1D]:
-    """Split a CSR operator into L (output level >= input level) plus
-    strictly-upper U, both CSR.
+    """Split a general pyramid operator into L (output level >= input
+    level) plus strictly-upper U.
 
-    The two parts reconstruct `op.mat` exactly; they share no blocks.
+    Both halves share the operator's tables; each cascade forms only its own
+    blocks, so the two share no blocks and sum to the operator.
     """
-    lmat = _lower(op.mat, op.row, op.col)
-    low = Operator1D(lmat, op.row, op.col, "lower")
-    up = Operator1D(op.mat - lmat, op.row, op.col, "strictly-upper")
-    return low, up
+    if op.tag != "general" or isinstance(op.mat, np.ndarray):
+        raise ValueError("only a general pyramid operator splits")
+    return tuple(Operator1D(op.mat, op.row, op.col, tag) for tag in ("lower", "strictly-upper"))
 
 
 # ---------------------------------------------------------------------------
 # point values
 
 
-def level_values(
-    fam: FamilySpec, level: int, x: np.ndarray, sides=1, deriv: bool = False
+def _locate(
+    degree: int, level: int, x: np.ndarray, sides, deriv: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Level-`level` cell of each point and the p values there of that
-    cell's functions (derivatives with `deriv`), shape (len(x), p).
+    """Level-`level` interval (half of a level cell) of each point and the
+    Legendre values e_q (derivatives with `deriv`, in x) at its local
+    coordinate there, shape (len(x), degree + 1).
 
-    At a level-l breakpoint a negative side takes the half to its left and
-    any other side the half to its right; the domain ends clip to the first
-    and last half.  On the half that holds x, level-l function i (l >= 1) is
-    c_l times the Legendre expansion of mother i on that half, in the half's
-    local coordinate: c_l = 2^(l/2) for Alpert (unitary dilation) and
-    sqrt(2) for the interpolatory family, whose functions keep value 1 at
-    their node.
+    At a breakpoint a negative side takes the interval to its left and any
+    other side the one to its right; the domain ends clip to the first and
+    last interval.
     """
     x = np.asarray(x, dtype=float)
     halves = 1 << level
@@ -172,9 +134,23 @@ def level_values(
     half = np.where((t == half) & (np.asarray(sides) < 0), half - 1, half)
     half = np.clip(half, 0, halves - 1)
     if deriv:
-        leg = halves * legendre_derivs(fam.degree, t - half)
-    else:
-        leg = legendre_values(fam.degree, t - half)
+        return half, halves * legendre_derivs(degree, t - half)
+    return half, legendre_values(degree, t - half)
+
+
+def level_values(
+    fam: FamilySpec, level: int, x: np.ndarray, sides=1, deriv: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level-`level` cell of each point and the p values there of that
+    cell's functions (derivatives with `deriv`), shape (len(x), p).
+
+    Sides pick the half at breakpoints as in `_locate`.  On the half that
+    holds x, level-l function i (l >= 1) is c_l times the Legendre expansion
+    of mother i on that half, in the half's local coordinate: c_l = 2^(l/2)
+    for Alpert (unitary dilation) and sqrt(2) for the interpolatory family,
+    whose functions keep value 1 at their node.
+    """
+    half, leg = _locate(fam.degree, level, x, sides, deriv)
     if fam.kind == "alpert":
         if level == 0:
             return half, leg
@@ -204,13 +180,6 @@ def _entries(blocks, ncols: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(flat), np.concatenate(vals)
 
 
-def _matrix(blocks, shape: tuple[int, int]):
-    """CSR sum of entry blocks; repeated positions add, and positions no
-    block names are exact zeros."""
-    flat, vals = _entries(blocks, shape[1])
-    return _csr(vals, *np.divmod(flat, shape[1]), shape)
-
-
 def _point_entries(
     fam: FamilySpec, x: np.ndarray, sides, deriv: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -237,6 +206,13 @@ def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
     out = np.zeros((len(x), fam.ndof))
     out[np.arange(len(x))[:, None], cols] += vals  # a row's columns are distinct
     return out
+
+
+def _single_scale(degree: int, level: int, x, sides, deriv: bool):
+    """Level-`level` interval of each point and the values there of its
+    single-scale basis, shape (len(x), degree + 1)."""
+    half, leg = _locate(degree, level, x, sides, deriv)
+    return half, 2.0 ** (0.5 * level) * leg
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +253,20 @@ def _volume_blocks(row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool):
             yield rcols[::per, r][:, :, None], ccols[::per, c][:, None, :], vals
 
 
+def _reference_values(degree: int, t, deriv: bool) -> np.ndarray:
+    """Legendre values (derivatives with `deriv`) at reference points t."""
+    return legendre_derivs(degree, t) if deriv else legendre_values(degree, t)
+
+
 def _cellwise(row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool) -> Operator1D:
-    """The volume pairing of `_volume_blocks` as a CSR operator."""
-    mat = _matrix(_volume_blocks(row, col, drow, dcol), (row.ndof, col.ndof))
-    return Operator1D(mat, row, col, "general")
+    """The exact L2 pairing of the two families, each differentiated when
+    its flag is set: on every interval alone, the pairing of the reference
+    Legendre families, times 2^(l (drow + dcol)) on level l."""
+    quad = Quadrature1D.gauss(max(row.degree, col.degree) + 1)
+    er = quad.weights[:, None] * _reference_values(row.degree, quad.nodes, drow)
+    ref = er.T @ _reference_values(col.degree, quad.nodes, dcol)
+    form = GalerkinForm(row, col, [(drow + dcol, Volume(ref))])
+    return Operator1D(form, row, col, "general")
 
 
 @lru_cache(maxsize=None)
@@ -394,14 +380,36 @@ def assemble_trace(
     finest-mesh interfaces selected by the boundary condition pair.
 
     `half` scales by 1/2 (the one-sided derivative pairings enter the scheme
-    with that weight).
+    with that weight).  At level l the faces of the level-l mesh couple
+    neighbouring intervals; a finer face lies inside an interval, where
+    every jump is 0 and the other kinds pair the two polynomials' values.
+    A wall has a single limit: the jump there is q n, and every other kind
+    takes that limit whole.
     """
-    faces = _face_points(row.n, bc)
-    blocks = _face_blocks(_face_traces(row, row_kind, faces), _face_traces(col, col_kind, faces))
-    mat = _matrix(blocks, (row.ndof, col.ndof))
-    if half:
-        mat = 0.5 * mat
-    return Operator1D(mat, row, col, "general")
+    left, right = bc
+    if "periodic" in bc and left != right:
+        raise ValueError("periodic boundary must apply to both sides")
+    (wl_r, wr_r), (wl_c, wr_c) = _TRACE_WEIGHTS[row_kind], _TRACE_WEIGHTS[col_kind]
+    dr, dc = row_kind.startswith("d"), col_kind.startswith("d")
+    weight = 0.5 if half else 1.0
+    ends = weight * _reference_values(row.degree, np.array([0.0, 1.0]), dr)
+    c0, c1 = _reference_values(col.degree, np.array([0.0, 1.0]), dc)
+    # a wall's weight: -1 for the jump at x = 0 (q n), else the limit whole
+    wall_r, wall_c = (-1.0 if kind == "jump" else 1.0 for kind in (row_kind, col_kind))
+    walls = np.array([wall_r * wall_c * (left == "dirichlet") * c0, (right == "dirichlet") * c1])
+    limits = np.column_stack([wr_c * c0, wl_c * c1])
+    faces = Faces(limits, ends, (wr_r, wl_r), walls, left == "periodic")
+    parts = [(1 + dr + dc, faces)]
+    smooth = (wl_r + wr_r) * (wl_c + wr_c)  # weight of a face inside an interval
+    if smooth and row.n:
+        blocks = np.zeros((row.n + 1, col.p, row.p))
+        for level in range(row.n):
+            t = np.arange(1, 1 << (row.n - level)) / (1 << (row.n - level))
+            vr = _reference_values(row.degree, t, dr)
+            scale = weight * smooth * 2.0 ** (level * (1 + dr + dc))
+            blocks[level] = scale * (_reference_values(col.degree, t, dc).T @ vr)
+        parts.append((0, Inside(blocks)))
+    return Operator1D(GalerkinForm(row, col, parts), row, col, "general")
 
 
 @lru_cache(maxsize=None)
@@ -438,20 +446,28 @@ def assemble_node_values(
     force_side: int = 0,
 ) -> Operator1D:
     """Values (or derivatives) of the column family at the hierarchical
-    nodes, as CSR.
+    nodes, as a `NodeForm`.
 
     A nonzero `force_side` replaces every node's side tag, which samples both
     one-sided limits across coefficient-jump planes (the domain ends keep
-    their cell, see `level_values`).
+    their interval, see `_locate`).
     """
     if rows.kind != "nodes":
         raise ValueError("row family must be a node layout")
     x, sides = make_interp_basis(rows.degree, rows.variant).all_nodes(rows.n)
     if force_side:
         sides = np.full_like(sides, force_side)
-    cols, vals = _point_entries(col, x, sides, deriv)
-    mat = _matrix([(np.arange(len(x))[:, None], cols, vals)], (len(x), col.ndof))
-    return Operator1D(mat, rows, col, "general")
+    levels, cells, values = [], [None], [np.zeros((0, col.p))]
+    for level in range(rows.n + 1):
+        below = rows.level_offset(level)  # the nodes of levels < level
+        reach = rows.level_offset(level + 1)  # ... and of levels <= level
+        levels.append(_single_scale(col.degree, level, x[:reach], sides[:reach], deriv))
+        if level:
+            cell, vals = level_values(col, level, x[:below], sides[:below], deriv)
+            cells.append(cell)
+            values.append(vals)
+    form = NodeForm(rows, col, deriv, levels, cells, np.concatenate(values))
+    return Operator1D(form, rows, col, "general")
 
 
 @lru_cache(maxsize=None)
@@ -463,18 +479,11 @@ def assemble_node_to_surplus(nodes: FamilySpec) -> Operator1D:
     polynomial through the m + 1 coarser nodes of the cell, so the row is
     e_node - sum_k w[i, k] e_coarse(c, k) with one weight table for every
     level and cell (`InterpBasis1D.coarse_stencil`).  Level-0 surpluses are
-    the node values.  The map is unit lower triangular, with m + 2 entries
-    per row at levels >= 1, fewer where a weight is exactly 0; it is always
-    CSR.
+    the node values.  The map is unit lower triangular.
     """
     fam = interp_family(nodes.degree, nodes.variant, nodes.n)
     weights, coarse = make_interp_basis(nodes.degree, nodes.variant).coarse_stencil(nodes.n)
-    p, ndof = fam.p, fam.ndof
-    fine = np.arange(p, ndof)  # every node of levels >= 1, p per cell
-    rows = np.concatenate([np.arange(ndof), np.repeat(fine, p)])
-    cols = np.concatenate([np.arange(ndof), np.repeat(coarse, p, axis=0).ravel()])
-    data = np.concatenate([np.ones(ndof), -np.tile(weights, (len(coarse), 1)).ravel()])
-    return Operator1D(_csr(data, rows, cols, (ndof, ndof)), fam, nodes, "lower")
+    return Operator1D(SurplusStencil(nodes, weights, coarse), fam, nodes, "lower")
 
 
 @lru_cache(maxsize=None)

@@ -29,13 +29,40 @@ from mrdg.operators1d import (
     _cellwise,
     _face_points,
     alpert_family,
+    assemble_mass,
+    assemble_node_values,
+    assemble_trace,
+    assemble_volume_derivative,
+    interp_family,
+    node_family,
     point_values,
 )
 
 
 def dense(op: Operator1D) -> np.ndarray:
-    """The matrix of a 1D operator as a dense array, whatever its storage."""
-    return op.mat.toarray() if hasattr(op.mat, "toarray") else op.mat
+    """The matrix of a 1D operator as a dense array, whatever its storage:
+    a pyramid form is applied to the identity, one fiber per column, every
+    fiber reaching the top level."""
+    if isinstance(op.mat, np.ndarray):
+        return op.mat
+    return _applied_to_identity(op)
+
+
+@lru_cache(maxsize=32)  # `dense_from_terms` reads each factor once per level pair
+def _applied_to_identity(op: Operator1D) -> np.ndarray:
+    n, ncol = op.col.n, op.col.ndof
+    counts = (ncol,) * (n + 1)
+    eye = np.eye(ncol)
+    x = np.concatenate([eye[:, op.col.level_slice(a)].ravel() for a in range(n + 1)])
+    y = op.mat.cascade(op.tag, x, counts)
+    out = np.zeros((op.row.ndof, ncol))
+    at = 0
+    for b in range(n + 1):
+        size = op.row.level_size(b)
+        out[op.row.level_slice(b)] = y[at : at + ncol * size].reshape(ncol, size).T
+        at += ncol * size
+    out.flags.writeable = False  # shared by every caller
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +117,39 @@ def trace_oracle(row, col, row_kind, col_kind, bc, half=False, absolute=False) -
     return 0.5 * mat if half else mat
 
 
+def variable_speed_factors(n: int, bc: tuple[str, str]):
+    """(operator, dense oracle) of every factor kind the variable-speed path
+    builds."""
+    a, i = alpert_family(2, n), interp_family(3, "interface", n)
+    nd = node_family(3, "interface", n)
+    x, sides = make_interp_basis(3, "interface").all_nodes(n)
+    return [
+        (assemble_mass(a, i), gram_oracle(a, i, False, False)),
+        (assemble_volume_derivative(a, i), gram_oracle(a, i, True, False)),
+        (assemble_trace(a, i, "jump", "avg", bc), trace_oracle(a, i, "jump", "avg", bc)),
+        (assemble_trace(a, i, "davg", "jump", bc), trace_oracle(a, i, "davg", "jump", bc)),
+        (
+            assemble_trace(a, i, "dminus", "jump", bc, True),
+            trace_oracle(a, i, "dminus", "jump", bc, True),
+        ),
+        (assemble_trace(a, a, "jump", "jump", bc), trace_oracle(a, a, "jump", "jump", bc)),
+        (assemble_node_values(nd, a), point_values(a, x, sides)),
+        (assemble_node_values(nd, a, True), point_values(a, x, sides, True)),
+        (assemble_node_values(nd, a, False, -1), point_values(a, x, -1)),
+        (assemble_node_values(nd, i), point_values(i, x, sides)),
+    ]
+
+
+def lower_mask(row, col):
+    """True at the entries whose output level is >= their input level."""
+    out = np.repeat(np.arange(row.n + 1), [row.level_size(b) for b in range(row.n + 1)])
+    inp = np.repeat(np.arange(col.n + 1), [col.level_size(a) for a in range(col.n + 1)])
+    return out[:, None] >= inp
+
+
 @lru_cache(maxsize=None)
 def assemble_stiffness(row: FamilySpec, col: FamilySpec) -> Operator1D:
-    """Broken stiffness sum_cells int col' row' on the finest mesh (CSR)."""
+    """Broken stiffness sum_cells int col' row' on the finest mesh (a pyramid form)."""
     return _cellwise(row, col, True, True)
 
 
@@ -153,13 +210,18 @@ def fine_matrix(fam: FamilySpec, pf: int) -> np.ndarray:
     return q
 
 
+def mapped(quad: Quadrature1D, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a [0, 1] rule transported to [a, b]."""
+    return a + (b - a) * quad.nodes, (b - a) * quad.weights
+
+
 def cellwise_gauss(n: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes/weights mapped to every cell of the level-n uniform mesh."""
     q = Quadrature1D.gauss(npts)
     h = 2.0**-n
     xs, ws = [], []
     for c in range(2**n):
-        x, w = q.mapped(c * h, (c + 1) * h)
+        x, w = mapped(q, c * h, (c + 1) * h)
         xs.append(x)
         ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)

@@ -315,6 +315,8 @@ def test_last_step_lands_on_each_target(mode):
         "eps=-1",
         "problem=smooth-speed",  # defined for ndim 2 and 3 only
         "ndim=3 n=9 mode=full",  # 2^30 coefficients, over the full-grid cap
+        # 365M coefficients (2.7 GiB) per field on the sparse grid
+        "problem=smooth-speed ndim=3 k=10 m=5 n=13 mode=sparse",
         "init_n=-2 mode=adaptive",
         "sigma=nan",
         "cfl=inf",
@@ -349,30 +351,32 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize(
-    "config,loads",
+    "config",
     [
-        # the const2d benchmark workload: constant speed stays dense
-        ("problem = cosine-periodic\nndim = 2\nk = 1\nn = 8\nmode = sparse\nt_final = 0.005\n", False),
+        # the const2d benchmark workload: one dense matrix per bc pair
+        "problem = cosine-periodic\nndim = 2\nk = 1\nn = 8\nmode = sparse\nt_final = 0.005\n",
         # constant speed with Dirichlet loads, which read `boundary_vectors`
-        ("problem = cosine-mixed\nndim = 2\nk = 1\nn = 3\nt_final = 0.005\n", False),
-        # variable speed assembles CSR factors, so the check can see an import
-        ("problem = smooth-speed\nndim = 2\nk = 1\nm = 2\nn = 3\nt_final = 0.001\n", True),
+        "problem = cosine-mixed\nndim = 2\nk = 1\nn = 3\nt_final = 0.005\n",
+        # variable speed: every factor is a pyramid form
+        "problem = smooth-speed\nndim = 2\nk = 1\nm = 2\nn = 3\nt_final = 0.001\n",
+        # aligned jumps add the one-sided node samples
+        "problem = layered-aligned\nndim = 2\nk = 1\nm = 2\nn = 3\nt_final = 0.001\n",
     ],
-    ids=["constant", "constant-dirichlet", "variable"],
+    ids=["constant", "constant-dirichlet", "smooth-speed", "layered-aligned"],
 )
-def test_scipy_sparse_is_imported_only_for_variable_speed(tmp_path, config, loads):
-    # a fresh process, so no other test's import counts; scipy.sparse alone
-    # adds about 22 MB of resident memory to a run
+def test_run_never_imports_scipy(tmp_path, config):
+    # a fresh process, so no other test's import counts; importing
+    # scipy.sparse alone added about 22 MB of resident memory to a run
     cfg = tmp_path / "case.cfg"
     cfg.write_text(config)
     code = (
         "import sys\n"
         "from mrdg.cli import main\n"
         f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "print('scipy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.splitlines()[-1] == str(loads)
+    assert done.stdout.splitlines()[-1] == "False"

@@ -97,6 +97,10 @@ def test_list_valued_keys():
         {"problem": "layered-aligned", "ndim": "1"},
         {"ndim": "3", "k": "1", "n": "9", "mode": "full"},  # 2^30 coefficients
         {"ndim": "2", "mode": "full", "n": "3", "n_values": "4,13"},
+        # 365M coefficients (2.7 GiB) per field on the sparse grid, and the
+        # same grid reached through n_values
+        {"problem": "smooth-speed", "ndim": "3", "k": "10", "m": "5", "n": "13", "mode": "sparse"},
+        {"ndim": "3", "k": "10", "m": "5", "n": "3", "n_values": "13", "mode": "sparse"},
         {"init_n": "-2", "mode": "adaptive"},  # would start from an empty grid
         {"sigma": "0"},
         {"sigma": "-1"},
@@ -117,7 +121,7 @@ def test_range_limits_are_accepted():
     cfg = RunConfig.from_mapping(
         {"problem": "smooth-speed", "n": "13", "m": "5", "t_final": "0",
          "slice_points": "1", "eps": "1e-12"}
-    )  # variable-speed operators are CSR, so n = 13 is no dense allocation
+    )  # variable-speed operators are pyramid tables, so n = 13 is no dense allocation
     assert (cfg.n, cfg.m, cfg.t_final, cfg.slice_points) == (13, 5, 0.0, 1)
     assert RunConfig.from_mapping({"k": "10", "m": "3"}).k == 10
     # dense constant-speed operators: 640 MiB for two levels, and the cap of

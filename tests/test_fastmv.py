@@ -23,6 +23,7 @@ from mrdg.fastmv import (
     sweep_order,
 )
 from mrdg.grids import AdaptiveGrid, num_cells
+from mrdg.ipdg import SchemeConfig, WaveOperator
 from mrdg.operators1d import (
     alpert_family,
     assemble_ipdg,
@@ -33,6 +34,7 @@ from mrdg.operators1d import (
     lu_split,
     node_family,
 )
+from mrdg.problems import make_problem
 
 from conftest import (
     activate,
@@ -41,12 +43,15 @@ from conftest import (
     assemble_stiffness,
     children,
     deactivate,
+    dense,
     dense_from_terms,
     dense_lattice_values,
     flatten,
     is_leaf,
+    lower_mask,
     random_coeffs,
     random_pruning,
+    variable_speed_factors,
 )
 
 ORACLE_TOL = 1e-12
@@ -293,6 +298,63 @@ def test_apply_accumulates_into_out():
     np.testing.assert_allclose(
         flatten(space, acc), base + flatten(space, fresh), atol=1e-12
     )
+
+
+BC_PAIRS = [
+    ("periodic", "periodic"),
+    ("dirichlet", "dirichlet"),
+    ("neumann", "neumann"),
+    ("dirichlet", "neumann"),
+    ("neumann", "dirichlet"),
+]
+
+
+def held_tensor_operators(obj) -> list[TensorOperator]:
+    """Every TensorOperator an object's attributes hold, in lists and tuples too."""
+    if isinstance(obj, TensorOperator):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [top for item in obj for top in held_tensor_operators(item)]
+    return []
+
+
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from(["smooth-speed", "layered-aligned"]),
+    st.integers(0, 2**16),
+    st.data(),
+)
+@settings(max_examples=6, deadline=None)
+def test_variable_speed_operators_match_dense_oracles(d, problem, seed, data):
+    # random downward-closed level sets, each dimension its own bc pair:
+    # every TensorOperator of the variable-speed scheme against the dense
+    # restriction, and every 1D factor kind and both its lu_split halves
+    # against the dense point-value oracles
+    n = {2: 3, 3: 2}[d]
+    bc = tuple(data.draw(st.sampled_from(BC_PAIRS)) for _ in range(d))
+    cfg = SchemeConfig(
+        ndim=d, k=2, m=3, variant="interface", n_max=n, sigma=10.0, bc=bc,
+        csq=make_problem(problem, d).csq,
+    )
+    wop = WaveOperator(cfg)
+    # fewer growth steps in 3D keep the dense restriction small
+    space = TensorSpace(random_pruning(d, n, seed, steps={2: 40, 3: 12}[d]))
+    tops = held_tensor_operators(list(vars(wop).values()))
+    assert len(tops) >= 3 * d + 1
+    for i, top in enumerate(tops):
+        p_in = tuple(op.col.p if op is not None else 3 for op in top.terms[0].ops)
+        x = random_coeffs(space, p_in, seed + i)
+        got = flatten(space, top.apply(space, x))
+        want = dense_from_terms(top.terms, space, p_in) @ flatten(space, x)
+        assert np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))) < ORACLE_TOL
+    for pair in set(bc):
+        for op, want in variable_speed_factors(n, pair):
+            atol = 1e-13 * np.abs(want).max()
+            np.testing.assert_allclose(dense(op), want, rtol=0, atol=atol)
+            low = lower_mask(op.row, op.col)
+            halves = (np.where(low, want, 0.0), np.where(low, 0.0, want))
+            for part, whole in zip(lu_split(op), halves):
+                np.testing.assert_allclose(dense(part), whole, rtol=0, atol=atol)
 
 
 @pytest.fixture

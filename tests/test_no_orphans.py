@@ -12,7 +12,7 @@ flags a used name.
 Likewise every parameter with a default takes two values in those files:
 some call sets it, and not every call sets it to one literal.  Calls are
 matched by name in the same way.  And every name a module imports at module
-level is used in that module.
+level is used in that module, and no module imports scipy.
 """
 
 import ast
@@ -142,3 +142,19 @@ def test_every_module_level_import_is_used():
                     if bound not in used:
                         unused.append(f"{path.stem}: {bound}")
     assert not unused, f"imported but unused: {unused}"
+
+
+def test_no_module_imports_scipy():
+    # the solver runs on numpy alone; the benchmark imports scipy only to
+    # report its version
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.stem}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imports in src/mrdg: {found}"

@@ -33,6 +33,7 @@ from mrdg.operators1d import (
     point_values,
 )
 from mrdg.problems import make_problem
+from mrdg.pyramid import GalerkinForm, NodeForm, SurplusStencil
 
 from conftest import (
     alpert_values_brute,
@@ -41,7 +42,10 @@ from conftest import (
     fine_matrix,
     gram_oracle,
     interp_values_brute,
+    lower_mask,
+    mapped,
     trace_oracle,
+    variable_speed_factors,
 )
 
 BRUTE_TOL = 1e-10
@@ -53,7 +57,7 @@ def fine_legendre_coeffs(values_at, ndof, n, pf):
     ncf = 1 << n
     coef = np.zeros((ndof, ncf, pf + 1))
     for c in range(ncf):
-        x, w = q.mapped(c / ncf, (c + 1) / ncf)
+        x, w = mapped(q, c / ncf, (c + 1) / ncf)
         vals = values_at(x)
         lv = np.sqrt(ncf) * legendre_values(pf, x * ncf - c)
         coef[:, c, :] = (vals * w) @ lv
@@ -114,7 +118,7 @@ def test_cross_mass_matches_quadrature(variant):
     ncf = 1 << n
     ref = np.zeros((arow.ndof, icol.ndof))
     for c in range(ncf):
-        x, w = q.mapped(c / ncf, (c + 1) / ncf)
+        x, w = mapped(q, c / ncf, (c + 1) / ncf)
         av = alpert_values_brute(k, n, x)
         iv = interp_values_brute(m, variant, n, x)
         ref += (av * w) @ iv.T
@@ -149,7 +153,7 @@ def test_volume_derivative_matches_quadrature():
     ncf = 1 << n
     ref = np.zeros((arow.ndof, icol.ndof))
     for c in range(ncf):
-        x, w = q.mapped(c / ncf, (c + 1) / ncf)
+        x, w = mapped(q, c / ncf, (c + 1) / ncf)
         da = derivative_values(acoef, n, pf, q.nodes, c)
         iv = interp_values_brute(m, "interface", n, x)
         ref += (da * w) @ iv.T
@@ -349,7 +353,7 @@ def test_forced_side_sampling_flips_interior_nodes_only():
 
 
 # ---------------------------------------------------------------------------
-# level-wise point values, CSR storage and the exact surplus map
+# level-wise point values, pyramid storage and the exact surplus map
 
 
 POINT_FAMILIES = [alpert_family(k, 5) for k in range(5)] + [
@@ -386,47 +390,17 @@ def test_limits_inside_a_level_half_agree_bit_for_bit(fam, deriv):
             assert not np.array_equal(left[~inside, sl], right[~inside, sl])
 
 
-def variable_speed_factors(n, bc):
-    """(operator, dense oracle) of every factor kind the variable-speed path
-    builds."""
-    a, i = alpert_family(2, n), interp_family(3, "interface", n)
-    nd = node_family(3, "interface", n)
-    x, sides = make_interp_basis(3, "interface").all_nodes(n)
-    return [
-        (assemble_mass(a, i), gram_oracle(a, i, False, False)),
-        (assemble_volume_derivative(a, i), gram_oracle(a, i, True, False)),
-        (assemble_trace(a, i, "jump", "avg", bc), trace_oracle(a, i, "jump", "avg", bc)),
-        (assemble_trace(a, i, "davg", "jump", bc), trace_oracle(a, i, "davg", "jump", bc)),
-        (
-            assemble_trace(a, i, "dminus", "jump", bc, True),
-            trace_oracle(a, i, "dminus", "jump", bc, True),
-        ),
-        (assemble_trace(a, a, "jump", "jump", bc), trace_oracle(a, a, "jump", "jump", bc)),
-        (assemble_node_values(nd, a), point_values(a, x, sides)),
-        (assemble_node_values(nd, a, True), point_values(a, x, sides, True)),
-        (assemble_node_values(nd, a, False, -1), point_values(a, x, -1)),
-        (assemble_node_values(nd, i), point_values(i, x, sides)),
-    ]
-
-
-def lower_mask(row, col):
-    """True at the entries whose output level is >= their input level."""
-    out = np.repeat(np.arange(row.n + 1), [row.level_size(b) for b in range(row.n + 1)])
-    inp = np.repeat(np.arange(col.n + 1), [col.level_size(a) for a in range(col.n + 1)])
-    return out[:, None] >= inp
-
-
 @pytest.mark.parametrize("bc", [("periodic", "periodic"), ("dirichlet", "neumann")], ids="-".join)
 def test_sparse_assembly_matches_dense(bc):
-    # every variable-speed factor and both lu_split halves are CSR, and
-    # equal to the dense oracle and its level-triangular parts
+    # every variable-speed factor is a pyramid form that both lu_split halves
+    # share, and they equal the dense oracle and its level-triangular parts
     for got, want in variable_speed_factors(4, bc):
-        assert got.mat.format == "csr" and got.tag == "general"
+        assert isinstance(got.mat, (GalerkinForm, NodeForm)) and got.tag == "general"
         atol = 1e-13 * np.abs(want).max()
         np.testing.assert_allclose(dense(got), want, rtol=0, atol=atol)
         low = lower_mask(got.row, got.col)
         for part, whole in zip(lu_split(got), (np.where(low, want, 0.0), np.where(low, 0.0, want))):
-            assert part.mat.format == "csr"
+            assert part.mat is got.mat
             np.testing.assert_allclose(dense(part), whole, rtol=0, atol=atol)
 
 
@@ -459,7 +433,7 @@ def assert_matches_oracle(op, want, scale):
 def test_volume_assembly_matches_dense_products(pair, drow, dcol):
     row, col = pair
     op = _cellwise(row, col, drow, dcol)
-    assert op.mat.format == "csr"
+    assert isinstance(op.mat, GalerkinForm)
     want = gram_oracle(row, col, drow, dcol)
     assert_matches_oracle(op, want, gram_oracle(row, col, drow, dcol, absolute=True))
 
@@ -475,7 +449,7 @@ def test_volume_assembly_matches_dense_products(pair, drow, dcol):
 def test_trace_assembly_matches_dense_products(pair, row_kind, col_kind, bc, half):
     row, col = pair
     op = assemble_trace(row, col, row_kind, col_kind, bc, half)
-    assert op.mat.format == "csr"
+    assert isinstance(op.mat, GalerkinForm)
     want = trace_oracle(row, col, row_kind, col_kind, bc, half)
     scale = trace_oracle(row, col, row_kind, col_kind, bc, half, absolute=True)
     assert_matches_oracle(op, want, scale)
@@ -526,12 +500,13 @@ def test_sparse_lu_split_reconstructs_exactly():
 def test_node_to_surplus_is_the_exact_local_inverse(m, variant, n):
     nd, fam = node_family(m, variant, n), interp_family(m, variant, n)
     x_op = assemble_node_to_surplus(nd)
-    assert x_op.tag == "lower" and x_op.mat.format == "csr"
+    assert x_op.tag == "lower" and isinstance(x_op.mat, SurplusStencil)
     # one entry per level-0 row, m + 2 per row above: the node and the m + 1
     # coarser nodes of its cell.  A fresh node at the position of a coarser
     # node, as its other one-sided limit (interface nodes, even m), keeps
     # the two entries e_node - e_coarse: its other Lagrange weights are 0.
-    per_row = np.diff(x_op.mat.indptr)
+    x = dense(x_op)
+    per_row = np.count_nonzero(x, axis=1)
     basis = make_interp_basis(m, variant)
     base = {x for x, _ in basis.base_nodes}
     stencil = [2 if x in base else m + 2 for x, _ in basis.fresh_nodes]
@@ -540,7 +515,6 @@ def test_node_to_surplus_is_the_exact_local_inverse(m, variant, n):
     # exact up to the roundoff of E itself; the inner nodes of high m make
     # E ill-conditioned, so the bound scales with the two norms
     e = dense(lu_split(assemble_node_values(nd, fam))[0])
-    x = dense(x_op)
     nx, ne = np.abs(x).sum(axis=1).max(), np.abs(e).sum(axis=1).max()
     tol = 1e-12 * nx * ne
     assert np.abs(x @ e - np.eye(fam.ndof)).max() <= tol
@@ -619,7 +593,7 @@ def test_wave_operator_blocks_outside_tags_are_zero(problem, ndim):
     else:  # node-to-surplus factors and lu_split halves
         assert tags == {"general", "lower", "strictly-upper"}
     for op in ops:
-        # dense for constant speed only, CSR for every variable-speed factor
+        # dense for constant speed only, a pyramid form for every variable-speed factor
         assert isinstance(op.mat, np.ndarray) == prob.csq.is_constant
         for a in range(op.col.n + 1):
             for b in range(op.row.n + 1):

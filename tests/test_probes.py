@@ -1,8 +1,9 @@
 """The benchmark's probes still read the operators the solver builds.
 
 `perfbench/probes.py` registers the matrix `op.mat` of every factor a
-`WaveOperator` holds and counts their bytes and nonzeros, dense arrays and
-scipy.sparse matrices alike; its sweep replay reads `op.tag` and `op.row.n`.
+`WaveOperator` holds and counts its bytes and stored entries: a dense array,
+or a pyramid form's `shape`, `nnz`, `data` and `indices`; its sweep replay
+reads `op.tag` and `op.row.n`.
 """
 
 import sys
@@ -12,6 +13,7 @@ from mrdg.fastmv import TensorSpace
 from mrdg.grids import AdaptiveGrid
 from mrdg.ipdg import SchemeConfig, WaveOperator
 from mrdg.problems import make_problem
+from mrdg.pyramid import GalerkinForm, NodeForm, SurplusStencil
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from probes import Tracer, matrix_footprint, sweep_stats  # noqa: E402
@@ -29,12 +31,15 @@ def test_smooth_speed_factors_count_as_sparse():
     tracer = Tracer()
     tracer._register_roles((wop,), None)
     mats = list(tracer.matrices.values())
-    assert mats and all(mat.format == "csr" for mat in mats)
+    assert mats and all(isinstance(mat, (GalerkinForm, NodeForm, SurplusStencil)) for mat in mats)
+    # the footprint is the stored tables: values, plus the index tables of
+    # the node and surplus forms, against the logical operator shape
     nbytes, nnz, size = matrix_footprint(mats)
     assert nnz == sum(mat.nnz for mat in mats)
     assert nbytes == sum(
-        mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes for mat in mats
+        mat.data.nbytes + (mat.indices.nbytes if hasattr(mat, "indices") else 0) for mat in mats
     )
+    assert size == sum(mat.shape[0] * mat.shape[1] for mat in mats)
     assert nnz < 0.25 * size
 
     space = TensorSpace(AdaptiveGrid.sparse(2, n))
