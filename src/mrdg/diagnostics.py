@@ -8,10 +8,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fastmv import CoeffSet, TensorSpace, eval_on_lattice, project_separable
+from .fastmv import CoeffSet, Lattice, TensorSpace, eval_on_lattice, project_separable
 
-# lattice points evaluated at once by `linf_error`, which bounds its memory
-SLAB_POINTS = 2**22
+# Lattice points per tile of `linf_error`, slabs along the last axis.  The
+# budget bounds every array the evaluation makes, not only a tile's values:
+# the last-axis fiber sums a window of tiles shares and the partial sums
+# over the leading axes each hold at most a few times this many values, by
+# a factor that depends on k and the dimension but not on n.  On a 128^3
+# lattice, tiles of 2^16 values (512 kB) took as long as tiles of 2^17 and
+# hold half as much; tiles of 2^15 took longer.
+SLAB_POINTS = 2**16
 
 
 def l2_error(
@@ -54,18 +60,25 @@ def linf_error(
     n: int,
     exact_fn: Callable,
 ) -> float:
-    """Max-norm distance on the midpoint lattice `center_lattice(n)`, in
-    slabs along x1 of at most `SLAB_POINTS` points (or one x1 plane)."""
-    d = space.ndim
+    """Max-norm distance on the midpoint lattice `center_lattice(n)`.
+
+    The lattice streams through `eval_on_lattice` in tiles of at most
+    `SLAB_POINTS` points: slabs of whole planes along the last axis, or,
+    when one plane is larger, tiles of a plane along the next axis.  The
+    last axis is the one contracted first, so a slab costs no more
+    arithmetic per point than the whole lattice, and memory stays fixed
+    however large the lattice is.
+    """
     pts = center_lattice(n)
+    lattice = Lattice(u, k, [pts] * space.ndim, SLAB_POINTS)
     worst = 0.0
-    chunk = max(1, SLAB_POINTS // len(pts) ** (d - 1))
-    for lo in range(0, len(pts), chunk):
-        axes = [pts[lo : lo + chunk]] + [pts] * (d - 1)
-        vals = eval_on_lattice(space, u, k, n, axes)
+    for rows in lattice.tiles():
+        axes = [pts[r] for r in rows]
+        vals = eval_on_lattice(space, u, k, n, axes, (lattice, rows))
         # exact_fn is elementwise: it broadcasts the open mesh itself
-        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-        worst = max(worst, float(np.abs(vals - exact_fn(*mesh)).max()))
+        vals -= exact_fn(*np.meshgrid(*axes, indexing="ij", sparse=True))
+        worst = max(worst, float(np.abs(vals, out=vals).max()))
+        del vals  # freed before the next tile is made
     return worst
 
 

@@ -482,10 +482,9 @@ def separable_from_vectors(
     return space.mask(out)
 
 
-def _axis_level(
-    k: int, level: int, x: np.ndarray
-) -> tuple[slice, np.ndarray | None, np.ndarray]:
-    """One axis at one level: (cell range, per-point cell offsets, values).
+def _table(cell: np.ndarray, vals: np.ndarray) -> tuple[slice, np.ndarray | None, np.ndarray]:
+    """Points of one axis at one level, given each point's cell and k+1
+    values: (cell range, per-point cell offsets, values).
 
     The table form, with offsets None, applies when the points split into
     equal runs, one per cell of the range in order, whose values agree
@@ -493,10 +492,9 @@ def _axis_level(
     Otherwise each point carries its cell's offset in the range and its
     own k+1 values.
     """
-    cell, vals = level_values(alpert_family(k, level), level, x)
     first, runs = cell[0], cell[-1] - cell[0] + 1
-    if runs > 0 and len(x) % runs == 0:
-        r = len(x) // runs
+    if runs > 0 and len(cell) % runs == 0:
+        r = len(cell) // runs
         if (cell.reshape(runs, r) == first + np.arange(runs)[:, None]).all() and (
             vals.reshape(runs, r, -1) == vals[:r]
         ).all():
@@ -512,43 +510,94 @@ def _contract(x: np.ndarray, offsets: np.ndarray | None, vals: np.ndarray) -> np
     return np.einsum("ajqb,jq->ajb", x[:, offsets], vals)
 
 
-def eval_on_lattice(
-    space: TensorSpace,
-    cs: CoeffSet,
-    k: int,
-    n: int,
-    axes_points: list[np.ndarray],
-) -> np.ndarray:
-    """Values of an Alpert-coefficient field on a tensor lattice of points.
+def _prefix_tree(keys: list[Level], m: int) -> list | Level:
+    """Equal-length keys grouped by key[m], then by key[m + 1] within each
+    group, and so on: [(key[m], subtree)], down to the key itself."""
+    if m == len(keys[0]):
+        return keys[0]
+    return [
+        (l, _prefix_tree(list(sub), m + 1))
+        for l, sub in itertools.groupby(keys, key=lambda key: key[m])
+    ]
+
+
+class Lattice:
+    """An Alpert-coefficient field prepared for evaluation on one tensor
+    lattice of points, a tile of rows at a time.
 
     A level-l function is nonzero on one cell, so each point needs k+1
     values per axis and level, and only the cells holding points enter.
     Sum factorisation over level prefixes, depth first: the level tuples
     that share lv[:m+1] are summed with axes m+1.. already evaluated, and
-    axis m is then evaluated once for their sum.
-    """
-    d = space.ndim
-    shape = tuple(len(pts) for pts in axes_points)
-    levels = cs.layout.levels
-    axis = [
-        {l: _axis_level(k, l, pts) for l in {lv[m] for lv in levels}}
-        for m, pts in enumerate(axes_points)
-    ]
-    perm = [i // 2 + (i % 2) * d for i in range(2 * d)]  # (c1,p1,c2,p2,...)
+    axis m is then evaluated once for their sum.  The last axis comes
+    first: the levels that share lv[:-1], a fiber, sum to one (rows of the
+    leading axes, points) array.  Those fiber sums are kept for a window of
+    last-axis points, so the tiles inside it re-expand only the leading
+    axes; the point values of every axis and level are found once.
 
-    def expand(group: list[Level], m: int) -> np.ndarray:
-        # sum over `group` (sharing lv[:m]) with axes m.. evaluated
+    `budget`, in points, sizes `tiles` and the window; without it the
+    window is the tile.
+    """
+
+    def __init__(
+        self, cs: CoeffSet, k: int, axes_points: list[np.ndarray], budget: int | None = None
+    ):
+        levels = cs.layout.levels
+        self.cs, self.k, self.budget = cs, k, budget
+        self.shape = tuple(len(x) for x in axes_points)
+        # per axis and level: the cell and the k+1 values of every point
+        self.points = [
+            {l: level_values(alpert_family(k, l), l, x) for l in {lv[m] for lv in levels}}
+            for m, x in enumerate(axes_points)
+        ]
+        # the leading axes' tables over all their points
+        self.leading = [{l: _table(*cv) for l, cv in axis.items()} for axis in self.points[:-1]]
+        self.fibers = {
+            key: list(fiber) for key, fiber in itertools.groupby(levels, key=lambda lv: lv[:-1])
+        }
+        self.tree = _prefix_tree(list(self.fibers), 0)
+        self._window = None  # (leading rows, first and end point, fiber sums)
+
+    def tiles(self):
+        """Rows of tiles of at most `budget` points that cover the lattice:
+        as many leading axes whole as fit, the next axis in chunks, the rest
+        a row at a time, the last axis varying fastest."""
+        shape = self.shape
+        whole = len(shape) - 1
+        while whole > 0 and math.prod(shape[:whole]) > self.budget:
+            whole -= 1
+        chunk = max(1, self.budget // math.prod(shape[:whole]))
+        ranges = [[slice(0, s)] for s in shape[:whole]]
+        ranges.append(
+            [slice(lo, min(lo + chunk, shape[whole])) for lo in range(0, shape[whole], chunk)]
+        )
+        ranges += [[slice(i, i + 1) for i in range(s)] for s in shape[whole + 1 :]]
+        return itertools.product(*ranges)
+
+    def values(self, rows: tuple[slice, ...]) -> np.ndarray:
+        """Values on the tile `rows`, one slice of point indices per axis."""
+        shape = tuple(r.stop - r.start for r in rows)
+        tables = [
+            whole if r == slice(0, s) else {l: _table(c[r], v[r]) for l, (c, v) in axis.items()}
+            for whole, axis, r, s in zip(self.leading, self.points, rows, self.shape)
+        ]
+        sums, lo = self._fiber_sums(tables, rows)
+        cut = slice(lo, lo + shape[-1])
+        if len(shape) == 1:
+            return sums[()][0, cut].copy()
+        return self._expand(self.tree, 0, tables, sums, cut, shape).reshape(shape)
+
+    def _expand(self, tree: list, m: int, tables, sums, cut: slice, shape) -> np.ndarray:
+        """Sum over the fibers in `tree`, which share key[:m], with axes m..
+        evaluated: (rows of axes < m, points of axes m..)."""
         acc = None
-        for l, sub in itertools.groupby(group, key=lambda lv: lv[m]):
-            sub = list(sub)
-            cells, offsets, vals = axis[m][l]
-            if m + 1 < d:
-                x = expand(sub, m + 1)
+        for l, sub in tree:
+            cells, offsets, vals = tables[m][l]
+            if m + 2 < len(shape):
+                x = self._expand(sub, m + 1, tables, sums, cut, shape)
             else:
-                lv = sub[0]
-                used = tuple(axis[j][lv[j]][0] for j in range(d))
-                x = cs.data[lv][used].transpose(perm)
-            x = x.reshape(-1, cells.stop - cells.start, k + 1, math.prod(shape[m + 1 :]))
+                x = sums[sub][:, cut]
+            x = x.reshape(-1, cells.stop - cells.start, self.k + 1, math.prod(shape[m + 1 :]))
             x = _contract(x, offsets, vals)
             if acc is None:
                 acc = x
@@ -557,4 +606,63 @@ def eval_on_lattice(
             del x  # free this group's part before the next one is expanded
         return acc
 
-    return expand(levels, 0).reshape(shape)
+    def _fiber_sums(
+        self, tables: list[dict], rows: tuple[slice, ...]
+    ) -> tuple[dict[Level, np.ndarray], int]:
+        """Every fiber's sum, (rows of the leading axes, points), over a
+        window of last-axis points that holds rows[-1]; and where rows[-1]
+        starts in it.  The window spans as many tiles as `budget` holds."""
+        lead, last = rows[:-1], rows[-1]
+        if self._window is not None:
+            held, start, stop, sums = self._window
+            if held == lead and start <= last.start and last.stop <= stop:
+                return sums, last.start - start
+        self._window = None  # free the old sums before the new ones are made
+        k, d = self.k, len(rows)
+        width = last.stop - last.start
+        if self.budget is not None:
+            # values the sums hold per last-axis point: their leading rows
+            size = sum(
+                math.prod((t[l][0].stop - t[l][0].start) * (k + 1) for t, l in zip(tables, key))
+                for key in self.fibers
+            )
+            width *= max(1, self.budget // (size * width))
+        window = slice(last.start, min(last.start + width, self.shape[-1]))
+        ends = {l: _table(c[window], v[window]) for l, (c, v) in self.points[-1].items()}
+        perm = [i // 2 + (i % 2) * d for i in range(2 * d)]  # (c1,p1,c2,p2,...)
+        sums = {}
+        for key, fiber in self.fibers.items():
+            acc = None
+            for lv in fiber:
+                cells, offsets, vals = ends[lv[-1]]
+                used = tuple(t[l][0] for t, l in zip(tables, key)) + (cells,)
+                x = self.cs.data[lv][used].transpose(perm)
+                x = _contract(x.reshape(-1, cells.stop - cells.start, k + 1, 1), offsets, vals)
+                if acc is None:
+                    acc = x
+                else:
+                    acc += x
+            sums[key] = acc.reshape(len(acc), -1)
+        self._window = (lead, window.start, window.stop, sums)
+        return sums, 0
+
+
+def eval_on_lattice(
+    space: TensorSpace,
+    cs: CoeffSet,
+    k: int,
+    n: int,
+    axes_points: list[np.ndarray],
+    tile: tuple[Lattice, tuple[slice, ...]] | None = None,
+) -> np.ndarray:
+    """Values of an Alpert-coefficient field on a tensor lattice of points.
+
+    `tile`, a `Lattice` and the rows of one of its `tiles`, evaluates that
+    part of a lattice prepared once; `axes_points` are then the points of
+    those rows.  Without it the whole lattice is one tile.
+    """
+    if tile is None:
+        lattice = Lattice(cs, k, axes_points)
+        tile = lattice, tuple(slice(0, s) for s in lattice.shape)
+    lattice, rows = tile
+    return lattice.values(rows)

@@ -475,7 +475,11 @@ class NodeForm:
         gathered = work_array("nodes", values.shape)
         np.take(x.reshape(-1, pc), src, axis=0, out=gathered, mode="clip")
         out = np.multiply(gathered, values, out=gathered) @ np.ones(pc)
-        return out if tag == "general" else np.bincount(dst, out, size)
+        if tag == "general":
+            return out
+        # float even without links (a sweep whose fibers all stop at level 0),
+        # where bincount gives int64 zeros
+        return np.bincount(dst, out, size).astype(float, copy=False)
 
 
 class SurplusStencil:

@@ -347,6 +347,23 @@ def test_out_below_a_file_exits_2_with_one_line(tmp_path, cfg_file, capsys, belo
     assert blocker.read_text() == "keep"
 
 
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("problem", ["smooth-speed", "layered-aligned"])
+def test_root_only_variable_speed_run(tmp_path, problem, ndim):
+    # eps far above every coefficient coarsens the grid to its root, so every
+    # sweep of the variable-speed factors runs on fibers that stop at level 0
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(
+        f"problem = {problem}\nndim = {ndim}\nk = 1\nm = 2\nn = 3\n"
+        "mode = adaptive\neps = 100\nt_final = 0.01\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    _echo, header, rows = read_table(out / "table.csv")
+    assert header.split(",")[1:3] == ["DoF", "num_elements"]
+    assert (int(rows[0][1]), int(rows[0][2])) == (2**ndim, 1)
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

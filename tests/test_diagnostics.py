@@ -1,9 +1,12 @@
 """Error norms, rate fits, and the text output helpers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrdg import diagnostics
 from mrdg.diagnostics import (
@@ -22,7 +25,7 @@ from mrdg.fastmv import TensorSpace, eval_on_lattice, project_separable
 from mrdg.grids import AdaptiveGrid
 from mrdg.problems import REGISTRY, make_problem
 
-from conftest import cellwise_gauss, random_coeffs
+from conftest import cellwise_gauss, random_coeffs, random_pruning
 
 
 def quadrature_l2_error(space, u, k, n, exact_xy):
@@ -87,19 +90,86 @@ def test_linf_error_on_lattice_and_chunked_path(monkeypatch):
     off = lambda x, y: x * (1.0 - y) + 0.25
     whole = linf_error(space, u, k, n, off)
     assert abs(whole - 0.25) < 1e-12
-    # a small slab budget splits the 16 x 16 lattice into x1 slabs of 5, 5,
-    # 5 and 1 rows, which give the one-slab result
+    # a small slab budget splits the 16 x 16 lattice into slabs of 5, 5, 5
+    # and 1 rows along the last axis, which give the one-slab result
     slabs = []
     evaluate = diagnostics.eval_on_lattice
 
-    def counted(space, cs, k, n, axes):
-        slabs.append(len(axes[0]))
-        return evaluate(space, cs, k, n, axes)
+    def counted(space, cs, k, n, axes, tile):
+        slabs.append(len(axes[-1]))
+        return evaluate(space, cs, k, n, axes, tile)
 
     monkeypatch.setattr(diagnostics, "eval_on_lattice", counted)
     monkeypatch.setattr(diagnostics, "SLAB_POINTS", 5 * 16 + 3)
     assert abs(linf_error(space, u, k, n, off) - whole) < 1e-12
     assert slabs == [5, 5, 5, 1]
+
+
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(1, 3),
+    k=st.integers(0, 2),
+    budget=st.integers(1, 4096),
+    adaptive=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+# 8^3 lattice: slabs of 3 rows, which neither divide the axis nor fill one
+# level-2 cell (4 rows); planes of 64 points tiled in chunks of 2 rows along
+# x2, then in chunks of 5 points along x1; a 16^2 lattice in one-row slabs
+@example(d=3, n=2, k=1, budget=3 * 64, adaptive=False, seed=1)
+@example(d=3, n=2, k=2, budget=16, adaptive=True, seed=2)
+@example(d=3, n=2, k=0, budget=5, adaptive=True, seed=3)
+@example(d=2, n=3, k=2, budget=16, adaptive=False, seed=4)
+@settings(max_examples=40, deadline=None)
+def test_linf_error_tiles_match_one_whole_evaluation(d, n, k, budget, adaptive, seed):
+    # every lattice point lands in exactly one tile, with the value one
+    # whole-lattice evaluation gives, and the max-norm agrees
+    n = min(n, 2) if d == 3 else n
+    grid = random_pruning(d, n, seed) if adaptive else AdaptiveGrid.sparse(d, n)
+    space = TensorSpace(grid)
+    u = random_coeffs(space, (k + 1,) * d, seed)
+    pts = center_lattice(n)
+    whole = eval_on_lattice(space, u, k, n, [pts] * d)
+
+    def exact(*xs):
+        return sum(np.sin(3.0 * x + j) for j, x in enumerate(xs))
+
+    want = np.abs(whole - exact(*np.meshgrid(*[pts] * d, indexing="ij", sparse=True))).max()
+    got_vals, seen = np.zeros(whole.shape), np.zeros(whole.shape, int)
+    evaluate = diagnostics.eval_on_lattice
+
+    def recorded(space, cs, k, n, axes, tile):
+        vals = evaluate(space, cs, k, n, axes, tile)
+        assert vals.shape == tuple(len(x) for x in axes) and vals.size <= budget
+        got_vals[tile[1]] = vals
+        seen[tile[1]] += 1
+        return vals
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnostics, "SLAB_POINTS", budget)
+        mp.setattr(diagnostics, "eval_on_lattice", recorded)
+        got = linf_error(space, u, k, n, exact)
+    assert (seen == 1).all()
+    scale = np.abs(whole).max()
+    assert np.abs(got_vals - whole).max() <= 1e-14 * scale
+    assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_linf_error_memory_is_bounded_by_the_budget(n):
+    # 3D k 2 sparse: from n 6 to n 7 the lattice grows 8x (2^21 to 2^24
+    # points), while everything linf_error holds at once stays within a
+    # fixed multiple of one tile's values
+    k = 2
+    space = TensorSpace(AdaptiveGrid.sparse(3, n))
+    u = random_coeffs(space, (k + 1,) * 3, n)
+    tracemalloc.start()
+    try:
+        linf_error(space, u, k, n, lambda x, y, z: np.cos(x) * np.cos(y) * np.cos(z))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (8 * diagnostics.SLAB_POINTS)
 
 
 EXACT_FIELDS = [

@@ -8,7 +8,7 @@ without consulting tags, sweep order, or the L+U expansion.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrdg import fastmv, runner
@@ -322,16 +322,19 @@ def held_tensor_operators(obj) -> list[TensorOperator]:
     st.sampled_from([2, 3]),
     st.sampled_from(["smooth-speed", "layered-aligned"]),
     st.integers(0, 2**16),
-    st.data(),
+    st.lists(st.sampled_from(BC_PAIRS), min_size=3, max_size=3),
 )
+# this level set holds only level 0 in one dimension, so a sweep there has
+# no level links: its cascade once returned integer zeros
+@example(3, "smooth-speed", 2091, [("periodic", "periodic")] * 3)
 @settings(max_examples=6, deadline=None)
-def test_variable_speed_operators_match_dense_oracles(d, problem, seed, data):
+def test_variable_speed_operators_match_dense_oracles(d, problem, seed, bcs):
     # random downward-closed level sets, each dimension its own bc pair:
     # every TensorOperator of the variable-speed scheme against the dense
     # restriction, and every 1D factor kind and both its lu_split halves
     # against the dense point-value oracles
     n = {2: 3, 3: 2}[d]
-    bc = tuple(data.draw(st.sampled_from(BC_PAIRS)) for _ in range(d))
+    bc = tuple(bcs[:d])
     cfg = SchemeConfig(
         ndim=d, k=2, m=3, variant="interface", n_max=n, sigma=10.0, bc=bc,
         csq=make_problem(problem, d).csq,

@@ -404,6 +404,31 @@ def test_sparse_assembly_matches_dense(bc):
             np.testing.assert_allclose(dense(part), whole, rtol=0, atol=atol)
 
 
+@pytest.mark.parametrize("bc", [("periodic", "periodic"), ("dirichlet", "neumann")])
+@pytest.mark.parametrize("fibers", [3, 0])
+def test_root_only_fibers_cascade_like_the_level_0_block(bc, fibers):
+    # fibers that all stop at level 0, as in a sweep over a dimension whose
+    # level set holds only the root: no level links (the strictly-upper
+    # half is exactly zero), no cells above level 0 for the surplus stencil
+    # to gather, and with no fibers at all no chains for the faces.  Every
+    # factor kind and half maps them by the level-0 block of its oracle,
+    # into a float buffer.
+    rng = np.random.default_rng(7)
+    nodes = node_family(3, "interface", 3)
+    surplus = assemble_node_to_surplus(nodes)
+    cases = [(surplus, dense(surplus))]
+    for op, want in variable_speed_factors(3, bc):
+        low = lower_mask(op.row, op.col)
+        cases += zip(lu_split(op), (np.where(low, want, 0.0), np.where(low, 0.0, want)))
+        cases.append((op, want))
+    for op, want in cases:
+        block = want[op.row.level_slice(0), op.col.level_slice(0)]
+        x = rng.standard_normal((fibers, op.col.p))
+        y = op.mat.cascade(op.tag, x.ravel(), (fibers,))
+        assert y.dtype == np.float64 and y.shape == (fibers * op.row.p,)
+        np.testing.assert_allclose(y.reshape(fibers, op.row.p), x @ block.T, rtol=0, atol=1e-13)
+
+
 ORACLE_BCS = [("periodic", "periodic")] + [
     (left, right) for left in ("dirichlet", "neumann") for right in ("dirichlet", "neumann")
 ]
