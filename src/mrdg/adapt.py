@@ -13,10 +13,12 @@ the resulting cell masks to the grid's whole-mask `refine` and `coarsen`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fastmv import CoeffSet, TensorSpace
-from .grids import AdaptiveGrid, Level
+from .grids import FULL_GRID_COEFFS, AdaptiveGrid, Level
 
 
 def element_norms(space: TensorSpace, fields: list[CoeffSet]) -> dict[Level, np.ndarray]:
@@ -32,10 +34,20 @@ def refine(
     fields: list[CoeffSet],
     eps: float,
 ) -> bool:
-    """Activate the children (every dimension) of elements above `eps`."""
+    """Activate the children (every dimension) of elements above `eps`.
+    Raises `MemoryError` if the refined grid holds more than
+    `FULL_GRID_COEFFS` coefficients per field, counting every cell of each
+    active level, as `LevelLayout` stores them."""
     norms = element_norms(space, fields)
     flags = {lv: (a > eps) & space.masks[lv] for lv, a in norms.items()}
-    return grid.refine(flags) > 0
+    if not grid.refine(flags):
+        return False
+    count = math.prod(fields[0].p) * sum(mask.size for mask in grid.masks.values())
+    if count > FULL_GRID_COEFFS:
+        raise MemoryError(
+            f"adaptive grid needs {count} coefficients per field, over the cap {FULL_GRID_COEFFS}"
+        )
+    return True
 
 
 def coarsen(

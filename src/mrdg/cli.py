@@ -127,9 +127,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "run":
-        return _cmd_run(cfg, args.out)
-    return _cmd_sweep(cfg, args.out)
+    try:
+        return (_cmd_run if args.command == "run" else _cmd_sweep)(cfg, args.out)
+    except MemoryError as exc:  # an adaptive grid outgrew its coefficient cap
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

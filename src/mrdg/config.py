@@ -107,10 +107,10 @@ class RunConfig:
                 f"full grid needs {need} coefficients, (k+1)^ndim * 2^(n*ndim);"
                 f" the cap is {FULL_GRID_COEFFS}"
             )
-        if cfg.mode == "sparse":
+        if cfg.mode != "full":  # an adaptive run starts on the sparse grid of min(init_n, n)
+            tops = (n,) + cfg.n_values if cfg.mode == "sparse" else (min(cfg.init_n, n),)
             cells = max(
-                sum(math.prod(map(num_cells, lv)) for lv in sparse_levels(ndim, v))
-                for v in (n,) + cfg.n_values
+                sum(math.prod(map(num_cells, lv)) for lv in sparse_levels(ndim, v)) for v in tops
             )
             if (k + 1) ** ndim * cells > FULL_GRID_COEFFS:
                 raise ValueError(

@@ -24,7 +24,9 @@ layout, and the leading block `op.mat[:rows(B), :cols(A)]` of a dense
 constant-speed matrix maps them to the fiber's output levels 0..B.  A
 cached `_SweepPlan` gathers the input buffer so that fibers with equal
 (A, B) sit side by side as the columns of one matrix, multiplies each such
-group once, and scatters the products into a zeroed output buffer.
+group once, and scatters the products into a zeroed output buffer.  The
+gather, the products and the output are work arrays (`work_array`) that
+the next sweep reuses, so a warm apply allocates none of them.
 
 A variable-speed factor is a pyramid form instead (`pyramid`).  Its
 plan gathers the fibers level by level, those reaching level l first at
@@ -349,16 +351,17 @@ def _sweep(
     """Contract dimension `dim` of buffer `x` with a dense 1D matrix.
 
     One gather, one product per (A, B) fiber group and one scatter; returns
-    the output buffer and its polynomial counts.
+    the output, a work array that the next sweep reuses, and its counts.
     """
     plan, p_out = _plan(layout, p, op, dim)
-    xg = x[plan.gather]
-    yg = np.empty(len(plan.scatter))
+    xg = _take(x, plan.gather, "gathered")
+    yg = work_array("products", plan.scatter.shape)
     for rows, cols, width, x_at, y_at in plan.groups:
         xb = xg[x_at : x_at + cols * width].reshape(cols, width)
         yb = yg[y_at : y_at + rows * width].reshape(rows, width)
         np.matmul(op.mat[:rows, :cols], xb, out=yb)
-    y = np.zeros(layout.cells * math.prod(p_out))
+    y = work_array("swept", (layout.cells * math.prod(p_out),))
+    y.fill(0.0)
     y[plan.scatter] = yg
     return y, p_out
 

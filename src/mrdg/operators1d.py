@@ -5,20 +5,16 @@ meets p functions per level; `level_values` evaluates them on the point's
 own level cell.  The span of levels 0..l is the broken polynomial space on
 the 2^l intervals of level l.
 
-The constant-speed IPDG matrix of one dimension, c2 (S - T - T^T) +
-penalty J, is one dense sum of entry blocks (rows, columns, values) that
-form only products that can be nonzero (`assemble_ipdg`): volume terms by
-Gauss quadrature batched over the cells of a level (`_volume_blocks`), face
-terms as outer products of one-sided limits batched over the faces of a
-depth (`_face_traces`).
-
-Every factor of the variable-speed pipeline (mass, volume derivative,
-traces, node values, node-to-surplus and the `lu_split` halves) is a
-multiwavelet pyramid form of `pyramid`; the assemblers here build its
-reference tables: the pairing of the Legendre families on one interval,
-their end values and the values at the nodes.  A form's cascade chooses
-its blocks by the operator's tag, so `lu_split` only retags.
-`point_values` is a dense table, for the boundary data and the tests.
+Every 1D operator is a multiwavelet pyramid form of `pyramid`, and the
+assemblers here build its reference tables: the pairing of the Legendre
+families on one interval, their end values and the values at the nodes.
+The factors of the variable-speed pipeline (mass, volume derivative,
+traces, node values, node-to-surplus and the `lu_split` halves) stay forms;
+a form's cascade chooses its blocks by the operator's tag, so `lu_split`
+only retags.  The constant-speed IPDG matrix sums the scaled parts of the
+stiffness and trace forms into one form, made dense once by probing
+(`assemble_ipdg`).  `point_values` is a dense table, for the boundary data
+and the tests.
 
 Operators carry block-triangularity metadata with respect to the level-major
 ordering (level 0 first; within a level, cells then polynomial index).  Rows
@@ -85,9 +81,9 @@ def node_family(m: int, variant: str, n: int) -> FamilySpec:
 class Operator1D:
     """Hierarchical operator; every level block outside its tag is 0.
 
-    `mat` is a dense array for the constant-speed IPDG matrix and a pyramid
-    form (`GalerkinForm`, `NodeForm` or `SurplusStencil`) for every other
-    operator.
+    `mat` is a pyramid form (`GalerkinForm`, `NodeForm` or `SurplusStencil`),
+    or the constant-speed IPDG form made dense: on the constant-speed
+    workloads' chains a dense apply is 4-8 times faster than a cascade.
     """
 
     mat: object
@@ -170,30 +166,6 @@ def _level_cols(fam: FamilySpec, level: int, cell: np.ndarray) -> np.ndarray:
     return fam.level_offset(level) + fam.p * cell[..., None] + np.arange(fam.p)
 
 
-def _entries(blocks, ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions (row * ncols + col) and values of entry blocks (rows,
-    cols, values) whose index arrays broadcast against the values."""
-    flat, vals = [np.zeros(0, int)], [np.zeros(0)]
-    for r, c, v in blocks:
-        flat.append(np.broadcast_to(r * ncols + c, v.shape).ravel())
-        vals.append(v.ravel())
-    return np.concatenate(flat), np.concatenate(vals)
-
-
-def _point_entries(
-    fam: FamilySpec, x: np.ndarray, sides, deriv: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column and value of every function of `fam` that can be nonzero at
-    each point: two arrays of shape (len(x), (n + 1) p), one level after
-    another."""
-    cols, vals = [], []
-    for level in range(fam.n + 1):
-        cell, v = level_values(fam, level, x, sides, deriv)
-        cols.append(_level_cols(fam, level, cell))
-        vals.append(v)
-    return np.hstack(cols), np.hstack(vals)
-
-
 def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
     """Value (derivative with `deriv`) of every function of `fam` at the
     points x in [0, 1], a dense (len(x), ndof) array; sides as in
@@ -202,9 +174,10 @@ def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
     Left and right limits at a point inside a level's half are bit for bit
     equal, so jumps of the functions smooth there are exact zeros.
     """
-    cols, vals = _point_entries(fam, x, sides, deriv)
     out = np.zeros((len(x), fam.ndof))
-    out[np.arange(len(x))[:, None], cols] += vals  # a row's columns are distinct
+    for level in range(fam.n + 1):
+        cell, v = level_values(fam, level, x, sides, deriv)
+        out[np.arange(len(x))[:, None], _level_cols(fam, level, cell)] += v
     return out
 
 
@@ -217,40 +190,6 @@ def _single_scale(degree: int, level: int, x, sides, deriv: bool):
 
 # ---------------------------------------------------------------------------
 # volume terms
-
-
-def _volume_blocks(row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool):
-    """Entry blocks of the Gauss-quadrature pairing of the row and column
-    functions on every finest cell, each differentiated when its flag is set.
-
-    max(degree) + 1 points per cell integrate every product exactly.  The
-    points are sorted, so the points of each cell of level f are contiguous,
-    and there every function of a level <= f is one polynomial.  Level f
-    therefore gives two batched products over its cells: row level f against
-    column levels 0..f, and row levels 0..f-1 against column level f.
-    """
-    quad = Quadrature1D.gauss(max(row.degree, col.degree) + 1)
-    ncf = 1 << row.n
-    x = ((np.arange(ncf)[:, None] + quad.nodes) / ncf).ravel()
-    w = np.tile(quad.weights / ncf, ncf)[:, None]
-    ccols, cvals = _point_entries(col, x, 1, dcol)
-    rcols, rvals = (ccols, cvals)
-    if (row, drow) != (col, dcol):
-        rcols, rvals = _point_entries(row, x, 1, drow)
-    rvals = w * rvals
-    pr, pc = row.p, col.p
-    for f in range(row.n + 1):
-        cells = num_cells(f)
-        per = len(x) // cells  # points per cell
-        pairs = [(slice(f * pr, (f + 1) * pr), slice((f + 1) * pc))]
-        if f:
-            pairs.append((slice(f * pr), slice(f * pc, (f + 1) * pc)))
-        for r, c in pairs:
-            vals = np.matmul(
-                rvals[:, r].reshape(cells, per, -1).transpose(0, 2, 1),
-                cvals[:, c].reshape(cells, per, -1),
-            )
-            yield rcols[::per, r][:, :, None], ccols[::per, c][:, None, :], vals
 
 
 def _reference_values(degree: int, t, deriv: bool) -> np.ndarray:
@@ -293,78 +232,6 @@ _TRACE_WEIGHTS = {
     "dminus": (1.0, 0.0),
     "dplus": (0.0, 1.0),
 }
-
-
-def _face_points(n: int, bc: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """Left- and right-limit points of every face the bc pair selects.
-
-    Interior dyadic faces come first, then the periodic wrap face (x = 1 from
-    the left, x = 0 from the right) or the Dirichlet walls, whose missing
-    side is nan.  Neumann sides hold no face: their flux data enters the load
-    functional only.
-    """
-    inner = list(np.arange(1, 1 << n) / (1 << n))
-    left, right = bc
-    if "periodic" in bc:
-        if left != right:
-            raise ValueError("periodic boundary must apply to both sides")
-        return np.array(inner + [1.0]), np.array(inner + [0.0])
-    xl, xr = inner[:], inner[:]
-    if left == "dirichlet":
-        xl.append(np.nan)
-        xr.append(0.0)
-    if right == "dirichlet":
-        xl.append(1.0)
-        xr.append(np.nan)
-    return np.array(xl), np.array(xr)
-
-
-def _face_traces(fam: FamilySpec, kind: str, faces) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Trace `kind` of the functions of `fam` at the faces, per group of
-    faces: columns and values, (faces of the group, width), of the entries
-    nonzero at some face of the group.
-
-    Per level, a face holds the p functions of its left limit's cell, then
-    those of its right limit's; where both lie in one cell their values are
-    summed into the left entries, so a jump inside a level's half is an
-    exact zero.  Interior faces of one depth (the coarsest level breaking
-    there) meet every level alike and form one group; the wall or wrap
-    faces form the last.  A wall face has a single limit: the jump there is
-    q n, and every other kind takes that limit whole.
-    """
-    xl, xr = faces
-    wl, wr = _TRACE_WEIGHTS[kind]
-    if kind != "jump":
-        wall = np.isnan(xl) | np.isnan(xr)
-        wl, wr = np.where(wall, 1.0, wl), np.where(wall, 1.0, wr)
-    wl = np.where(np.isnan(xl), 0.0, wl)[:, None]
-    wr = np.where(np.isnan(xr), 0.0, wr)[:, None]
-    deriv = kind.startswith("d")
-    cols, vals = [], []
-    for level in range(fam.n + 1):
-        cl, vl = level_values(fam, level, np.nan_to_num(xl), -1, deriv)
-        cr, vr = level_values(fam, level, np.nan_to_num(xr), 1, deriv)
-        vl, vr = wl * vl, wr * vr
-        same = (cl == cr)[:, None]
-        cols += [_level_cols(fam, level, cl), _level_cols(fam, level, cr)]
-        vals += [np.where(same, vl + vr, vl), np.where(same, 0.0, vr)]
-    cols, vals = np.hstack(cols), np.hstack(vals)
-    inner = np.arange(1, 1 << fam.n)
-    lowbit = inner & -inner  # 2^t at an odd multiple of 2^(t - n): depth n - t
-    groups = [np.flatnonzero(lowbit == 1 << t) for t in range(fam.n)]
-    groups.append(np.arange(len(inner), len(xl)))
-    out = []
-    for g in groups:
-        keep = vals[g].any(axis=0)
-        out.append((cols[g][:, keep], vals[g][:, keep]))
-    return out
-
-
-def _face_blocks(row_traces, col_traces):
-    """Entry blocks of the face sum of outer products of two `_face_traces`
-    of the same faces, one per group."""
-    for (rc, rv), (cc, cv) in zip(row_traces, col_traces):
-        yield rc[:, :, None], cc[:, None, :], rv[:, :, None] * cv[:, None, :]
 
 
 @lru_cache(maxsize=None)
@@ -420,18 +287,53 @@ def assemble_ipdg(
     c2 (S - T - T^T) + penalty J, with S the broken stiffness, T the face sum
     of jump(test) x derivative average(trial) and J that of jump x jump.
 
-    All four terms are entry blocks of one dense sum, so no term is stored
-    on its own.
+    The four terms are the scaled parts of one pyramid form, the parts of
+    `_cellwise` and `assemble_trace`, made dense once by `_probed`.
     """
-    faces = _face_points(fam.n, bc)
-    jump = _face_traces(fam, "jump", faces)
-    trace = [(r, c, -c2 * v) for r, c, v in _face_blocks(jump, _face_traces(fam, "davg", faces))]
-    blocks = [(r, c, c2 * v) for r, c, v in _volume_blocks(fam, fam, True, True)]
-    blocks += trace + [(c, r, v) for r, c, v in trace]
-    blocks += [(r, c, penalty * v) for r, c, v in _face_blocks(jump, jump)]
-    flat, vals = _entries(blocks, fam.ndof)
-    mat = np.bincount(flat, vals, fam.ndof**2).reshape(fam.ndof, fam.ndof)
-    return Operator1D(mat, fam, fam, "general")
+    kinds = [("jump", "davg", -c2), ("davg", "jump", -c2), ("jump", "jump", penalty)]
+    terms = [(_cellwise(fam, fam, True, True), c2)]
+    terms += [(assemble_trace(fam, fam, row, col, bc), s) for row, col, s in kinds]
+    parts = [(e, part.scaled(s)) for op, s in terms for e, part in op.mat.parts]
+    return Operator1D(_probed(GalerkinForm(fam, fam, parts)), fam, fam, "general")
+
+
+def _probed(form: GalerkinForm) -> np.ndarray:
+    """The dense matrix of a symmetric form of one family, from one lower
+    cascade per input level a over coloured probes (Curtis, Powell & Reid,
+    IMA J. Appl. Math. 13, 1974).
+
+    A level-b function, b >= a, meets only the level-a functions of its
+    cell's level-a ancestor u and of u's neighbours, across the wrap face
+    too.  Fiber (r, q) of the probe holds function q of every level-a cell
+    of colour r, its index mod C = min(4, num_cells(a)), so an output in a
+    cell with ancestor u belongs to the one cell u + d, d in {-1, 0, 1}, of
+    colour r, mod the cell count (C divides every count >= 4).  Without a
+    wrap face the outputs written across the ends are exact zeros.  Every
+    block above the diagonal mirrors the one below.
+    """
+    fam, p = form.row, form.row.p
+    mat = np.zeros(form.shape)
+    for a in range(fam.n + 1):
+        cells = num_cells(a)
+        colours = min(4, cells)
+        fibers = colours * p
+        x = np.zeros(fibers * fam.ndof)
+        probe = x[fibers * fam.level_offset(a) : fibers * fam.level_offset(a + 1)]
+        probe = probe.reshape(colours, p, cells // colours, colours, p)
+        probe[np.arange(colours), :, :, np.arange(colours)] = np.eye(p)[:, None]
+        y = form.cascade("lower", x, (fibers,) * (fam.n + 1))
+        for b in range(a, fam.n + 1):
+            ancestor = np.arange(num_cells(b)) >> (b - a)
+            d = (np.arange(colours)[:, None] - ancestor + 1) % colours - 1
+            r, cell = np.nonzero(d <= 1)  # d = 2: colour r is not next to u
+            col = (ancestor[cell] + d[r, cell]) % cells
+            out = y[fibers * fam.level_offset(b) : fibers * fam.level_offset(b + 1)]
+            vals = out.reshape(colours, p, -1, p)[r, :, cell].transpose(0, 2, 1)
+            rows, cols = _level_cols(fam, b, cell)[:, :, None], _level_cols(fam, a, col)[:, None]
+            mat[rows, cols] = vals
+            if b > a:
+                mat[cols, rows] = vals
+    return mat
 
 
 # ---------------------------------------------------------------------------

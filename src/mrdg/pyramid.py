@@ -233,8 +233,8 @@ class Volume:
         self.ref_t = np.ascontiguousarray(ref.T)  # (p_col, p_row)
         self.tables = (self.ref_t,)
 
-    def negated(self) -> "Volume":
-        return Volume(-self.ref_t.T)
+    def scaled(self, s: float) -> "Volume":
+        return Volume(s * self.ref_t.T)
 
     def apply(self, z: np.ndarray, ch: _Chains, out: np.ndarray) -> None:
         np.matmul(z, self.ref_t, out=out)
@@ -260,8 +260,8 @@ class Faces:
         self.periodic = periodic
         self.tables = (limits, ends, walls)
 
-    def negated(self) -> "Faces":
-        return Faces(self.limits, -self.ends, self.weights, self.walls, self.periodic)
+    def scaled(self, s: float) -> "Faces":
+        return Faces(self.limits, s * self.ends, self.weights, self.walls, self.periodic)
 
     def apply(self, z: np.ndarray, ch: _Chains, out: np.ndarray) -> None:
         v = np.matmul(z, self.limits, out=work_array("limits", (len(z), 2)))
@@ -291,8 +291,8 @@ class Inside:
         self.blocks = blocks  # (n + 1, p_col, p_row), transposed
         self.tables = (blocks,)
 
-    def negated(self) -> "Inside":
-        return Inside(-self.blocks)
+    def scaled(self, s: float) -> "Inside":
+        return Inside(s * self.blocks)
 
     def apply(self, z: np.ndarray, ch: _Chains, out: np.ndarray) -> None:
         for level, (lo, hi) in enumerate(zip(ch.starts, ch.starts[1:])):
@@ -318,7 +318,7 @@ class GalerkinForm:
 
     def __sub__(self, other: "GalerkinForm") -> "GalerkinForm":
         return GalerkinForm(
-            self.row, self.col, self.parts + [(e, part.negated()) for e, part in other.parts]
+            self.row, self.col, self.parts + [(e, part.scaled(-1.0)) for e, part in other.parts]
         )
 
     @property

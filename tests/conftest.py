@@ -4,8 +4,8 @@ Everything here deliberately avoids the code paths under test: dense
 matrices are assembled block-by-block from raw operator entries (ignoring
 triangularity tags), integrals go through per-cell Gauss quadrature of
 pointwise basis evaluations, 1D volume and face terms are whole dense
-products R_row^T W R_col of point-value matrices (the level-block assembly
-forms only their nonzero parts), and grids are grown by random child
+products R_row^T W R_col of point-value matrices (the assemblers build
+pyramid forms from reference tables), and grids are grown by random child
 activations so downward closure is the only structure they share.  The
 key-by-key grid model below changes a grid one element at a time; the
 whole-mask `AdaptiveGrid.refine` / `coarsen` are checked against it.
@@ -27,7 +27,6 @@ from mrdg.operators1d import (
     FamilySpec,
     Operator1D,
     _cellwise,
-    _face_points,
     alpert_family,
     assemble_mass,
     assemble_node_values,
@@ -85,6 +84,30 @@ def gram_oracle(row, col, drow: bool, dcol: bool, absolute: bool = False) -> np.
     if absolute:
         r_row, r_col = np.abs(r_row), np.abs(r_col)
     return (w[:, None] * r_row).T @ r_col
+
+
+def _face_points(n: int, bc: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """Left- and right-limit points of every face the bc pair selects.
+
+    Interior dyadic faces come first, then the periodic wrap face (x = 1 from
+    the left, x = 0 from the right) or the Dirichlet walls, whose missing
+    side is nan.  Neumann sides hold no face: their flux data enters the load
+    functional only.
+    """
+    inner = list(np.arange(1, 1 << n) / (1 << n))
+    left, right = bc
+    if "periodic" in bc:
+        if left != right:
+            raise ValueError("periodic boundary must apply to both sides")
+        return np.array(inner + [1.0]), np.array(inner + [0.0])
+    xl, xr = inner[:], inner[:]
+    if left == "dirichlet":
+        xl.append(np.nan)
+        xr.append(0.0)
+    if right == "dirichlet":
+        xl.append(1.0)
+        xr.append(np.nan)
+    return np.array(xl), np.array(xr)
 
 
 def trace_rows_oracle(fam: FamilySpec, kind: str, faces) -> np.ndarray:

@@ -3,9 +3,11 @@
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrdg.adapt
 from mrdg.adapt import coarsen, element_norms, refine
 from mrdg.fastmv import TensorSpace, eval_on_lattice, project_separable
 from mrdg.grids import AdaptiveGrid
@@ -49,6 +51,20 @@ def test_refine_activates_children_of_flagged_elements():
     space2 = TensorSpace(grid)
     u2 = space2.conform(u)
     assert not refine(grid, space2, [u2], 0.5)
+
+
+def test_refine_refuses_a_grid_over_the_coefficient_cap(monkeypatch):
+    grid = AdaptiveGrid.sparse(2, 2, n_max=5)
+    space = TensorSpace(grid)
+    u = random_coeffs(space, (2, 2), 5)
+    trial = copy.deepcopy(grid)
+    assert refine(trial, space, [u], 0.0)
+    need = 4 * TensorSpace(trial).layout.cells  # every cell of each level, 2 x 2 values
+    monkeypatch.setattr(mrdg.adapt, "FULL_GRID_COEFFS", need)
+    assert refine(copy.deepcopy(grid), space, [u], 0.0)  # exactly at the cap
+    monkeypatch.setattr(mrdg.adapt, "FULL_GRID_COEFFS", need - 1)
+    with pytest.raises(MemoryError, match=f"needs {need} coefficients per field"):
+        refine(grid, space, [u], 0.0)
 
 
 def test_refine_keeps_grid_downward_closed():

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mrdg.adapt
 from mrdg.cli import main
 from mrdg.config import RunConfig
 from mrdg.problems import make_problem
@@ -317,6 +318,8 @@ def test_last_step_lands_on_each_target(mode):
         "ndim=3 n=9 mode=full",  # 2^30 coefficients, over the full-grid cap
         # 365M coefficients (2.7 GiB) per field on the sparse grid
         "problem=smooth-speed ndim=3 k=10 m=5 n=13 mode=sparse",
+        # the same grid as an adaptive run's starting grid
+        "mode=adaptive init_n=13 problem=smooth-speed ndim=3 k=10 m=5 n=13",
         "init_n=-2 mode=adaptive",
         "sigma=nan",
         "cfl=inf",
@@ -345,6 +348,22 @@ def test_out_below_a_file_exits_2_with_one_line(tmp_path, cfg_file, capsys, belo
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_adaptive_grid_over_the_cap_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command):
+    # eps 1e-12 refines the initial grid toward all 32 x 32 cells of n 5,
+    # 4096 coefficients per field: the full grid, not the sparse one of n
+    monkeypatch.setattr(mrdg.adapt, "FULL_GRID_COEFFS", 2048)
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text(
+        "problem = cosine-periodic\nndim = 2\nk = 1\nn = 5\nmode = adaptive\n"
+        "eps = 1e-12\nt_final = 0.01\n"
+    )
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "coefficients per field, over the cap 2048" in err
 
 
 @pytest.mark.parametrize("ndim", [2, 3])

@@ -6,6 +6,8 @@ matrix.  `dense_from_terms` assembles that matrix from raw operator entries
 without consulting tags, sweep order, or the L+U expansion.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -284,6 +286,30 @@ def test_fast_apply_with_missing_input_levels_equals_dense(d, k, seed, data):
     want = dense_from_terms(terms, space, p_in) @ flatten(space, x)
     scale = max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) / scale < ORACLE_TOL, oname
+
+
+@pytest.mark.parametrize("ndim,k,n", [(2, 1, 8), (3, 2, 6)])
+def test_constant_speed_apply_allocates_no_sweep_buffers(ndim, k, n):
+    # the dense sweeps gather, multiply and scatter through work arrays that
+    # the warm-up apply sized
+    prob = make_problem("cosine-periodic", ndim)
+    wop = WaveOperator(
+        SchemeConfig(
+            ndim=ndim, k=k, m=k + 1, variant="interface", n_max=n, sigma=10.0,
+            bc=prob.bc, csq=prob.csq,
+        )
+    )
+    space = TensorSpace(AdaptiveGrid.sparse(ndim, n))
+    u = random_coeffs(space, (k + 1,) * ndim, 0)
+    out = space.zeros(u.p)
+    wop.apply(space, u, out)
+    tracemalloc.start()
+    try:
+        wop.apply(space, u, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u.buf.nbytes / 4
 
 
 def test_apply_accumulates_into_out():

@@ -64,26 +64,29 @@ def _numbers(line: str) -> list[float]:
 
 def mismatch_report(name: str, want: bytes, got: bytes, shown: int = 5) -> str:
     """How an output differs from its golden file: the file, its first
-    differing lines, and the largest relative difference of the numeric
-    fields of all differing lines (inf where their fields do not pair up)."""
+    differing lines, and the largest relative and absolute differences of
+    the numeric fields of all differing lines (inf where their fields do not
+    pair up).  A flip of roundoff-sized values shows a tiny absolute one."""
     old, new = want.decode().splitlines(), got.decode().splitlines()
     diffs = [
         (i, a, b)
         for i, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue=""), 1)
         if a != b
     ]
-    worst = 0.0
+    worst = largest = 0.0
     for _, a, b in diffs:
         x, y = _numbers(a), _numbers(b)
         if len(x) != len(y):
-            worst = math.inf
+            worst = largest = math.inf
         for u, v in zip(x, y):
             if u != v:
                 worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+                largest = max(largest, abs(u - v))
     out = [f"{name}: {len(diffs)} of {max(len(old), len(new))} lines differ"]
     for i, a, b in diffs[:shown]:
         out += [f"  line {i} golden: {a}", f"  line {i} run:    {b}"]
     out.append(f"  largest relative difference of numeric fields: {worst:.3g}")
+    out.append(f"  largest absolute difference of numeric fields: {largest:.3g}")
     return "\n".join(out)
 
 
@@ -96,5 +99,6 @@ def test_mismatch_report_names_lines_and_relative_difference():
         "  line 3 golden: 0.1,6.09249e-14",
         "  line 3 run:    0.1,6.09246e-14",
         "  largest relative difference of numeric fields: 4.92e-06",
+        "  largest absolute difference of numeric fields: 3e-19",
     ]
     assert "inf" in mismatch_report("f", b"1,2\n", b"1\n")

@@ -9,7 +9,7 @@ at a time; the assembly code evaluates a whole level per point instead
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrdg.alpert import Quadrature1D, legendre_derivs, legendre_values
@@ -482,6 +482,10 @@ def test_trace_assembly_matches_dense_products(pair, row_kind, col_kind, bc, hal
 
 @given(st.integers(0, 4), st.integers(0, 6), st.sampled_from(ORACLE_BCS))
 @settings(max_examples=40, deadline=None)
+@example(1, 8, ("periodic", "periodic"))  # the workloads' shapes: 4 colours, many cells
+@example(3, 8, ("periodic", "periodic"))
+@example(2, 5, ("dirichlet", "neumann"))  # walls with >= 4 cells per level
+@example(10, 3, ("dirichlet", "dirichlet"))  # the top degree
 def test_ipdg_matrix_matches_dense_products(k, n, bc):
     fam = alpert_family(k, n)
     c2, penalty = 0.7, 10.0 * (1 << n)
@@ -494,6 +498,9 @@ def test_ipdg_matrix_matches_dense_products(k, n, bc):
     op = assemble_ipdg(fam, bc, c2, penalty)
     assert isinstance(op.mat, np.ndarray) and op.tag == "general"
     assert_matches_oracle(op, want, scale)
+    for level in range(n):  # the blocks off the diagonal mirror exactly
+        rows = fam.level_slice(level)
+        assert np.array_equal(op.mat[rows, rows.stop :], op.mat[rows.stop :, rows].T)
 
 
 @pytest.mark.parametrize("problem,ndim", [("cosine-periodic", 3), ("cosine-mixed", 2)])
