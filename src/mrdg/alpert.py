@@ -35,8 +35,9 @@ class Quadrature1D:
         return cls(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 
 
-def legendre_values(p: int, x: np.ndarray) -> np.ndarray:
-    """Matrix of orthonormal shifted Legendre values, shape (len(x), p+1).
+def legendre_values(p: int, x: np.ndarray, deriv: bool = False) -> np.ndarray:
+    """Matrix of orthonormal shifted Legendre values (d/dx with `deriv`),
+    shape (..., p+1).
 
     Column i is sqrt(2i+1) * P_i(2x - 1), the L2([0,1])-orthonormal family.
     """
@@ -46,19 +47,10 @@ def legendre_values(p: int, x: np.ndarray) -> np.ndarray:
     for i in range(p + 1):
         coef = np.zeros(i + 1)
         coef[i] = 1.0
-        vals[:, i] = np.sqrt(2 * i + 1) * npleg.legval(t, coef)
-    return vals.reshape(*x.shape, p + 1) if x.ndim else vals[0]
-
-
-def legendre_derivs(p: int, x: np.ndarray) -> np.ndarray:
-    """d/dx of the orthonormal shifted Legendre family at x, shape (..., p+1)."""
-    x = np.asarray(x, dtype=float)
-    t = 2.0 * x - 1.0
-    vals = np.empty((x.size, p + 1))
-    for i in range(p + 1):
-        coef = np.zeros(i + 1)
-        coef[i] = 1.0
-        vals[:, i] = 2.0 * np.sqrt(2 * i + 1) * npleg.legval(t, npleg.legder(coef))
+        if deriv:
+            vals[:, i] = 2.0 * np.sqrt(2 * i + 1) * npleg.legval(t, npleg.legder(coef))
+        else:
+            vals[:, i] = np.sqrt(2 * i + 1) * npleg.legval(t, coef)
     return vals.reshape(*x.shape, p + 1) if x.ndim else vals[0]
 
 

@@ -36,6 +36,11 @@ def l2_error(
     exact-solution norm supplied in closed form.  Keeping the grid-side term
     cancellation-free matters once errors approach the rounding floor of the
     classical three-term expansion.
+
+    The tail still cancels: its roundoff is a few eps ||Pu||^2.  On
+    perfbench's varspeed2d run the tail is 1.27e-18 of an l2^2 of 1.43e-18,
+    against ||Pu||^2 = 2.47e-6 (eps times that is 5.5e-22), so the last
+    digits of that l2 error are the projection's roundoff.
     """
     if not u.finite():
         return math.inf

@@ -17,24 +17,25 @@ discarding out-of-set blocks reproduces the Galerkin restriction of the full
 Kronecker operator to the active degrees of freedom exactly.
 
 A sweep along dimension m works on fibers: the level tuples that agree on
-every coordinate but m, which in a downward-closed set form a chain 0..A.
-The 1D index of (level a, cell c, poly i) is p * (cells of levels < a + c)
-+ i, so a fiber's levels 0..A, stacked along the cell axis of m, have the 1D
-layout, and the leading block `op.mat[:rows(B), :cols(A)]` of a dense
-constant-speed matrix maps them to the fiber's output levels 0..B.  A
-cached `_SweepPlan` gathers the input buffer so that fibers with equal
-(A, B) sit side by side as the columns of one matrix, multiplies each such
-group once, and scatters the products into a zeroed output buffer.  The
-gather, the products and the output are work arrays (`work_array`) that
-the next sweep reuses, so a warm apply allocates none of them.
+every coordinate but m, which in a downward-closed set form a chain 0..A,
+so the fibers of a sweep cover the buffer.  A cached `_SweepPlan` gathers
+them, the sweep runs its factor on them, and the plan's inverse gathers the
+output back into buffer order (`_sweeps`).  The 1D index of (level a,
+cell c, poly i) is p * (cells of levels < a + c) + i, so a fiber's levels
+0..A, stacked along the cell axis of m, have the 1D layout, and the leading
+block `op.mat[:rows(A), :rows(A)]` of a dense constant-speed matrix maps
+them to themselves: a dense plan sets the fibers of equal A side by side as
+the columns of one matrix, and each such group takes one product.  A
+variable-speed factor is a pyramid form instead (`pyramid`): its plan
+gathers the fibers level by level, those reaching level l first at level l,
+and one cascade of the form runs over all of them: synthesis, local form
+and analysis, a few numpy calls per level.
 
-A variable-speed factor is a pyramid form instead (`pyramid`).  Its
-plan gathers the fibers level by level, those reaching level l first at
-level l, and one cascade of the form runs over all of them: synthesis,
-local form and analysis, a few numpy calls per level.  Its outputs are the
-same fibers, so consecutive sweeps of a term pass their fibers on by one
-gather (`_cascades`).  A plan depends only on the level list, m, the
-polynomial counts and, for a dense matrix, the tag, so it lives on the
+Either way the outputs are the same fibers, so consecutive sweeps of a term
+pass them on by one gather (`_link`).  The gathers and the products are
+work arrays (`work_array`) that the next sweep reuses, so a warm dense apply
+allocates none of them.  A plan depends only on the level list, m, the
+polynomial counts and whether the factor is dense, so it lives on the
 `LevelLayout` that every space with that level list shares.
 
 Operators with more than one unconstrained dimension are expanded into at
@@ -238,20 +239,20 @@ def expand_term(term: TensorTerm) -> list[TensorTerm]:
 
 @dataclass(frozen=True)
 class _SweepPlan:
-    """Index maps of one sweep: gather, products, scatter.
+    """Index maps of one sweep: gather, products, gather back.
 
-    Dense plans list fiber groups: group g multiplies `op.mat[:rows, :cols]`
-    with the (cols, width) block at `x_at` of the gathered input and writes
-    the (rows, width) block at `y_at` of the gathered output.  Cascade plans
-    gather level-major fibers instead (see `pyramid`), `counts[l]`
-    of them at level l.
+    The gathered entries are the sweep's fibers.  A dense plan lists them in
+    groups: group g holds `width` fibers of `rows` entries side by side as
+    the (rows, width) block at `at`, multiplied by `op.mat[:rows, :rows]`
+    into the same place of its output.  A cascade plan lists them level
+    major instead (see `pyramid`), `counts[l]` of them at level l, and its
+    outputs are the same fibers with the output's polynomial counts.
     """
 
     gather: np.ndarray  # input-buffer index of each gathered entry
-    scatter: np.ndarray  # output-buffer index of each product entry
-    groups: tuple[tuple[int, int, int, int, int], ...]  # rows, cols, width, x_at, y_at
-    counts: tuple[int, ...]
-    inverse: np.ndarray  # cascade plans: product entry of each output-buffer index
+    groups: tuple[tuple[int, int, int], ...]  # dense plans: rows, width, at
+    counts: tuple[int, ...]  # cascade plans: fibers per level
+    inverse: np.ndarray  # entry of the sweep's output at each output-buffer index
 
 
 def _build_plan(
@@ -259,17 +260,17 @@ def _build_plan(
     dim: int,
     p_in: tuple[int, ...],
     p_out: tuple[int, ...],
-    tag: str | None,
+    dense: bool,
 ) -> _SweepPlan:
-    """Gather and scatter maps of a sweep along `dim` over `layout`.
+    """Gather map of a sweep along `dim` over `layout`, and the inverse of
+    its output order.
 
-    Inputs of a fiber run over its whole chain 0..A; its outputs 0..B are
-    cut by the tag to the levels the inputs reach (B = A - 1 for
-    'strictly-upper', else A), and the zeroed output buffer stands for the
-    rest.  A dense plan groups the fibers of equal A side by side, each as
-    one column of its 1D levels.  A cascade plan takes level by level every
-    fiber that reaches it, sorted by A from the top; its outputs are the
-    same fibers, whatever the tag, so it does not depend on the tag.
+    The level list is downward closed, so every fiber holds its whole chain
+    0..A, and the fibers cover the buffer: both maps are permutations.  A
+    dense plan groups the fibers of equal A side by side, each as one column
+    of its 1D levels; a dense factor is square, so its outputs sit where its
+    inputs were.  A cascade plan takes level by level every fiber that
+    reaches it, sorted by A from the top.
     """
     d = len(p_in)
     where = dict(zip(layout.levels, zip(layout.starts, layout.shapes)))
@@ -283,50 +284,37 @@ def _build_plan(
         idx = np.arange(q * start, q * (start + math.prod(cells)))
         return idx.reshape(cells + p).transpose(axes)
 
-    def rows(rest: Level, top: int, p: tuple[int, ...]) -> np.ndarray:
+    def rows(rest: Level, top: int) -> np.ndarray:
         # a fiber's levels 0..top as a (1D index, column) array
-        blocks = [block(rest, a, p, front) for a in range(top + 1)]
+        blocks = [block(rest, a, p_in, front) for a in range(top + 1)]
         return np.concatenate([b.reshape(b.shape[0] * b.shape[1], -1) for b in blocks])
 
     tops: dict[Level, int] = {}
     for lv in layout.levels:
         rest = lv[:dim] + lv[dim + 1 :]
         tops[rest] = max(tops.get(rest, 0), lv[dim])
-    if tag is None:  # a cascade
-        order = sorted(tops, key=lambda rest: (-tops[rest], rest))
+    groups, counts, gather, order = [], [], [], []
+    if dense:
+        at = 0
+        ranked = sorted(tops, key=lambda rest: (tops[rest], rest))
+        for top, rests in itertools.groupby(ranked, key=tops.get):
+            x = np.concatenate([rows(r, top) for r in rests], axis=1)
+            groups.append((len(x), x.shape[1], at))
+            gather.append(x.ravel())
+            at += x.size
+    else:
+        ranked = sorted(tops, key=lambda rest: (-tops[rest], rest))
         polys = math.prod(p_in) // p_in[dim]  # per cell of the other dimensions
-        counts, gather, scatter = [], [], []
         for a in range(max(tops.values()) + 1):
-            reach = [r for r in order if tops[r] >= a]
+            reach = [r for r in ranked if tops[r] >= a]
             counts.append(polys * sum(math.prod(map(num_cells, r)) for r in reach))
             gather += [block(r, a, p_in, back).ravel() for r in reach]
-            scatter += [block(r, a, p_out, back).ravel() for r in reach]
-        scatter = np.concatenate(scatter)
-        inverse = np.empty_like(scatter)
-        inverse[scatter] = np.arange(len(scatter))
-        return _SweepPlan(np.concatenate(gather), scatter, (), tuple(counts), inverse)
-    fibers: dict[int, list[Level]] = {}
-    for rest, top in sorted(tops.items()):
-        fibers.setdefault(top, []).append(rest)
-    gather, scatter, groups = [], [], []
-    x_at = y_at = 0
-    for a_hi, rests in sorted(fibers.items()):
-        b_hi = a_hi - 1 if tag == "strictly-upper" else a_hi
-        if b_hi < 0:
-            continue
-        x = np.concatenate([rows(r, a_hi, p_in) for r in rests], axis=1)
-        if (b_hi, p_out) == (a_hi, p_in):
-            y = x  # the outputs sit where the inputs were
-        else:
-            y = np.concatenate([rows(r, b_hi, p_out) for r in rests], axis=1)
-        groups.append((len(y), len(x), x.shape[1], x_at, y_at))
-        gather.append(x.ravel())
-        scatter.append(y.ravel())
-        x_at, y_at = x_at + x.size, y_at + y.size
-    none = [np.zeros(0, dtype=np.intp)]
-    return _SweepPlan(
-        np.concatenate(gather or none), np.concatenate(scatter or none), tuple(groups), (), none[0]
-    )
+            order += [block(r, a, p_out, back).ravel() for r in reach]
+    gather = np.concatenate(gather)
+    order = gather if dense else np.concatenate(order)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return _SweepPlan(gather, tuple(groups), tuple(counts), inverse)
 
 
 def _plan(
@@ -337,50 +325,44 @@ def _plan(
     if op.col.p != p[dim]:
         raise ValueError(f"operator takes {op.col.p} polys, field has {p[dim]}")
     p_out = p[:dim] + (op.row.p,) + p[dim + 1 :]
-    tag = op.tag if isinstance(op.mat, np.ndarray) else None
-    key = (dim, p, op.row.p, tag)
+    dense = isinstance(op.mat, np.ndarray)
+    key = (dim, p, op.row.p, dense)
     plan = layout.plans.get(key)
     if plan is None:
-        plan = layout.plans[key] = _build_plan(layout, dim, p, p_out, tag)
+        plan = layout.plans[key] = _build_plan(layout, dim, p, p_out, dense)
     return plan, p_out
 
 
-def _sweep(
-    layout: LevelLayout, x: np.ndarray, p: tuple[int, ...], op: Operator1D, dim: int
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Contract dimension `dim` of buffer `x` with a dense 1D matrix.
-
-    One gather, one product per (A, B) fiber group and one scatter; returns
-    the output, a work array that the next sweep reuses, and its counts.
-    """
-    plan, p_out = _plan(layout, p, op, dim)
-    xg = _take(x, plan.gather, "gathered")
-    yg = work_array("products", plan.scatter.shape)
-    for rows, cols, width, x_at, y_at in plan.groups:
-        xb = xg[x_at : x_at + cols * width].reshape(cols, width)
-        yb = yg[y_at : y_at + rows * width].reshape(rows, width)
-        np.matmul(op.mat[:rows, :cols], xb, out=yb)
-    y = work_array("swept", (layout.cells * math.prod(p_out),))
-    y.fill(0.0)
-    y[plan.scatter] = yg
-    return y, p_out
+def _products(mat: np.ndarray, xg: np.ndarray, plan: _SweepPlan) -> np.ndarray:
+    """A dense factor on the gathered fibers: one product per group, into a
+    work array in the same order."""
+    yg = work_array("products", xg.shape)
+    for rows, width, at in plan.groups:
+        shape, span = (rows, width), slice(at, at + rows * width)
+        np.matmul(mat[:rows, :rows], xg[span].reshape(shape), out=yg[span].reshape(shape))
+    return yg
 
 
-def _cascades(
+def _sweeps(
     layout: LevelLayout, x: np.ndarray, p: tuple[int, ...], ops, dims: list[int]
 ) -> np.ndarray:
-    """The sweeps of one term of pyramid factors, one cascade each, into a
-    work array that the next term reuses.
+    """The sweeps of one term, in the order `dims`, into a work array that
+    the next term reuses.
 
-    A cascade's fibers cover every output, so its scatter is a permutation:
-    the next sweep gathers its fibers straight from the cascade's output
-    (`_link`), and the last one's output is gathered into buffer order.
+    Each sweep runs its factor on the gathered fibers: grouped products of
+    a dense matrix or one cascade of a pyramid form.  The fibers cover
+    every output, so the next sweep gathers its fibers straight from this
+    one's output (`_link`), and the last one's output is gathered back into
+    buffer order by the plan's inverse.
     """
     plan, p = _plan(layout, p, ops[dims[0]], dims[0])
     xg = _take(x, plan.gather, "gathered")
     for dim, after in zip(dims, dims[1:] + [None]):
         op = ops[dim]
-        yg = op.mat.cascade(op.tag, xg, plan.counts)
+        if isinstance(op.mat, np.ndarray):
+            yg = _products(op.mat, xg, plan)
+        else:
+            yg = op.mat.cascade(op.tag, xg, plan.counts)
         if after is not None:
             nxt, p = _plan(layout, p, ops[after], after)
             xg = _take(yg, _link(layout, plan, nxt), "gathered")
@@ -427,12 +409,7 @@ class TensorOperator:
         if out is None:
             out = space.zeros(self.out_p(cs.p))
         for term, dims in zip(self.terms, self.orders):
-            if isinstance(term.ops[dims[0]].mat, np.ndarray):  # constant speed
-                cur, p = cs.buf, cs.p
-                for dim in dims:
-                    cur, p = _sweep(space.layout, cur, p, term.ops[dim], dim)
-            else:
-                cur = _cascades(space.layout, cs.buf, cs.p, term.ops, dims)
+            cur = _sweeps(space.layout, cs.buf, cs.p, term.ops, dims)
             if term.scale != 1.0:
                 cur *= term.scale
             out.buf += cur

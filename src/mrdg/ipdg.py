@@ -111,7 +111,6 @@ class WaveOperator:
         self.cfg = cfg
         d, k, n = cfg.ndim, cfg.k, cfg.n_max
         A = alpert_family(k, n)
-        self.afam = A
         self.p_a = (k + 1,) * d
         soh = cfg.sigma / cfg.h_min
 

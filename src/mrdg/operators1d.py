@@ -29,10 +29,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .alpert import Quadrature1D, legendre_derivs, legendre_values, mother_wavelets
+from .alpert import Quadrature1D, legendre_values, mother_wavelets
 from .grids import num_cells
 from .interp import make_interp_basis
-from .pyramid import Faces, GalerkinForm, Inside, NodeForm, SurplusStencil, Volume
+from .pyramid import Faces, GalerkinForm, Inside, NodeForm, SurplusStencil, Volume, drop_work_arrays
 
 _TAGS = ("lower", "strictly-upper", "general")
 
@@ -129,9 +129,8 @@ def _locate(
     half = np.floor(t).astype(int)
     half = np.where((t == half) & (np.asarray(sides) < 0), half - 1, half)
     half = np.clip(half, 0, halves - 1)
-    if deriv:
-        return half, halves * legendre_derivs(degree, t - half)
-    return half, legendre_values(degree, t - half)
+    leg = legendre_values(degree, t - half, deriv)
+    return half, (halves * leg if deriv else leg)
 
 
 def level_values(
@@ -181,20 +180,8 @@ def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
     return out
 
 
-def _single_scale(degree: int, level: int, x, sides, deriv: bool):
-    """Level-`level` interval of each point and the values there of its
-    single-scale basis, shape (len(x), degree + 1)."""
-    half, leg = _locate(degree, level, x, sides, deriv)
-    return half, 2.0 ** (0.5 * level) * leg
-
-
 # ---------------------------------------------------------------------------
 # volume terms
-
-
-def _reference_values(degree: int, t, deriv: bool) -> np.ndarray:
-    """Legendre values (derivatives with `deriv`) at reference points t."""
-    return legendre_derivs(degree, t) if deriv else legendre_values(degree, t)
 
 
 def _cellwise(row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool) -> Operator1D:
@@ -202,8 +189,8 @@ def _cellwise(row: FamilySpec, col: FamilySpec, drow: bool, dcol: bool) -> Opera
     its flag is set: on every interval alone, the pairing of the reference
     Legendre families, times 2^(l (drow + dcol)) on level l."""
     quad = Quadrature1D.gauss(max(row.degree, col.degree) + 1)
-    er = quad.weights[:, None] * _reference_values(row.degree, quad.nodes, drow)
-    ref = er.T @ _reference_values(col.degree, quad.nodes, dcol)
+    er = quad.weights[:, None] * legendre_values(row.degree, quad.nodes, drow)
+    ref = er.T @ legendre_values(col.degree, quad.nodes, dcol)
     form = GalerkinForm(row, col, [(drow + dcol, Volume(ref))])
     return Operator1D(form, row, col, "general")
 
@@ -259,8 +246,8 @@ def assemble_trace(
     (wl_r, wr_r), (wl_c, wr_c) = _TRACE_WEIGHTS[row_kind], _TRACE_WEIGHTS[col_kind]
     dr, dc = row_kind.startswith("d"), col_kind.startswith("d")
     weight = 0.5 if half else 1.0
-    ends = weight * _reference_values(row.degree, np.array([0.0, 1.0]), dr)
-    c0, c1 = _reference_values(col.degree, np.array([0.0, 1.0]), dc)
+    ends = weight * legendre_values(row.degree, np.array([0.0, 1.0]), dr)
+    c0, c1 = legendre_values(col.degree, np.array([0.0, 1.0]), dc)
     # a wall's weight: -1 for the jump at x = 0 (q n), else the limit whole
     wall_r, wall_c = (-1.0 if kind == "jump" else 1.0 for kind in (row_kind, col_kind))
     walls = np.array([wall_r * wall_c * (left == "dirichlet") * c0, (right == "dirichlet") * c1])
@@ -272,9 +259,9 @@ def assemble_trace(
         blocks = np.zeros((row.n + 1, col.p, row.p))
         for level in range(row.n):
             t = np.arange(1, 1 << (row.n - level)) / (1 << (row.n - level))
-            vr = _reference_values(row.degree, t, dr)
+            vr = legendre_values(row.degree, t, dr)
             scale = weight * smooth * 2.0 ** (level * (1 + dr + dc))
-            blocks[level] = scale * (_reference_values(col.degree, t, dc).T @ vr)
+            blocks[level] = scale * (legendre_values(col.degree, t, dc).T @ vr)
         parts.append((0, Inside(blocks)))
     return Operator1D(GalerkinForm(row, col, parts), row, col, "general")
 
@@ -333,6 +320,7 @@ def _probed(form: GalerkinForm) -> np.ndarray:
             mat[rows, cols] = vals
             if b > a:
                 mat[cols, rows] = vals
+    drop_work_arrays()  # a dense matrix never cascades again
     return mat
 
 
@@ -363,7 +351,9 @@ def assemble_node_values(
     for level in range(rows.n + 1):
         below = rows.level_offset(level)  # the nodes of levels < level
         reach = rows.level_offset(level + 1)  # ... and of levels <= level
-        levels.append(_single_scale(col.degree, level, x[:reach], sides[:reach], deriv))
+        # the single-scale basis of each node's level-`level` interval
+        half, leg = _locate(col.degree, level, x[:reach], sides[:reach], deriv)
+        levels.append((half, 2.0 ** (0.5 * level) * leg))
         if level:
             cell, vals = level_values(col, level, x[:below], sides[:below], deriv)
             cells.append(cell)

@@ -63,6 +63,11 @@ def work_array(role: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
+def drop_work_arrays() -> None:
+    """Free the calling thread's work arrays; later calls allocate anew."""
+    _WORK.__dict__.clear()
+
+
 def _kept(cache: dict, key, build):
     """cache[key], built on first use.  The oldest entries go beyond 16
     keys, so the many level lists of an adaptive run do not pile up."""

@@ -294,15 +294,25 @@ def alpert_point_matrix(k: int, n: int, x: np.ndarray) -> np.ndarray:
     return point_values(alpert_family(k, n), x, 0)
 
 
-def dense_lattice_values(cs: CoeffSet, k: int, n: int, axes_points) -> np.ndarray:
+def dense_lattice_values(
+    cs: CoeffSet, k: int, n: int, axes_points, absolute: bool = False
+) -> np.ndarray:
     """Lattice values of an Alpert field: every level tuple contracted with
-    the dense point matrices of all its cells, one axis at a time."""
+    the dense point matrices of all its cells, one axis at a time.
+
+    With `absolute`, the same sums of absolute coefficients and point
+    values: the magnitude of each value's terms, which scales its roundoff.
+    """
     d = cs.ndim
     fam = alpert_family(k, n)
     mats = [alpert_point_matrix(k, n, pts) for pts in axes_points]
+    if absolute:
+        mats = [np.abs(mat) for mat in mats]
     shape = tuple(len(pts) for pts in axes_points)
     out = np.zeros(shape)
     for lv, arr in cs.data.items():
+        if absolute:
+            arr = np.abs(arr)
         # interleave axes to (c1,p1,c2,p2,...) then contract pairs from the end
         perm = [None] * (2 * d)
         perm[0::2] = range(d)

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrdg.alpert import Quadrature1D, legendre_derivs, legendre_values
+from mrdg import pyramid
+from mrdg.alpert import Quadrature1D, legendre_values
 from mrdg.fastmv import TensorOperator
 from mrdg.interp import make_interp_basis
 from mrdg.ipdg import SchemeConfig, WaveOperator
 from mrdg.operators1d import (
     Operator1D,
     _cellwise,
+    _probed,
     alpert_family,
     assemble_ipdg,
     assemble_mass,
@@ -67,7 +69,7 @@ def fine_legendre_coeffs(values_at, ndof, n, pf):
 def derivative_values(coef, n, pf, xi, cell):
     """One-cell derivative values at local coordinates xi from `coef`."""
     ncf = 1 << n
-    return coef[:, cell, :] @ (ncf**1.5 * legendre_derivs(pf, np.atleast_1d(xi))).T
+    return coef[:, cell, :] @ (ncf**1.5 * legendre_values(pf, np.atleast_1d(xi), deriv=True)).T
 
 
 def one_sided(coef, n, pf, face, side, deriv=False):
@@ -76,9 +78,8 @@ def one_sided(coef, n, pf, face, side, deriv=False):
     cell = face - 1 if side < 0 else face
     cell = min(max(cell, 0), ncf - 1)
     xi = np.array([1.0 if side < 0 else 0.0])
-    table = legendre_derivs if deriv else legendre_values
     scale = ncf**1.5 if deriv else ncf**0.5
-    return (coef[:, cell, :] @ (scale * table(pf, xi)).T)[:, 0]
+    return (coef[:, cell, :] @ (scale * legendre_values(pf, xi, deriv)).T)[:, 0]
 
 
 PADDED_FAMILIES = [alpert_family(k, 3) for k in range(4)] + [
@@ -501,6 +502,15 @@ def test_ipdg_matrix_matches_dense_products(k, n, bc):
     for level in range(n):  # the blocks off the diagonal mirror exactly
         rows = fam.level_slice(level)
         assert np.array_equal(op.mat[rows, rows.stop :], op.mat[rows.stop :, rows].T)
+
+
+def test_probing_drops_the_cascade_work_arrays():
+    # a probed matrix never cascades again, so the probe's cascade buffers
+    # do not outlive it
+    fam = alpert_family(1, 5)
+    form = assemble_trace(fam, fam, "jump", "jump", ("periodic", "periodic")).mat
+    assert _probed(form).shape == form.shape
+    assert not vars(pyramid._WORK)
 
 
 @pytest.mark.parametrize("problem,ndim", [("cosine-periodic", 3), ("cosine-mixed", 2)])
