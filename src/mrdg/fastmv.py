@@ -29,7 +29,8 @@ the columns of one matrix, and each such group takes one product.  A
 variable-speed factor is a pyramid form instead (`pyramid`): its plan
 gathers the fibers level by level, those reaching level l first at level l,
 and one cascade of the form runs over all of them: synthesis, local form
-and analysis, a few numpy calls per level.
+and analysis, a few numpy calls per level.  The plan builds that layout
+once, as a `pyramid.Chains`, and the forms keep their index tables on it.
 
 Either way the outputs are the same fibers, so consecutive sweeps of a term
 pass them on by one gather (`_link`).  The gathers and the products are
@@ -60,7 +61,7 @@ from .operators1d import (
     level_values,
     lu_split,
 )
-from .pyramid import work_array
+from .pyramid import Chains, work_array
 
 Level = tuple[int, ...]
 
@@ -121,10 +122,6 @@ class CoeffSet:
         if self._data is None:
             self._data = self.layout.views(self.buf, self.p)
         return self._data
-
-    @property
-    def ndim(self) -> int:
-        return len(self.p)
 
     def copy(self) -> "CoeffSet":
         return CoeffSet(self.p, self.layout, self.buf.copy())
@@ -245,13 +242,14 @@ class _SweepPlan:
     groups: group g holds `width` fibers of `rows` entries side by side as
     the (rows, width) block at `at`, multiplied by `op.mat[:rows, :rows]`
     into the same place of its output.  A cascade plan lists them level
-    major instead (see `pyramid`), `counts[l]` of them at level l, and its
-    outputs are the same fibers with the output's polynomial counts.
+    major instead, in the layout of its `pyramid.Chains`, which also keeps
+    the index tables the forms build on that layout; its outputs are the
+    same fibers with the output's polynomial counts.
     """
 
     gather: np.ndarray  # input-buffer index of each gathered entry
     groups: tuple[tuple[int, int, int], ...]  # dense plans: rows, width, at
-    counts: tuple[int, ...]  # cascade plans: fibers per level
+    chains: Chains | None  # cascade plans: the level-major layout
     inverse: np.ndarray  # entry of the sweep's output at each output-buffer index
 
 
@@ -270,7 +268,7 @@ def _build_plan(
     dense plan groups the fibers of equal A side by side, each as one column
     of its 1D levels; a dense factor is square, so its outputs sit where its
     inputs were.  A cascade plan takes level by level every fiber that
-    reaches it, sorted by A from the top.
+    reaches it, sorted by A from the top, and builds their `Chains`.
     """
     d = len(p_in)
     where = dict(zip(layout.levels, zip(layout.starts, layout.shapes)))
@@ -314,7 +312,8 @@ def _build_plan(
     order = gather if dense else np.concatenate(order)
     inverse = np.empty_like(order)
     inverse[order] = np.arange(len(order))
-    return _SweepPlan(gather, tuple(groups), tuple(counts), inverse)
+    chains = None if dense else Chains(tuple(counts))
+    return _SweepPlan(gather, tuple(groups), chains, inverse)
 
 
 def _plan(
@@ -362,7 +361,7 @@ def _sweeps(
         if isinstance(op.mat, np.ndarray):
             yg = _products(op.mat, xg, plan)
         else:
-            yg = op.mat.cascade(op.tag, xg, plan.counts)
+            yg = op.mat.cascade(op.tag, xg, plan.chains)
         if after is not None:
             nxt, p = _plan(layout, p, ops[after], after)
             xg = _take(yg, _link(layout, plan, nxt), "gathered")

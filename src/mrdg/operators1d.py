@@ -32,7 +32,7 @@ import numpy as np
 from .alpert import Quadrature1D, legendre_values, mother_wavelets
 from .grids import num_cells
 from .interp import make_interp_basis
-from .pyramid import Faces, GalerkinForm, Inside, NodeForm, SurplusStencil, Volume, drop_work_arrays
+from .pyramid import Chains, Faces, GalerkinForm, NodeForm, SurplusStencil, Volume, drop_work_arrays
 
 _TAGS = ("lower", "strictly-upper", "general")
 
@@ -233,16 +233,18 @@ def assemble_trace(
     """Face sum of outer products row_kind(test) x col_kind(trial) over all
     finest-mesh interfaces selected by the boundary condition pair.
 
-    `half` scales by 1/2 (the one-sided derivative pairings enter the scheme
-    with that weight).  At level l the faces of the level-l mesh couple
-    neighbouring intervals; a finer face lies inside an interval, where
-    every jump is 0 and the other kinds pair the two polynomials' values.
-    A wall has a single limit: the jump there is q n, and every other kind
-    takes that limit whole.
+    Every face term of the scheme pairs a jump, so one of the two kinds
+    must be "jump": at level l the faces of the level-l mesh couple
+    neighbouring intervals, and a finer face lies inside an interval, where
+    the jump is 0.  `half` scales by 1/2 (the one-sided derivative pairings
+    enter the scheme with that weight).  A wall has a single limit: the
+    jump there is q n, and every other kind takes that limit whole.
     """
     left, right = bc
     if "periodic" in bc and left != right:
         raise ValueError("periodic boundary must apply to both sides")
+    if "jump" not in (row_kind, col_kind):
+        raise ValueError(f"face pair {row_kind} x {col_kind} holds no jump")
     (wl_r, wr_r), (wl_c, wr_c) = _TRACE_WEIGHTS[row_kind], _TRACE_WEIGHTS[col_kind]
     dr, dc = row_kind.startswith("d"), col_kind.startswith("d")
     weight = 0.5 if half else 1.0
@@ -253,17 +255,7 @@ def assemble_trace(
     walls = np.array([wall_r * wall_c * (left == "dirichlet") * c0, (right == "dirichlet") * c1])
     limits = np.column_stack([wr_c * c0, wl_c * c1])
     faces = Faces(limits, ends, (wr_r, wl_r), walls, left == "periodic")
-    parts = [(1 + dr + dc, faces)]
-    smooth = (wl_r + wr_r) * (wl_c + wr_c)  # weight of a face inside an interval
-    if smooth and row.n:
-        blocks = np.zeros((row.n + 1, col.p, row.p))
-        for level in range(row.n):
-            t = np.arange(1, 1 << (row.n - level)) / (1 << (row.n - level))
-            vr = legendre_values(row.degree, t, dr)
-            scale = weight * smooth * 2.0 ** (level * (1 + dr + dc))
-            blocks[level] = scale * (legendre_values(col.degree, t, dc).T @ vr)
-        parts.append((0, Inside(blocks)))
-    return Operator1D(GalerkinForm(row, col, parts), row, col, "general")
+    return Operator1D(GalerkinForm(row, col, [(1 + dr + dc, faces)]), row, col, "general")
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +300,7 @@ def _probed(form: GalerkinForm) -> np.ndarray:
         probe = x[fibers * fam.level_offset(a) : fibers * fam.level_offset(a + 1)]
         probe = probe.reshape(colours, p, cells // colours, colours, p)
         probe[np.arange(colours), :, :, np.arange(colours)] = np.eye(p)[:, None]
-        y = form.cascade("lower", x, (fibers,) * (fam.n + 1))
+        y = form.cascade("lower", x, Chains((fibers,) * (fam.n + 1)))
         for b in range(a, fam.n + 1):
             ancestor = np.arange(num_cells(b)) >> (b - a)
             d = (np.arange(colours)[:, None] - ancestor + 1) % colours - 1

@@ -19,11 +19,13 @@ sweep at once, and the operator's triangularity tag chooses the cascade:
 the whole operator ("general"), the blocks whose output level is >= their
 input level ("lower") or the rest ("strictly-upper").
 
-A cascade takes and returns a level-major fiber buffer: level l holds
-counts[l] fibers, each its num_cells(l) cells of p values in order, and the
-levels follow one another from level 0.  Fibers are sorted by the top level
-of their chain, highest first, so the fibers that reach level l are the
-leading counts[l] ones of every lower level.
+A cascade takes and returns a level-major fiber buffer, laid out by a
+`Chains` that the sweep plan builds once: level l holds counts[l] fibers,
+each its num_cells(l) cells of p values in order, and the levels follow one
+another from level 0.  Fibers are sorted by the top level of their chain,
+highest first, so the fibers that reach level l are the leading counts[l]
+ones of every lower level.  The `Chains` also keeps the index tables that
+the node and surplus forms build on that layout.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,56 +70,64 @@ def drop_work_arrays() -> None:
     _WORK.__dict__.clear()
 
 
-def _kept(cache: dict, key, build):
-    """cache[key], built on first use.  The oldest entries go beyond 16
-    keys, so the many level lists of an adaptive run do not pile up."""
-    hit = cache.get(key)
-    if hit is None:
-        while len(cache) >= 16:
-            del cache[next(iter(cache))]
-        hit = cache[key] = build()
-    return hit
+class Chains:
+    """The level-major layout of a sweep's fibers, and the forms' index
+    tables on it, built once per sweep plan.
+
+    Level l's block holds its counts[l] fibers, each its num_cells(l) cells
+    (the rows of a (cells, p) buffer) or its 2^l single-scale intervals, and
+    the blocks follow one another from level 0.  A fiber's level-l cells
+    and intervals are its chain of level l.
+    """
+
+    def __init__(self, counts: tuple[int, ...]):
+        widths = [num_cells(level) for level in range(len(counts))]
+        self.counts = counts
+        # first interval and first cell row of each level's block, then the total
+        self.starts = tuple(itertools.accumulate((c << l for l, c in enumerate(counts)), initial=0))
+        self.rows = tuple(itertools.accumulate((c * w for c, w in zip(counts, widths)), initial=0))
+        # every 1D hierarchical cell's row on the first fiber, and the rows
+        # from one fiber to the next (the cells of its level)
+        below = itertools.accumulate(widths, initial=0)
+        self.cell_row = np.arange(sum(widths)) + np.repeat(
+            [row - cell for row, cell in zip(self.rows[:-1], below)], widths
+        )
+        self.stride = np.repeat(widths, widths)
+        self.tables: dict = {}  # by the bound method that builds each
+
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ends of every (fiber, level) chain of intervals, as flat
+        positions in an (intervals, 2) array: its first interval's left end
+        and its last interval's right end.  Built on first use, since only
+        the face sums read them."""
+        counts = self.counts
+        first = np.concatenate([self.starts[l] + (np.arange(c) << l) for l, c in enumerate(counts)])
+        last = first + np.repeat([(1 << l) - 1 for l in range(len(counts))], counts)
+        return 2 * first, 2 * last + 1
+
+    def entries(self, index: np.ndarray, p: int, fibers: int) -> np.ndarray:
+        """The level-major entry of each 1D hierarchical index of a family
+        of p values per cell on each of the leading `fibers` fibers, shape
+        (fibers, *index.shape)."""
+        cell, i = np.divmod(index, p)
+        fiber = np.arange(fibers).reshape((-1,) + (1,) * index.ndim)
+        return p * (self.cell_row[cell] + self.stride[cell] * fiber) + i
+
+    def table(self, build):
+        """build(self), a form's index table on this layout, made on first
+        use; `build` is a bound method of the form."""
+        hit = self.tables.get(build)
+        if hit is None:
+            hit = self.tables[build] = build(self)
+        return hit
 
 
-@dataclass(frozen=True)
-class _Chains:
-    """The single-scale intervals of a level-major fiber buffer: level l's
-    block holds its counts[l] fibers' 2^l intervals each, and the blocks
-    follow one another from level 0."""
-
-    counts: tuple[int, ...]
-    starts: tuple[int, ...]  # first interval of each level's block, then the total
-    first: np.ndarray  # first interval of every (fiber, level) chain of intervals
-    last: np.ndarray  # its last interval
-
-    def __post_init__(self):
-        # flat positions of the first interval's left and the last interval's
-        # right entry in an (intervals, 2) array
-        object.__setattr__(self, "first_left", 2 * self.first)
-        object.__setattr__(self, "last_right", 2 * self.last + 1)
-
-
-@lru_cache(maxsize=64)
-def _chains(counts: tuple[int, ...]) -> _Chains:
-    sizes = [count << level for level, count in enumerate(counts)]
-    starts = tuple(itertools.accumulate(sizes, initial=0))
-    first = np.concatenate(
-        [starts[level] + (np.arange(count) << level) for level, count in enumerate(counts)]
-    )
-    last = first + np.repeat([(1 << level) - 1 for level in range(len(counts))], counts)
-    return _Chains(counts, starts, first, last)
-
-
-def _scale_levels(arr: np.ndarray, ch: _Chains, factors, cells: bool = False) -> None:
-    """Multiply the rows of each level l >= 1 by factors[l], in place: the
-    rows of an interval-layout array, or with `cells` those of a level-major
-    fiber buffer of (cells, p) rows."""
-    n0 = ch.counts[0]
-    for level in range(1, len(ch.counts)):
-        lo, hi = ch.starts[level], ch.starts[level + 1]
-        if cells:
-            lo, hi = (lo + n0) // 2, (hi + n0) // 2
-        arr[lo:hi] *= factors[level]
+def _scale_levels(arr: np.ndarray, starts: tuple[int, ...], factors) -> None:
+    """Multiply the rows of each level l >= 1 by factors[l], in place; the
+    level blocks begin at `starts` (a layout's intervals or cell rows)."""
+    for level in range(1, len(starts) - 1):
+        arr[starts[level] : starts[level + 1]] *= factors[level]
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,7 @@ class _Synthesis:
             object.__setattr__(self, name + "_t", np.ascontiguousarray(getattr(self, name).T))
 
     def synthesize(
-        self, x: np.ndarray, ch: _Chains, own: np.ndarray, s: np.ndarray, exponent: int
+        self, x: np.ndarray, ch: Chains, own: np.ndarray, s: np.ndarray, exponent: int
     ) -> np.ndarray:
         """Each level's partial synthesis on its intervals, times
         2^(exponent l) on level l, into s (intervals, p), from the levels'
@@ -161,7 +171,7 @@ class _Synthesis:
             np.add(s[lo:hi], own[lo:hi], out=s[lo:hi])
         return s
 
-    def own(self, x: np.ndarray, ch: _Chains, w: np.ndarray, exponent: int = 0) -> np.ndarray:
+    def own(self, x: np.ndarray, ch: Chains, w: np.ndarray, exponent: int = 0) -> np.ndarray:
         """Each level's own functions alone on its intervals, times
         2^(exponent l) on level l, into w (intervals, p); level 0 holds
         zeros."""
@@ -172,10 +182,10 @@ class _Synthesis:
         if self.scale is not None:
             scale = scale * self.scale[: len(scale)]
         if exponent or self.scale is not None:
-            _scale_levels(w, ch, scale)
+            _scale_levels(w, ch.starts, scale)
         return w
 
-    def carry(self, t: np.ndarray, ch: _Chains) -> np.ndarray:
+    def carry(self, t: np.ndarray, ch: Chains) -> np.ndarray:
         """The functional `t` of each level's own functions, carried down
         the analysis: on each level's intervals, the sum of the finer
         levels' functionals."""
@@ -191,16 +201,16 @@ class _Synthesis:
             np.matmul(t[lo:hi].reshape(len(out), 2 * p), self.filters_t, out=out)
         return f
 
-    def analyse(self, h: np.ndarray, ch: _Chains) -> np.ndarray:
+    def analyse(self, h: np.ndarray, ch: Chains) -> np.ndarray:
         """The family's functions paired with the functional `h` on every
         level's intervals, as a level-major fiber buffer."""
         p, n0 = len(self.top), ch.counts[0]
-        y = np.empty(p * (n0 + (ch.starts[-1] - n0) // 2))
+        y = np.empty(p * ch.rows[-1])
         np.matmul(h[:n0], self.top_t, out=y[: n0 * p].reshape(-1, p))
         out = y[n0 * p :].reshape(-1, p)
         np.matmul(h[n0:].reshape(len(out), 2 * p), self.mothers_t, out=out)
         if self.scale is not None:
-            _scale_levels(y.reshape(-1, p), ch, self.scale, cells=True)
+            _scale_levels(y.reshape(-1, p), ch.rows, self.scale)
         return y
 
     @property
@@ -241,7 +251,7 @@ class Volume:
     def scaled(self, s: float) -> "Volume":
         return Volume(s * self.ref_t.T)
 
-    def apply(self, z: np.ndarray, ch: _Chains, out: np.ndarray) -> None:
+    def apply(self, z: np.ndarray, ch: Chains, out: np.ndarray) -> None:
         np.matmul(z, self.ref_t, out=out)
 
 
@@ -268,7 +278,7 @@ class Faces:
     def scaled(self, s: float) -> "Faces":
         return Faces(self.limits, s * self.ends, self.weights, self.walls, self.periodic)
 
-    def apply(self, z: np.ndarray, ch: _Chains, out: np.ndarray) -> None:
+    def apply(self, z: np.ndarray, ch: Chains, out: np.ndarray) -> None:
         v = np.matmul(z, self.limits, out=work_array("limits", (len(z), 2)))
         g = work_array("traces", (len(z),))
         np.copyto(g, v[:, 0])
@@ -278,30 +288,15 @@ class Faces:
         np.multiply(g, wr, out=u[:, 0])
         np.multiply(g[1:], wl, out=u[:-1, 1])
         flat_v, flat_u = v.ravel(), u.ravel()
+        left, right = ch.ends
         if self.periodic:
-            wrap = flat_v[ch.first_left] + flat_v[ch.last_right]
-            flat_u[ch.first_left] = wr * wrap
-            flat_u[ch.last_right] = wl * wrap
+            wrap = flat_v[left] + flat_v[right]
+            flat_u[left] = wr * wrap
+            flat_u[right] = wl * wrap
         else:
-            flat_u[ch.first_left] = np.take(z, ch.first, axis=0) @ self.walls[0]
-            flat_u[ch.last_right] = np.take(z, ch.last, axis=0) @ self.walls[1]
+            flat_u[left] = np.take(z, left >> 1, axis=0) @ self.walls[0]
+            flat_u[right] = np.take(z, right >> 1, axis=0) @ self.walls[1]
         np.matmul(u, self.ends, out=out)
-
-
-class Inside:
-    """Faces of the finest mesh inside a level's intervals, where the two
-    limits agree, as one block per level."""
-
-    def __init__(self, blocks: np.ndarray):
-        self.blocks = blocks  # (n + 1, p_col, p_row), transposed
-        self.tables = (blocks,)
-
-    def scaled(self, s: float) -> "Inside":
-        return Inside(s * self.blocks)
-
-    def apply(self, z: np.ndarray, ch: _Chains, out: np.ndarray) -> None:
-        for level, (lo, hi) in enumerate(zip(ch.starts, ch.starts[1:])):
-            np.matmul(z[lo:hi], self.blocks[level], out=out[lo:hi])
 
 
 class GalerkinForm:
@@ -310,9 +305,10 @@ class GalerkinForm:
     K at level l is the sum of the parts, each scaled by 2^(e l) for its
     exponent e: its single-scale basis is the reference interval's,
     dilated.  Mass and volume derivative are one `Volume` part, traces one
-    `Faces` part (plus `Inside` when no jump enters).  The first part's
-    scale rides on the synthesis, which leaves the sums unchanged bit for
-    bit, as the scales are powers of 2.
+    `Faces` part: every face term of the scheme pairs a jump, and a finer
+    face inside an interval, where the jump is 0, adds nothing.  The first
+    part's scale rides on the synthesis, which leaves the sums unchanged bit
+    for bit, as the scales are powers of 2.
     """
 
     def __init__(self, row: FamilySpec, col: FamilySpec, parts: list):
@@ -335,7 +331,7 @@ class GalerkinForm:
     def nnz(self) -> int:
         return self.data.size
 
-    def _local(self, z: np.ndarray, ch: _Chains, role: str) -> np.ndarray:
+    def _local(self, z: np.ndarray, ch: Chains, role: str) -> np.ndarray:
         """K on single-scale coefficients of every level's intervals, into
         the work array of `role`."""
         out = work_array(role, (len(z), self.row.p))
@@ -344,15 +340,14 @@ class GalerkinForm:
             part.apply(z, ch, t)
             if exponent != self.exponent:  # z carries 2^(self.exponent l)
                 ratio = 2.0 ** ((exponent - self.exponent) * np.arange(len(ch.counts)))
-                _scale_levels(t, ch, ratio)
+                _scale_levels(t, ch.starts, ratio)
             if i:
                 out += t
         return out
 
-    def cascade(self, tag: str, x: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    def cascade(self, tag: str, x: np.ndarray, ch: Chains) -> np.ndarray:
         """The operator's `tag` part applied to the level-major fibers `x`
-        (the layout of the "pyramid forms" section), as a level-major
-        buffer of the same fibers.
+        of the layout `ch`, as a level-major buffer of the same fibers.
 
         "lower": K on each level's partial synthesis.  "strictly-upper": K
         on each level's own functions, carried down the analysis to the
@@ -361,7 +356,6 @@ class GalerkinForm:
         of the two sums, so the two halves of `lu_split` add up to the
         general operator exactly.
         """
-        ch = _chains(counts)
         rows, cols = _synthesis(self.row), _synthesis(self.col)
         shape = (ch.starts[-1], self.col.p)
         h = None
@@ -401,8 +395,6 @@ class NodeForm:
         self.cells = cells  # [None] + [level-a cell of each node of levels < a]
         self.values = values  # (nodes of levels < a, summed over a >= 1, p_col)
         self.shape = (rows.ndof, col.ndof)
-        self._tops: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        self._links: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def data(self) -> np.ndarray:
@@ -417,32 +409,28 @@ class NodeForm:
     def nnz(self) -> int:
         return self.data.size
 
-    def _link_table(self, counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _link_table(self, ch: Chains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For every fiber, finer level a and node of levels < a: the input
         row of its level-a cell, the values there of its functions and the
         output entry."""
-        p = self.row.p
-        cells = np.array([num_cells(a) for a in range(len(counts))])
-        x_at = np.cumsum([0, *(cells * counts)])
+        counts, below = ch.counts, 0
         src, vrow, dst = [], [], []
         for a in range(1, len(counts)):
             nodes = np.arange(self.row.level_offset(a))
-            level = np.frexp(nodes // p)[1]  # bit length of the cell count: the level
-            pos = nodes - np.where(level > 0, p << np.maximum(level - 1, 0), 0)
             fibers = np.arange(counts[a])[:, None]
-            src.append((x_at[a] + cells[a] * fibers + self.cells[a]).ravel())
-            below = sum(self.row.level_offset(b) for b in range(1, a))
+            src.append((ch.rows[a] + num_cells(a) * fibers + self.cells[a]).ravel())
             vrow.append(np.tile(below + nodes, counts[a]))
-            dst.append((p * (x_at[level] + cells[level] * fibers) + pos).ravel())
+            dst.append(ch.entries(nodes, self.row.p, counts[a]).ravel())
+            below += len(nodes)
         none = [np.zeros(0, np.intp)]
         src, vrow, dst = (np.concatenate(part + none) for part in (src, vrow, dst))
         return src, np.take(self.values, vrow, axis=0), dst
 
-    def _top_table(self, counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    def _top_table(self, ch: Chains) -> tuple[np.ndarray, np.ndarray]:
         """For every output entry, in output order: the single-scale row of
         the interval holding its node on its fiber's top level, and the
         basis values there."""
-        starts = _chains(counts).starts
+        starts, counts = ch.starts, ch.counts
         ends = [*counts[1:], 0]
         rows, vals = [], []
         for b in range(len(counts)):
@@ -454,29 +442,29 @@ class NodeForm:
                 vals.append(np.tile(values[nodes], (len(fibers), 1)))
         return np.concatenate(rows), np.concatenate(vals)
 
-    def cascade(self, tag: str, x: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    def cascade(self, tag: str, x: np.ndarray, ch: Chains) -> np.ndarray:
         """As `GalerkinForm.cascade`: "lower" evaluates each level's partial
         synthesis at that level's nodes, "strictly-upper" each level's own
         functions at the coarser nodes, and "general" each fiber's whole
         synthesis at all its nodes."""
-        p, pc, ch = self.row.p, self.col.p, _chains(counts)
-        size = len(x) // pc * p
+        p, pc = self.row.p, self.col.p
+        size = p * ch.rows[-1]
         if tag == "strictly-upper":
-            src, values, dst = _kept(self._links, counts, lambda: self._link_table(counts))
+            src, values, dst = ch.table(self._link_table)
         else:
             cols, shape = _synthesis(self.col), (ch.starts[-1], pc)
             own = cols.own(x, ch, work_array("own", shape))
             x = cols.synthesize(x, ch, own, work_array("single", shape), 0)
         if tag == "lower":  # each level's cells at their own nodes, one product
             y = np.empty(size)
-            n0 = counts[0]
+            n0 = ch.counts[0]
             np.matmul(x[:n0], self.levels[0][1].T, out=y[: n0 * p].reshape(-1, p))
             out = y[n0 * p :].reshape(-1, p)
             np.matmul(x[n0:].reshape(len(out), 2 * pc), self.at, out=out)
-            _scale_levels(y.reshape(-1, p), ch, self.scale, cells=True)
+            _scale_levels(y.reshape(-1, p), ch.rows, self.scale)
             return y
         if tag == "general":
-            src, values = _kept(self._tops, counts, lambda: self._top_table(counts))
+            src, values = ch.table(self._top_table)
         gathered = work_array("nodes", values.shape)
         np.take(x.reshape(-1, pc), src, axis=0, out=gathered, mode="clip")
         out = np.multiply(gathered, values, out=gathered) @ np.ones(pc)
@@ -498,7 +486,6 @@ class SurplusStencil:
         self._weights_t = np.ascontiguousarray(weights.T)
         self.coarse = coarse  # (cells of levels 1..n, p): `all_nodes` index of each coarse node
         self.shape = (nodes.ndof, nodes.ndof)
-        self._gathers: dict[tuple[int, ...], np.ndarray] = {}  # by fiber counts
 
     @property
     def data(self) -> np.ndarray:
@@ -512,31 +499,25 @@ class SurplusStencil:
     def nnz(self) -> int:
         return self.weights.size + self.coarse.size
 
-    def _gather(self, counts: tuple[int, ...]) -> np.ndarray:
-        """Where each fiber's coarse node values sit in a level-major buffer
-        of these counts, for every cell of levels >= 1, shape (cells, p)."""
+    def _gather(self, ch: Chains) -> np.ndarray:
+        """Where each fiber's coarse node values sit in the level-major
+        buffer of `ch`, for every cell of levels >= 1, shape (cells, p)."""
         p = self.nodes.p
-        level = np.frexp(self.coarse // p)[1]  # bit length of the cell count: the level
-        pos = self.coarse - np.where(level > 0, p << np.maximum(level - 1, 0), 0)
-        starts = np.cumsum([0] + [p * c * num_cells(a) for a, c in enumerate(counts)])
-        width = p * np.array([num_cells(a) for a in range(len(counts))])
-        out = []
-        for b in range(1, len(counts)):
-            cells = slice((1 << (b - 1)) - 1, (1 << b) - 1)
-            lv, ps = level[cells], pos[cells]
-            fibers = np.arange(counts[b])[:, None, None]
-            out.append((starts[lv] + width[lv] * fibers + ps).reshape(-1, p))
+        out = [
+            ch.entries(self.coarse[(1 << (b - 1)) - 1 : (1 << b) - 1], p, count).reshape(-1, p)
+            for b, count in enumerate(ch.counts[1:], 1)
+        ]
         return np.concatenate([np.zeros((0, p), int)] + out)
 
-    def cascade(self, tag: str, x: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    def cascade(self, tag: str, x: np.ndarray, ch: Chains) -> np.ndarray:
         """The map on level-major fibers; it is lower."""
         if tag != "lower":
             raise ValueError("the surplus map is lower triangular")
-        p, n0 = self.nodes.p, counts[0] * self.nodes.p
+        p, n0 = self.nodes.p, ch.counts[0] * self.nodes.p
         y = np.empty_like(x)
         y[:n0] = x[:n0]
         out = y[n0:].reshape(-1, p)
-        where = _kept(self._gathers, counts, lambda: self._gather(counts))
+        where = ch.table(self._gather)
         coarse = np.take(x, where, out=work_array("coarse", where.shape), mode="clip")
         np.subtract(x[n0:].reshape(-1, p), coarse @ self._weights_t, out=out)
         return y

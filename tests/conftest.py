@@ -36,6 +36,7 @@ from mrdg.operators1d import (
     node_family,
     point_values,
 )
+from mrdg.pyramid import Chains
 
 
 def dense(op: Operator1D) -> np.ndarray:
@@ -53,7 +54,7 @@ def _applied_to_identity(op: Operator1D) -> np.ndarray:
     counts = (ncol,) * (n + 1)
     eye = np.eye(ncol)
     x = np.concatenate([eye[:, op.col.level_slice(a)].ravel() for a in range(n + 1)])
-    y = op.mat.cascade(op.tag, x, counts)
+    y = op.mat.cascade(op.tag, x, Chains(counts))
     out = np.zeros((op.row.ndof, ncol))
     at = 0
     for b in range(n + 1):
@@ -303,7 +304,7 @@ def dense_lattice_values(
     With `absolute`, the same sums of absolute coefficients and point
     values: the magnitude of each value's terms, which scales its roundoff.
     """
-    d = cs.ndim
+    d = len(cs.p)
     fam = alpert_family(k, n)
     mats = [alpert_point_matrix(k, n, pts) for pts in axes_points]
     if absolute:

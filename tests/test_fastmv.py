@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrdg import fastmv, runner
+from mrdg import fastmv, pyramid, runner
 from mrdg.config import RunConfig
 from mrdg.fastmv import (
     TensorOperator,
@@ -428,6 +428,55 @@ def test_sweep_plans_follow_the_level_list(plan_builds):
     assert len(set(builds)) == len(builds)
 
 
+def test_cascade_index_tables_follow_the_sweep_plan(plan_builds, monkeypatch):
+    # the index tables of the node and surplus forms live on the `Chains`
+    # of the sweep plan that cascades them: each is built once per plan, so
+    # equal level lists share them and a new level list builds its own
+    tables = []
+
+    def counted(name, build):
+        def wrapper(form, ch):
+            tables.append((name, form, ch))
+            return build(form, ch)
+
+        return wrapper
+
+    builders = {
+        "_link_table": pyramid.NodeForm,
+        "_top_table": pyramid.NodeForm,
+        "_gather": pyramid.SurplusStencil,
+    }
+    for name, owner in builders.items():
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    n = 3
+    prob = make_problem("smooth-speed", 2)
+    cfg = SchemeConfig(
+        ndim=2, k=2, m=3, variant="interface", n_max=n, sigma=10.0, bc=prob.bc, csq=prob.csq
+    )
+    base = AdaptiveGrid.sparse(2, 2, n_max=n)
+    holed = AdaptiveGrid.sparse(2, 2, n_max=n)
+    deactivate(holed, ((2, 0), (1, 0)))  # a leaf: level (2, 0) keeps 1 cell
+    grown = AdaptiveGrid.sparse(2, 2, n_max=n)
+    activate(grown, ((3, 0), (0, 0)))  # adds level (3, 0)
+    spaces = [TensorSpace(g) for g in (base, holed, grown)]
+    assert spaces[0].levels == spaces[1].levels != spaces[2].levels
+    built = []
+    for i, space in enumerate(spaces):
+        # one operator per grid (its c^2 samples follow one grid's versions);
+        # all of them hold the same cached forms
+        wop = WaveOperator(cfg)
+        wop.apply(space, random_coeffs(space, wop.p_a, i))
+        built.append(len(tables))
+    first, new = tables[: built[0]], tables[built[1] :]
+    assert built[1] == built[0]  # equal level lists share their tables
+    assert {name for name, _, _ in first} == {name for name, _, _ in new} == set(builders)
+    for space, made in ((spaces[0], first), (spaces[2], new)):
+        layouts = {id(plan.chains) for plan in space.layout.plans.values()}
+        assert {id(ch) for _, _, ch in made} <= layouts  # on the plans' own layouts
+    keys = [(name, id(form), id(ch)) for name, form, ch in tables]
+    assert len(set(keys)) == len(keys)  # once per form and plan
+
+
 @given(st.integers(1, 3), st.integers(0, 2**16), st.data())
 @settings(max_examples=30, deadline=None)
 def test_sweep_plans_gather_and_gather_back_by_permutations(d, seed, data):
@@ -448,7 +497,7 @@ def test_sweep_plans_gather_and_gather_back_by_permutations(d, seed, data):
             if dense:
                 assert sum(rows * width for rows, width, _ in plan.groups) == size_in
             else:
-                fibers = sum(c * num_cells(l) for l, c in enumerate(plan.counts))
+                fibers = sum(c * num_cells(l) for l, c in enumerate(plan.chains.counts))
                 assert fibers * p_in[dim] == size_in
 
 

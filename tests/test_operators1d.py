@@ -35,7 +35,7 @@ from mrdg.operators1d import (
     point_values,
 )
 from mrdg.problems import make_problem
-from mrdg.pyramid import GalerkinForm, NodeForm, SurplusStencil
+from mrdg.pyramid import Chains, GalerkinForm, NodeForm, SurplusStencil
 
 from conftest import (
     alpert_values_brute,
@@ -236,10 +236,16 @@ def test_periodic_trace_matches_face_sums(row_kind, col_kind):
 @pytest.mark.parametrize("bc", WALL_BCS, ids="-".join)
 @pytest.mark.parametrize("row_kind", KINDS)
 def test_wall_trace_matches_face_sums(row_kind, bc):
-    # every column kind, against an Alpert and an interpolatory trial family
+    # every column kind, against an Alpert and an interpolatory trial family;
+    # every face term of the scheme pairs a jump, and a pair without one is
+    # refused
     arow = alpert_family(2, 3)
     for col in (arow, interp_family(3, "interface", 3)):
         for col_kind in KINDS:
+            if "jump" not in (row_kind, col_kind):
+                with pytest.raises(ValueError, match="no jump"):
+                    assemble_trace(arow, col, row_kind, col_kind, bc)
+                continue
             op = assemble_trace(arow, col, row_kind, col_kind, bc)
             ref = brute_trace(arow, col, row_kind, col_kind, bc)
             # derivative pairs reach 1e5 at n=3, so the bound scales with them
@@ -425,7 +431,7 @@ def test_root_only_fibers_cascade_like_the_level_0_block(bc, fibers):
     for op, want in cases:
         block = want[op.row.level_slice(0), op.col.level_slice(0)]
         x = rng.standard_normal((fibers, op.col.p))
-        y = op.mat.cascade(op.tag, x.ravel(), (fibers,))
+        y = op.mat.cascade(op.tag, x.ravel(), Chains((fibers,)))
         assert y.dtype == np.float64 and y.shape == (fibers * op.row.p,)
         np.testing.assert_allclose(y.reshape(fibers, op.row.p), x @ block.T, rtol=0, atol=1e-13)
 
@@ -464,16 +470,15 @@ def test_volume_assembly_matches_dense_products(pair, drow, dcol):
     assert_matches_oracle(op, want, gram_oracle(row, col, drow, dcol, absolute=True))
 
 
-@given(
-    family_pairs(),
-    st.sampled_from(KINDS),
-    st.sampled_from(KINDS),
-    st.sampled_from(ORACLE_BCS),
-    st.booleans(),
-)
+# the face pairs of the scheme's kind: each holds a jump
+JUMP_PAIRS = [(row, col) for row in KINDS for col in KINDS if "jump" in (row, col)]
+
+
+@given(family_pairs(), st.sampled_from(JUMP_PAIRS), st.sampled_from(ORACLE_BCS), st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_trace_assembly_matches_dense_products(pair, row_kind, col_kind, bc, half):
+def test_trace_assembly_matches_dense_products(pair, kinds, bc, half):
     row, col = pair
+    row_kind, col_kind = kinds
     op = assemble_trace(row, col, row_kind, col_kind, bc, half)
     assert isinstance(op.mat, GalerkinForm)
     want = trace_oracle(row, col, row_kind, col_kind, bc, half)

@@ -3,9 +3,12 @@
 `perfbench/probes.py` registers the matrix `op.mat` of every factor a
 `WaveOperator` holds and counts its bytes and stored entries: a dense array,
 or a pyramid form's `shape`, `nnz`, `data` and `indices`; its sweep replay
-reads `op.tag` and `op.row.n`.
+reads `op.tag` and `op.row.n`.  Every other probe wraps a solver name
+looked up by string, which must still exist.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,8 +18,32 @@ from mrdg.ipdg import SchemeConfig, WaveOperator
 from mrdg.problems import make_problem
 from mrdg.pyramid import GalerkinForm, NodeForm, SurplusStencil
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 from probes import Tracer, matrix_footprint, sweep_stats  # noqa: E402
+
+
+def test_every_wrapped_name_exists():
+    # a name the solver no longer has is listed in `missing`, and its
+    # metrics read 0 without an error; installing the wrappers in a fresh
+    # process keeps them out of this one
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "from probes import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "print(tracer.missing)\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_smooth_speed_factors_count_as_sparse():
