@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .alpert import MAX_DEGREE
-from .grids import DENSE_OPERATOR_BYTES, FULL_GRID_COEFFS, MAX_LEVEL, num_cells, sparse_levels
+from .grids import FULL_GRID_COEFFS, MAX_LEVEL, num_cells, sparse_levels
 from .problems import REGISTRY
 
 
@@ -133,17 +133,7 @@ class RunConfig:
             raise ValueError(
                 f"slice_points must be in 1..{_MAX_SLICE_POINTS}, got {cfg.slice_points}"
             )
-        problem = REGISTRY[cfg.problem](ndim)  # raises ValueError when ndim is unsupported
-        if problem.csq.is_constant:
-            # one dense (k+1)^2 4^n-double operator per boundary pair and level
-            levels = set((n,) + cfg.n_values)
-            dense = 8 * len(set(problem.bc)) * sum(((k + 1) << v) ** 2 for v in levels)
-            if dense > DENSE_OPERATOR_BYTES:
-                raise ValueError(
-                    f"constant-speed operators need {dense / 2**30:.3g} GiB dense,"
-                    f" (k+1)^2 4^n doubles per boundary pair and level;"
-                    f" the cap is {DENSE_OPERATOR_BYTES / 2**30:g} GiB"
-                )
+        REGISTRY[cfg.problem](ndim)  # raises ValueError when ndim is unsupported
         return cfg
 
     def echo_lines(self) -> list[str]:

@@ -20,17 +20,22 @@ A sweep along dimension m works on fibers: the level tuples that agree on
 every coordinate but m, which in a downward-closed set form a chain 0..A,
 so the fibers of a sweep cover the buffer.  A cached `_SweepPlan` gathers
 them, the sweep runs its factor on them, and the plan's inverse gathers the
-output back into buffer order (`_sweeps`).  The 1D index of (level a,
-cell c, poly i) is p * (cells of levels < a + c) + i, so a fiber's levels
-0..A, stacked along the cell axis of m, have the 1D layout, and the leading
-block `op.mat[:rows(A), :rows(A)]` of a dense constant-speed matrix maps
-them to themselves: a dense plan sets the fibers of equal A side by side as
-the columns of one matrix, and each such group takes one product.  A
-variable-speed factor is a pyramid form instead (`pyramid`): its plan
-gathers the fibers level by level, those reaching level l first at level l,
-and one cascade of the form runs over all of them: synthesis, local form
-and analysis, a few numpy calls per level.  The plan builds that layout
-once, as a `pyramid.Chains`, and the forms keep their index tables on it.
+output back into buffer order (`_sweeps`).  Every factor is a pyramid form
+(`pyramid`): a cascade plan gathers the fibers level by level, those
+reaching level l first at level l, and one cascade of the form runs over
+all of them: synthesis, local form and analysis, a few numpy calls per
+level.  The plan builds that layout once, as a `pyramid.Chains`, and the
+forms keep their index tables on it.
+
+The constant-speed factor also holds a dense copy of its leading block
+(`operators1d.LeadingBlock`).  The 1D index of (level a, cell c, poly i) is
+p * (cells of levels < a + c) + i, so a fiber's levels 0..A, stacked along
+the cell axis of m, have the 1D layout, and the block's first p 2^A rows
+and columns map them to themselves.  Its plan sets the short fibers, of at
+most `DENSE_ENTRIES` entries, of equal A side by side as the columns of one
+matrix, and each such group takes one product; the longer fibers follow,
+level major, for the form's cascade, which costs less than a product on
+them.  The plan grows the block to the deepest short fiber.
 
 Either way the outputs are the same fibers, so consecutive sweeps of a term
 pass them on by one gather (`_link`).  The gathers and the products are
@@ -56,6 +61,7 @@ from .alpert import project_1d
 from .grids import AdaptiveGrid, num_cells
 from .operators1d import (
     FamilySpec,
+    LeadingBlock,
     Operator1D,
     alpert_family,
     level_values,
@@ -67,6 +73,13 @@ Level = tuple[int, ...]
 
 # sweep position of each triangularity tag: level-lowering, pivot, raising
 _SWEEP_RANK = {"strictly-upper": 0, "general": 1, "lower": 2}
+
+# Longest fiber, in 1D entries, that a dense leading block multiplies; a
+# longer one cascades, and the block it bounds holds at most 2 MB.  Measured
+# on warm sparse-grid applies: dense fibers of 1024 entries cost 1.6-2.2x
+# the cascade's (2D k 3 n 8, k 1 n 9, k 2 n 10); dense fibers of 256 and 512
+# entries cost 0.45-0.78x (3D k 1 n 8, 2D k 1 n 8).
+DENSE_ENTRIES = 512
 
 
 class LevelLayout:
@@ -238,18 +251,19 @@ def expand_term(term: TensorTerm) -> list[TensorTerm]:
 class _SweepPlan:
     """Index maps of one sweep: gather, products, gather back.
 
-    The gathered entries are the sweep's fibers.  A dense plan lists them in
-    groups: group g holds `width` fibers of `rows` entries side by side as
-    the (rows, width) block at `at`, multiplied by `op.mat[:rows, :rows]`
-    into the same place of its output.  A cascade plan lists them level
-    major instead, in the layout of its `pyramid.Chains`, which also keeps
-    the index tables the forms build on that layout; its outputs are the
-    same fibers with the output's polynomial counts.
+    The gathered entries are the sweep's fibers.  A dense plan lists its
+    short fibers first, in groups: group g holds `width` fibers of `rows`
+    entries side by side as the (rows, width) block at `at`, multiplied by
+    the leading block's first `rows` rows and columns into the same place of
+    its output.  The other fibers follow level major, in the layout of the
+    plan's `pyramid.Chains`, which also keeps the index tables the forms
+    build on that layout; their outputs are the same fibers with the
+    output's polynomial counts.
     """
 
     gather: np.ndarray  # input-buffer index of each gathered entry
     groups: tuple[tuple[int, int, int], ...]  # dense plans: rows, width, at
-    chains: Chains | None  # cascade plans: the level-major layout
+    chains: Chains | None  # the level-major layout of the cascaded fibers
     inverse: np.ndarray  # entry of the sweep's output at each output-buffer index
 
 
@@ -265,10 +279,11 @@ def _build_plan(
 
     The level list is downward closed, so every fiber holds its whole chain
     0..A, and the fibers cover the buffer: both maps are permutations.  A
-    dense plan groups the fibers of equal A side by side, each as one column
-    of its 1D levels; a dense factor is square, so its outputs sit where its
-    inputs were.  A cascade plan takes level by level every fiber that
-    reaches it, sorted by A from the top, and builds their `Chains`.
+    dense plan groups the fibers of equal A with p 2^A <= `DENSE_ENTRIES`
+    side by side, each as one column of its 1D levels; a dense factor is
+    square, so their outputs sit where their inputs were.  The other fibers
+    (all of a cascade plan's) follow level by level, every fiber that
+    reaches the level, sorted by A from the top, and build their `Chains`.
     """
     d = len(p_in)
     where = dict(zip(layout.levels, zip(layout.starts, layout.shapes)))
@@ -292,27 +307,29 @@ def _build_plan(
         rest = lv[:dim] + lv[dim + 1 :]
         tops[rest] = max(tops.get(rest, 0), lv[dim])
     groups, counts, gather, order = [], [], [], []
+    long = tops
     if dense:
+        short = {rest: top for rest, top in tops.items() if p_in[dim] << top <= DENSE_ENTRIES}
+        long = {rest: top for rest, top in tops.items() if rest not in short}
         at = 0
-        ranked = sorted(tops, key=lambda rest: (tops[rest], rest))
-        for top, rests in itertools.groupby(ranked, key=tops.get):
+        ranked = sorted(short, key=lambda rest: (short[rest], rest))
+        for top, rests in itertools.groupby(ranked, key=short.get):
             x = np.concatenate([rows(r, top) for r in rests], axis=1)
             groups.append((len(x), x.shape[1], at))
             gather.append(x.ravel())
             at += x.size
-    else:
-        ranked = sorted(tops, key=lambda rest: (-tops[rest], rest))
-        polys = math.prod(p_in) // p_in[dim]  # per cell of the other dimensions
-        for a in range(max(tops.values()) + 1):
-            reach = [r for r in ranked if tops[r] >= a]
-            counts.append(polys * sum(math.prod(map(num_cells, r)) for r in reach))
-            gather += [block(r, a, p_in, back).ravel() for r in reach]
-            order += [block(r, a, p_out, back).ravel() for r in reach]
+    ranked = sorted(long, key=lambda rest: (-long[rest], rest))
+    polys = math.prod(p_in) // p_in[dim]  # per cell of the other dimensions
+    for a in range(max(long.values(), default=-1) + 1):
+        reach = [r for r in ranked if long[r] >= a]
+        counts.append(polys * sum(math.prod(map(num_cells, r)) for r in reach))
+        gather += [block(r, a, p_in, back).ravel() for r in reach]
+        order += [block(r, a, p_out, back).ravel() for r in reach]
     gather = np.concatenate(gather)
     order = gather if dense else np.concatenate(order)
     inverse = np.empty_like(order)
     inverse[order] = np.arange(len(order))
-    chains = None if dense else Chains(tuple(counts))
+    chains = Chains(tuple(counts)) if counts else None
     return _SweepPlan(gather, tuple(groups), chains, inverse)
 
 
@@ -320,25 +337,33 @@ def _plan(
     layout: LevelLayout, p: tuple[int, ...], op: Operator1D, dim: int
 ) -> tuple[_SweepPlan, tuple[int, ...]]:
     """The plan of a sweep of `op` along `dim` over fields of polynomial
-    counts p, built on first use, and the output's polynomial counts."""
+    counts p, built on first use, and the output's polynomial counts; a
+    dense leading block grows to the plan's deepest group."""
     if op.col.p != p[dim]:
         raise ValueError(f"operator takes {op.col.p} polys, field has {p[dim]}")
     p_out = p[:dim] + (op.row.p,) + p[dim + 1 :]
-    dense = isinstance(op.mat, np.ndarray)
+    dense = isinstance(op.mat, LeadingBlock)
     key = (dim, p, op.row.p, dense)
     plan = layout.plans.get(key)
     if plan is None:
         plan = layout.plans[key] = _build_plan(layout, dim, p, p_out, dense)
+    if plan.groups:
+        op.mat.reach(plan.groups[-1][0])
     return plan, p_out
 
 
-def _products(mat: np.ndarray, xg: np.ndarray, plan: _SweepPlan) -> np.ndarray:
-    """A dense factor on the gathered fibers: one product per group, into a
-    work array in the same order."""
+def _products(op: Operator1D, xg: np.ndarray, plan: _SweepPlan) -> np.ndarray:
+    """A dense factor on the gathered fibers, into a work array in the same
+    order: one product of its leading block per group, and the form's
+    cascade on the fibers after the groups."""
     yg = work_array("products", xg.shape)
+    mat = op.mat.block
     for rows, width, at in plan.groups:
         shape, span = (rows, width), slice(at, at + rows * width)
         np.matmul(mat[:rows, :rows], xg[span].reshape(shape), out=yg[span].reshape(shape))
+    if plan.chains is not None:
+        cut = len(xg) - op.row.p * plan.chains.rows[-1]
+        yg[cut:] = op.mat.cascade(op.tag, xg[cut:], plan.chains)
     return yg
 
 
@@ -349,7 +374,7 @@ def _sweeps(
     the next term reuses.
 
     Each sweep runs its factor on the gathered fibers: grouped products of
-    a dense matrix or one cascade of a pyramid form.  The fibers cover
+    a dense leading block or one cascade of a pyramid form.  The fibers cover
     every output, so the next sweep gathers its fibers straight from this
     one's output (`_link`), and the last one's output is gathered back into
     buffer order by the plan's inverse.
@@ -358,8 +383,8 @@ def _sweeps(
     xg = _take(x, plan.gather, "gathered")
     for dim, after in zip(dims, dims[1:] + [None]):
         op = ops[dim]
-        if isinstance(op.mat, np.ndarray):
-            yg = _products(op.mat, xg, plan)
+        if isinstance(op.mat, LeadingBlock):
+            yg = _products(op, xg, plan)
         else:
             yg = op.mat.cascade(op.tag, xg, plan.chains)
         if after is not None:

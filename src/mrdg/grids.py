@@ -26,21 +26,17 @@ Level = tuple[int, ...]
 Cell = tuple[int, ...]
 Key = tuple[Level, Cell]
 
-# Input bound on levels.  Storage is bounded separately: a constant-speed 1D
-# operator is dense, (k+1)^2 4^n doubles (2 GiB at n = 13, k = 1), and the
-# config check caps those at DENSE_OPERATOR_BYTES; a variable-speed operator
-# is a pyramid, a few (k+1)^2 tables per level plus node tables of O(2^n p)
-# entries, so the coefficient buffers bound its runs.
+# Input bound on levels.  Storage is bounded separately: a 1D operator is a
+# pyramid, a few (k+1)^2 tables per level plus node tables of O(2^n p)
+# entries, and a constant-speed one also holds a dense leading block of at
+# most `fastmv.DENSE_ENTRIES`^2 doubles, as deep as its sweeps reach; so the
+# coefficient buffers bound every run.
 MAX_LEVEL = 13
 
 # Coefficient cap of one field on a full or sparse grid, (k+1)^d per cell;
 # `AdaptiveGrid.full` and the config check refuse anything larger before
 # allocating.
 FULL_GRID_COEFFS = 1 << 26
-
-# Byte cap of the dense constant-speed 1D operators a run holds, one per
-# distinct boundary pair and level; the config check refuses more.
-DENSE_OPERATOR_BYTES = 1 << 30
 
 
 def num_cells(level: int) -> int:

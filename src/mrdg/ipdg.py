@@ -181,15 +181,17 @@ class WaveOperator:
             self._q_op = TensorOperator(q_terms)
             self._terms.append((self._nodeval, None, self._q_op))
 
-        self._cval: dict = {}  # force -> c^2 at the nodes of `_cval_version`
-        self._cval_version = None
+        self._cval: dict = {}  # force -> c^2 at the nodes of `_cval_layout`
+        self._cval_layout = None
 
     # -- coefficient samples at the hierarchical nodes ------------------
 
     def _csq_at_nodes(self, space: TensorSpace, force: tuple[int, int] | None):
-        if self._cval_version != space.version:
+        # the samples cover every cell of the space's levels, so they
+        # follow its level list, which its layout stands for
+        if self._cval_layout is not space.layout:
             self._cval.clear()
-            self._cval_version = space.version
+            self._cval_layout = space.layout
         hit = self._cval.get(force)
         if hit is not None:
             return hit

@@ -11,8 +11,9 @@ families on one interval, their end values and the values at the nodes.
 The factors of the variable-speed pipeline (mass, volume derivative,
 traces, node values, node-to-surplus and the `lu_split` halves) stay forms;
 a form's cascade chooses its blocks by the operator's tag, so `lu_split`
-only retags.  The constant-speed IPDG matrix sums the scaled parts of the
-stiffness and trace forms into one form, made dense once by probing
+only retags.  The constant-speed IPDG operator sums the scaled parts of the
+stiffness and trace forms into one form, and keeps a dense copy of its
+leading block (`LeadingBlock`), probed only as deep as the sweeps need it
 (`assemble_ipdg`).  `point_values` is a dense table, for the boundary data
 and the tests.
 
@@ -82,8 +83,8 @@ class Operator1D:
     """Hierarchical operator; every level block outside its tag is 0.
 
     `mat` is a pyramid form (`GalerkinForm`, `NodeForm` or `SurplusStencil`),
-    or the constant-speed IPDG form made dense: on the constant-speed
-    workloads' chains a dense apply is 4-8 times faster than a cascade.
+    or the constant-speed IPDG form with its dense leading block
+    (`LeadingBlock`): on short fibers a dense product beats a cascade.
     """
 
     mat: object
@@ -103,7 +104,7 @@ def lu_split(op: Operator1D) -> tuple[Operator1D, Operator1D]:
     Both halves share the operator's tables; each cascade forms only its own
     blocks, so the two share no blocks and sum to the operator.
     """
-    if op.tag != "general" or isinstance(op.mat, np.ndarray):
+    if op.tag != "general" or isinstance(op.mat, LeadingBlock):
         raise ValueError("only a general pyramid operator splits")
     return tuple(Operator1D(op.mat, op.row, op.col, tag) for tag in ("lower", "strictly-upper"))
 
@@ -262,24 +263,57 @@ def assemble_trace(
 def assemble_ipdg(
     fam: FamilySpec, bc: tuple[str, str], c2: float, penalty: float
 ) -> Operator1D:
-    """The constant-speed IPDG matrix of one dimension, dense:
+    """The constant-speed IPDG operator of one dimension:
     c2 (S - T - T^T) + penalty J, with S the broken stiffness, T the face sum
     of jump(test) x derivative average(trial) and J that of jump x jump.
 
     The four terms are the scaled parts of one pyramid form, the parts of
-    `_cellwise` and `assemble_trace`, made dense once by `_probed`.
+    `_cellwise` and `assemble_trace`, held with its dense leading block.
     """
     kinds = [("jump", "davg", -c2), ("davg", "jump", -c2), ("jump", "jump", penalty)]
     terms = [(_cellwise(fam, fam, True, True), c2)]
     terms += [(assemble_trace(fam, fam, row, col, bc), s) for row, col, s in kinds]
     parts = [(e, part.scaled(s)) for op, s in terms for e, part in op.mat.parts]
-    return Operator1D(_probed(GalerkinForm(fam, fam, parts)), fam, fam, "general")
+    return Operator1D(LeadingBlock(GalerkinForm(fam, fam, parts)), fam, fam, "general")
 
 
-def _probed(form: GalerkinForm) -> np.ndarray:
-    """The dense matrix of a symmetric form of one family, from one lower
-    cascade per input level a over coloured probes (Curtis, Powell & Reid,
-    IMA J. Appl. Math. 13, 1974).
+class LeadingBlock:
+    """A symmetric form of one family and the dense matrix of its levels
+    0..depth, its leading block.
+
+    The block starts empty and is probed anew, deeper, when a sweep needs
+    a deeper level (`reach`); the sweeps bound it (`fastmv.DENSE_ENTRIES`)
+    and cascade the form on the longer fibers.  Its entries do not depend
+    on the depth it was probed to, bit for bit.
+    """
+
+    def __init__(self, form: GalerkinForm):
+        self.form = form
+        self.shape = form.shape
+        self.block = np.zeros((0, 0))
+
+    def reach(self, rows: int) -> None:
+        """Grow the block to at least `rows` entries per side, the levels
+        0..A of a fiber of p 2^A entries."""
+        if len(self.block) < rows:
+            self.block = _probed(self.form, (rows // self.form.row.p).bit_length() - 1)
+
+    def cascade(self, tag: str, x: np.ndarray, ch: Chains) -> np.ndarray:
+        return self.form.cascade(tag, x, ch)
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.block
+
+    @property
+    def nnz(self) -> int:
+        return np.count_nonzero(self.block)
+
+
+def _probed(form: GalerkinForm, depth: int) -> np.ndarray:
+    """The dense matrix of levels 0..depth of a symmetric form of one
+    family, from one lower cascade per input level a over coloured probes
+    (Curtis, Powell & Reid, IMA J. Appl. Math. 13, 1974).
 
     A level-b function, b >= a, meets only the level-a functions of its
     cell's level-a ancestor u and of u's neighbours, across the wrap face
@@ -288,20 +322,22 @@ def _probed(form: GalerkinForm) -> np.ndarray:
     cell with ancestor u belongs to the one cell u + d, d in {-1, 0, 1}, of
     colour r, mod the cell count (C divides every count >= 4).  Without a
     wrap face the outputs written across the ends are exact zeros.  Every
-    block above the diagonal mirrors the one below.
+    block above the diagonal mirrors the one below.  A lower cascade's
+    level-b outputs read levels <= b only, so no deeper level enters.
     """
     fam, p = form.row, form.row.p
-    mat = np.zeros(form.shape)
-    for a in range(fam.n + 1):
+    size = fam.level_offset(depth + 1)
+    mat = np.zeros((size, size))
+    for a in range(depth + 1):
         cells = num_cells(a)
         colours = min(4, cells)
         fibers = colours * p
-        x = np.zeros(fibers * fam.ndof)
+        x = np.zeros(fibers * size)
         probe = x[fibers * fam.level_offset(a) : fibers * fam.level_offset(a + 1)]
         probe = probe.reshape(colours, p, cells // colours, colours, p)
         probe[np.arange(colours), :, :, np.arange(colours)] = np.eye(p)[:, None]
-        y = form.cascade("lower", x, Chains((fibers,) * (fam.n + 1)))
-        for b in range(a, fam.n + 1):
+        y = form.cascade("lower", x, Chains((fibers,) * (depth + 1)))
+        for b in range(a, depth + 1):
             ancestor = np.arange(num_cells(b)) >> (b - a)
             d = (np.arange(colours)[:, None] - ancestor + 1) % colours - 1
             r, cell = np.nonzero(d <= 1)  # d = 2: colour r is not next to u
@@ -312,7 +348,7 @@ def _probed(form: GalerkinForm) -> np.ndarray:
             mat[rows, cols] = vals
             if b > a:
                 mat[cols, rows] = vals
-    drop_work_arrays()  # a dense matrix never cascades again
+    drop_work_arrays()  # the probe's buffers; the sweeps' cascades size their own
     return mat
 
 

@@ -203,14 +203,13 @@ class _Synthesis:
 
     def analyse(self, h: np.ndarray, ch: Chains) -> np.ndarray:
         """The family's functions paired with the functional `h` on every
-        level's intervals, as a level-major fiber buffer."""
+        level's intervals, as a level-major fiber buffer.  Every form's rows
+        are an Alpert family, whose scale is 1 on every level."""
         p, n0 = len(self.top), ch.counts[0]
         y = np.empty(p * ch.rows[-1])
         np.matmul(h[:n0], self.top_t, out=y[: n0 * p].reshape(-1, p))
         out = y[n0 * p :].reshape(-1, p)
         np.matmul(h[n0:].reshape(len(out), 2 * p), self.mothers_t, out=out)
-        if self.scale is not None:
-            _scale_levels(y.reshape(-1, p), ch.rows, self.scale)
         return y
 
     @property

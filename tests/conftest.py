@@ -69,6 +69,56 @@ def _applied_to_identity(op: Operator1D) -> np.ndarray:
 # 1D assembly: dense products of point-value matrices
 
 
+def _legendre_long(degree: int, t: np.ndarray, deriv: bool) -> np.ndarray:
+    """Orthonormal shifted Legendre values (d/dt with `deriv`) at t in
+    [0, 1], shape (len(t), degree + 1), in long double by the three-term
+    recurrence: (i+1) P_(i+1) = (2i+1) s P_i - i P_(i-1) and
+    P'_(i+1) = P'_(i-1) + (2i+1) P_i, s = 2t - 1."""
+    s = 2 * t - 1
+    vals, ders = [np.ones_like(s), s], [np.zeros_like(s), np.ones_like(s)]
+    for i in range(1, degree):
+        vals.append(((2 * i + 1) * s * vals[i] - i * vals[i - 1]) / (i + 1))
+        ders.append(ders[i - 1] + (2 * i + 1) * vals[i])
+    norm = np.sqrt(np.arange(1, 2 * degree + 2, 2, dtype=np.longdouble))
+    return np.stack((ders if deriv else vals)[: degree + 1], axis=-1) * norm * (2 if deriv else 1)
+
+
+def exact_point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
+    """`point_values` evaluated in long double from the basis tables, then
+    rounded once: each value is within half an ulp of the tables' exact
+    value, so the sums of the oracles below carry only their own roundoff.
+
+    `x` may be long double: a Gauss point of a fine cell, cell + node, is
+    exact there, and so is its local coordinate on every level.
+    """
+    x = np.asarray(x, dtype=np.longdouble)
+    sides = np.broadcast_to(sides, x.shape)
+    out = np.zeros((len(x), fam.ndof), np.longdouble)
+    if fam.kind == "alpert":
+        level0, mothers = np.eye(fam.p), mother_wavelets(fam.degree)
+    else:
+        basis = make_interp_basis(fam.degree, fam.variant)
+        level0, mothers = basis.phi, basis.mothers
+    root2 = np.sqrt(np.longdouble(2))
+    for level in range(fam.n + 1):
+        t = x * (1 << level)
+        half = np.floor(t).astype(int)
+        half = np.clip(np.where((t == half) & (sides < 0), half - 1, half), 0, (1 << level) - 1)
+        leg = _legendre_long(fam.degree, t - half, deriv) * ((1 << level) if deriv else 1)
+        if level == 0:
+            cell, vals = half, leg @ level0.T.astype(np.longdouble)
+        else:
+            # level l is 2^(l/2) times the mothers for Alpert, sqrt(2) times
+            # them for the interpolatory family (see `level_values`)
+            scale = root2**level if fam.kind == "alpert" else root2
+            pieces = scale * mothers.astype(np.longdouble)
+            right = (half & 1).astype(bool)[:, None]
+            cell, vals = half >> 1, np.where(right, leg @ pieces[:, 1].T, leg @ pieces[:, 0].T)
+        cols = fam.level_offset(level) + fam.p * cell[:, None] + np.arange(fam.p)
+        out[np.arange(len(x))[:, None], cols] += vals
+    return out.astype(float)
+
+
 def gram_oracle(row, col, drow: bool, dcol: bool, absolute: bool = False) -> np.ndarray:
     """Volume pairing R_row^T W R_col: dense point-value matrices at the
     Gauss points of every finest cell, each differentiated when its flag is
@@ -79,9 +129,9 @@ def gram_oracle(row, col, drow: bool, dcol: bool, absolute: bool = False) -> np.
     """
     quad = Quadrature1D.gauss(max(row.degree, col.degree) + 1)
     ncf = 1 << row.n
-    x = ((np.arange(ncf)[:, None] + quad.nodes) / ncf).ravel()
+    x = ((np.arange(ncf, dtype=np.longdouble)[:, None] + quad.nodes) / ncf).ravel()
     w = np.tile(quad.weights / ncf, ncf)
-    r_row, r_col = point_values(row, x, 1, drow), point_values(col, x, 1, dcol)
+    r_row, r_col = exact_point_values(row, x, 1, drow), exact_point_values(col, x, 1, dcol)
     if absolute:
         r_row, r_col = np.abs(r_row), np.abs(r_col)
     return (w[:, None] * r_row).T @ r_col
@@ -124,8 +174,8 @@ def trace_rows_oracle(fam: FamilySpec, kind: str, faces) -> np.ndarray:
     wl = np.where(np.isnan(xl), 0.0, wl)
     wr = np.where(np.isnan(xr), 0.0, wr)
     deriv = kind.startswith("d")
-    left = point_values(fam, np.nan_to_num(xl), -1, deriv)
-    right = point_values(fam, np.nan_to_num(xr), 1, deriv)
+    left = exact_point_values(fam, np.nan_to_num(xl), -1, deriv)
+    right = exact_point_values(fam, np.nan_to_num(xr), 1, deriv)
     return wl[:, None] * left + wr[:, None] * right
 
 

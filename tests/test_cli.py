@@ -309,7 +309,6 @@ def test_last_step_lands_on_each_target(mode):
         "m=6",
         "n=14",
         "k=11 m=3 n=2",  # the Alpert wavelet construction fails above degree 10
-        "n=13",  # a 2 GiB dense constant-speed operator
         "slice_points=0",
         "ndim=2 slice_points=100000",  # a 10^10-point slice lattice
         "t_final=-1",

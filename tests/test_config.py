@@ -81,9 +81,10 @@ def test_list_valued_keys():
         {"m": "6"},
         {"k": "5"},  # m defaults to k + 1 = 6
         {"k": "11", "m": "3"},  # no Alpert mother table above degree 10
-        {"n": "13"},  # constant speed: a 2 GiB dense 1D operator
-        {"k": "2", "n": "12"},  # 1.1 GiB dense
-        {"problem": "cosine-mixed", "n": "12", "n_values": "11,12"},  # two bc pairs
+        # full grids over the coefficient cap, (k+1)^2 4^n > 2^26
+        {"n": "13", "mode": "full"},
+        {"k": "2", "n": "12", "mode": "full"},
+        {"problem": "cosine-mixed", "n": "12", "n_values": "11,13", "mode": "full"},
         {"cfl": "0"},
         {"cfl": "-0.1"},
         {"cfl": "nan"},
@@ -124,8 +125,6 @@ def test_range_limits_are_accepted():
     )  # variable-speed operators are pyramid tables, so n = 13 is no dense allocation
     assert (cfg.n, cfg.m, cfg.t_final, cfg.slice_points) == (13, 5, 0.0, 1)
     assert RunConfig.from_mapping({"k": "10", "m": "3"}).k == 10
-    # dense constant-speed operators: 640 MiB for two levels, and the cap of
-    # 2^30 bytes for two bc pairs of 512 MiB
     assert RunConfig.from_mapping({"n": "12", "n_values": "11"}).n == 12
     assert RunConfig.from_mapping({"problem": "cosine-mixed", "n": "12"}).n == 12
     cfg = RunConfig.from_mapping({"ndim": "2", "slice_points": "1024"})
@@ -135,6 +134,24 @@ def test_range_limits_are_accepted():
     assert RunConfig.from_mapping({"problem": "smooth-speed", "ndim": "3"}).ndim == 3
     # the largest full grid: (k+1)^ndim * 2^(n*ndim) = 2^26 coefficients
     assert RunConfig.from_mapping({"ndim": "2", "n": "12", "mode": "full"}).n == 12
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        {"problem": "cosine-periodic", "ndim": "2", "k": "2", "n": "12", "mode": "sparse"},
+        {"k": "3", "m": "4", "n": "12", "mode": "adaptive", "eps": "1e-4"},
+        {"n": "13", "mode": "sparse"},
+    ],
+    ids=["sparse-k2-n12", "adaptive-k3-n12", "sparse-k1-n13"],
+)
+def test_constant_speed_runs_are_bounded_by_the_coefficient_caps(mapping):
+    # a constant-speed operator holds its dense leading block only as deep
+    # as the sweeps reach, at most `fastmv.DENSE_ENTRIES` entries a side, so
+    # no dense-operator cap refuses these (1.12, 2 and 2 GiB of dense
+    # matrices once)
+    cfg = RunConfig.from_mapping(mapping)
+    assert (cfg.n, cfg.mode) == (int(mapping["n"]), mapping["mode"])
 
 
 def test_echo_lines_round_trip():

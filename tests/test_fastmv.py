@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrdg import fastmv, pyramid, runner
+from mrdg import fastmv, operators1d, pyramid, runner
 from mrdg.config import RunConfig
 from mrdg.fastmv import (
     TensorOperator,
@@ -289,6 +289,64 @@ def test_fast_apply_with_missing_input_levels_equals_dense(d, k, seed, data):
     assert np.max(np.abs(got - want)) / scale < ORACLE_TOL, oname
 
 
+@pytest.mark.parametrize("d,k,n", [(2, 1, 4), (2, 2, 3), (3, 1, 3)])
+@pytest.mark.parametrize("polys", [1, 2])
+def test_dense_groups_and_cascaded_chains_equal_dense_restriction(monkeypatch, d, k, n, polys):
+    # with the dense bound at a few p, one sweep holds both dense groups
+    # (fibers of top level A <= log2(polys)) and cascaded chains (the rest)
+    monkeypatch.setattr(fastmv, "DENSE_ENTRIES", polys * (k + 1))
+    fastmv._layout.cache_clear()  # plans built under the usual bound
+    (terms,) = [terms for name, terms in operator_menu(d, k, n) if name == "wave-const"]
+    top = TensorOperator(terms)
+    p_in = (k + 1,) * d
+    for gname, grid in grid_family(d, n):
+        space = TensorSpace(grid)
+        x = random_coeffs(space, p_in, hash(gname) % 2**32)
+        got = flatten(space, top.apply(space, x))
+        want = dense_from_terms(terms, space, p_in) @ flatten(space, x)
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) / scale < ORACLE_TOL, gname
+        if gname == "sparse":  # fibers of every top level 0..n
+            plans = space.layout.plans.values()
+            assert all(plan.groups and plan.chains for plan in plans)
+            assert all(rows <= polys * (k + 1) for plan in plans for rows, _, _ in plan.groups)
+    fastmv._layout.cache_clear()  # nor are these plans kept
+
+
+def test_dense_block_grows_to_the_levels_applied(monkeypatch):
+    # an apply on levels below n_max probes only as deep as they reach; a
+    # deeper apply probes again, and the block is the whole matrix's
+    # leading block, bit for bit
+    depths = []
+    probed = operators1d._probed
+
+    def counted(form, depth):
+        depths.append(depth)
+        return probed(form, depth)
+
+    monkeypatch.setattr(operators1d, "_probed", counted)
+    k, n = 2, 7
+    fam = alpert_family(k, n)
+    op = assemble_ipdg.__wrapped__(fam, ("periodic", "periodic"), 1.0, 20.0)  # uncached
+    terms = [TensorTerm((op, None), -1.0), TensorTerm((None, op), -1.0)]
+    top = TensorOperator(terms)
+    assert op.mat.block.size == 0
+    for top_level in (3, 3, 2, 5):
+        space = TensorSpace(AdaptiveGrid.sparse(2, top_level, n_max=n))
+        x = random_coeffs(space, (k + 1, k + 1), top_level)
+        got = flatten(space, top.apply(space, x))
+        want = dense_from_terms(terms, space, (k + 1, k + 1)) @ flatten(space, x)
+        assert np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))) < ORACLE_TOL
+    assert depths == [3, 5]  # once per deeper level, never to n_max
+    size = fam.level_offset(6)
+    assert op.mat.block.shape == (size, size)
+    assert np.array_equal(op.mat.block, probed(op.mat.form, n)[:size, :size])
+    # a second operator on the same space reuses its plans and grows its own block
+    other = assemble_ipdg.__wrapped__(fam, ("periodic", "periodic"), 2.0, 20.0)
+    TensorOperator([TensorTerm((other, None))]).apply(space, x)
+    assert depths == [3, 5, 5] and other.mat.block.shape == (size, size)
+
+
 @pytest.mark.parametrize("ndim,k,n", [(2, 1, 8), (3, 2, 6)])
 def test_constant_speed_apply_allocates_no_sweep_buffers(ndim, k, n):
     # the dense sweeps gather, multiply and gather back through work arrays that
@@ -530,6 +588,44 @@ def test_adaptive_run_builds_plans_per_level_list(plan_builds, monkeypatch):
     # the initial grid search builds one of the three without applying on it
     assert len(spaces) > 100 and len(set(spaces)) == 3 and lists <= set(spaces)
     assert len(builds) == len(set(builds)) == len(lists) * len(keys)
+
+
+def test_adaptive_run_holds_blocks_only_as_deep_as_its_grid(monkeypatch):
+    # n_max 10, but the grid stops at level 5: the dense block of the one
+    # boundary pair covers levels 0..5, (4 2^5)^2 doubles, not 4096^2
+    levels, wops = set(), []
+
+    class CountedSpace(TensorSpace):
+        def __init__(self, grid):
+            super().__init__(grid)
+            levels.update(self.levels)
+
+    class CountedOperator(WaveOperator):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            wops.append(self)
+
+    monkeypatch.setattr(runner, "TensorSpace", CountedSpace)
+    monkeypatch.setattr(runner, "WaveOperator", CountedOperator)
+    operators1d.assemble_ipdg.cache_clear()  # no block another test grew
+    cfg = RunConfig.from_mapping(
+        {
+            "problem": "cosine-periodic",
+            "ndim": 2,
+            "k": 3,
+            "m": 4,
+            "n": 10,
+            "mode": "adaptive",
+            "eps": 1e-4,
+            "t_final": 0.005,
+        }
+    )
+    runner.run(cfg)
+    top = max(max(lv) for lv in levels)
+    ops = [op for wop in wops for term in wop._op_const.terms for op in term.ops if op is not None]
+    blocks = {id(op.mat): op.mat.block for op in ops}
+    assert top == 5 and len(blocks) == 1
+    assert [block.shape for block in blocks.values()] == [(4 << top, 4 << top)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from mrdg.ipdg import (
     make_rhs,
 )
 
-from conftest import flatten, random_coeffs, space_layout
+from conftest import activate, flatten, random_coeffs, space_layout
 
 PER = ("periodic", "periodic")
 TAU = 2 * np.pi
@@ -273,6 +273,29 @@ def test_interpolated_takes_one_sample_set_per_term(csq, terms):
 
 # ---------------------------------------------------------------------------
 # first-order system assembly
+
+
+def test_one_operator_on_two_grids_of_equal_version():
+    # the c^2 node samples follow the space's level list, not the grid's
+    # version counter: grids of two level lists whose versions agree, with
+    # buffers of different sizes and then of equal size, each get the
+    # answer of a fresh operator
+    csq = Coefficient.smooth(lambda x, y: 1.0 + 0.5 * x + 0.25 * y**2)
+    x_first, y_first = AdaptiveGrid(2, 3), AdaptiveGrid(2, 3)
+    activate(x_first, ((2, 0), (1, 0)))
+    activate(y_first, ((0, 2), (0, 1)))
+    pairs = [(AdaptiveGrid.sparse(2, 2, n_max=3), AdaptiveGrid.sparse(2, 3)), (x_first, y_first)]
+    wop = scheme(2, 1, 2, 3, csq)
+    for first, second in pairs:
+        second.version = first.version
+        sizes = [TensorSpace(g).layout.cells for g in (first, second)]
+        assert (sizes[0] == sizes[1]) == (first is x_first)
+        for grid in (first, second):
+            space = TensorSpace(grid)
+            u = random_coeffs(space, wop.p_a, 0)
+            got = wop.apply(space, u)
+            want = scheme(2, 1, 2, 3, csq).apply(space, u)
+            assert np.array_equal(got.buf, want.buf)
 
 
 def test_make_rhs_returns_velocity_and_forced_laplacian():
