@@ -18,31 +18,27 @@ Kronecker operator to the active degrees of freedom exactly.
 
 A sweep along dimension m works on fibers: the level tuples that agree on
 every coordinate but m, which in a downward-closed set form a chain 0..A,
-so the fibers of a sweep cover the buffer.  A cached `_SweepPlan` gathers
-them, the sweep runs its factor on them, and the plan's inverse gathers the
-output back into buffer order (`_sweeps`).  Every factor is a pyramid form
-(`pyramid`): a cascade plan gathers the fibers level by level, those
-reaching level l first at level l, and one cascade of the form runs over
-all of them: synthesis, local form and analysis, a few numpy calls per
-level.  The plan builds that layout once, as a `pyramid.Chains`, and the
-forms keep their index tables on it.
+so the fibers of a sweep cover the buffer.  The sweep gathers them in a
+fiber order, runs its factor on them and gathers the output back into
+buffer order (`_sweeps`).  Every factor is a pyramid form (`pyramid`),
+cascaded over fibers gathered level by level, those reaching level l first
+at level l, in the layout of a `pyramid.Chains`: synthesis, local form and
+analysis, a few numpy calls per level.
 
 The constant-speed factor also holds a dense copy of its leading block
 (`operators1d.LeadingBlock`).  The 1D index of (level a, cell c, poly i) is
 p * (cells of levels < a + c) + i, so a fiber's levels 0..A, stacked along
 the cell axis of m, have the 1D layout, and the block's first p 2^A rows
-and columns map them to themselves.  Its plan sets the short fibers, of at
-most `DENSE_ENTRIES` entries, of equal A side by side as the columns of one
-matrix, and each such group takes one product; the longer fibers follow,
-level major, for the form's cascade, which costs less than a product on
-them.  The plan grows the block to the deepest short fiber.
+and columns map them to themselves.  A dense sweep sets the fibers of equal
+A and at most `DENSE_ENTRIES` entries side by side as the columns of one
+product, and grows the block to the deepest; longer fibers cascade.
 
-Either way the outputs are the same fibers, so consecutive sweeps of a term
-pass them on by one gather (`_link`).  The gathers and the products are
-work arrays (`work_array`) that the next sweep reuses, so a warm dense apply
-allocates none of them.  A plan depends only on the level list, m, the
-polynomial counts and whether the factor is dense, so it lives on the
-`LevelLayout` that every space with that level list shares.
+A fiber order depends only on the level list, m, the polynomial counts and
+whether the factor is dense, so the `_SweepPlan`s and the index maps live
+on the `LevelLayout` of the level list: each map once, and only those a warm
+apply reads (first gathers, links, last gathers back).  Gathers and products
+are work arrays (`work_array`) that the next sweep reuses, so a warm dense
+apply allocates none of them.
 
 Operators with more than one unconstrained dimension are expanded into at
 most 2^(d-1) sweepable terms by L+U splitting of the surplus factors.
@@ -70,6 +66,7 @@ from .operators1d import (
 from .pyramid import Chains, work_array
 
 Level = tuple[int, ...]
+Order = tuple[int, tuple[int, ...], bool]  # a sweep's fibers: dim, p, dense
 
 # sweep position of each triangularity tag: level-lowering, pivot, raising
 _SWEEP_RANK = {"strictly-upper": 0, "general": 1, "lower": 2}
@@ -96,7 +93,8 @@ class LevelLayout:
         self.starts = [0, *itertools.accumulate(math.prod(s) for s in self.shapes)]
         self.cells = self.starts[-1]
         self.plans: dict[tuple, _SweepPlan] = {}
-        self.links: dict[tuple[int, int], np.ndarray] = {}
+        self.chains = {}  # `Chains` by counts
+        self.maps = {}  # the index maps a warm apply reads (`_map`)
 
     def views(self, buf: np.ndarray, p: tuple[int, ...]) -> dict[Level, np.ndarray]:
         q = math.prod(p)
@@ -249,88 +247,69 @@ def expand_term(term: TensorTerm) -> list[TensorTerm]:
 
 @dataclass(frozen=True)
 class _SweepPlan:
-    """Index maps of one sweep: gather, products, gather back.
+    """The fiber orders of one sweep's input and output, and its products.
+    A dense plan lists its short fibers first, in groups: group g holds
+    `width` fibers of `rows` entries side by side as the (rows, width) block
+    at `at`, multiplied by the leading block's first `rows` rows and columns.
+    The other fibers follow level major, in the layout of `chains`."""
 
-    The gathered entries are the sweep's fibers.  A dense plan lists its
-    short fibers first, in groups: group g holds `width` fibers of `rows`
-    entries side by side as the (rows, width) block at `at`, multiplied by
-    the leading block's first `rows` rows and columns into the same place of
-    its output.  The other fibers follow level major, in the layout of the
-    plan's `pyramid.Chains`, which also keeps the index tables the forms
-    build on that layout; their outputs are the same fibers with the
-    output's polynomial counts.
-    """
-
-    gather: np.ndarray  # input-buffer index of each gathered entry
+    order_in: Order
+    order_out: Order
     groups: tuple[tuple[int, int, int], ...]  # dense plans: rows, width, at
     chains: Chains | None  # the level-major layout of the cascaded fibers
-    inverse: np.ndarray  # entry of the sweep's output at each output-buffer index
 
 
-def _build_plan(
-    layout: LevelLayout,
-    dim: int,
-    p_in: tuple[int, ...],
-    p_out: tuple[int, ...],
-    dense: bool,
-) -> _SweepPlan:
-    """Gather map of a sweep along `dim` over `layout`, and the inverse of
-    its output order.
+def _order(layout: LevelLayout, dim: int, p: tuple[int, ...], dense: bool):
+    """The buffer index of each entry of a field of polynomial counts p in
+    the fibers of a sweep along `dim`; and those fibers' dense groups (rows,
+    width, at) and level counts.
 
     The level list is downward closed, so every fiber holds its whole chain
-    0..A, and the fibers cover the buffer: both maps are permutations.  A
-    dense plan groups the fibers of equal A with p 2^A <= `DENSE_ENTRIES`
-    side by side, each as one column of its 1D levels; a dense factor is
-    square, so their outputs sit where their inputs were.  The other fibers
-    (all of a cascade plan's) follow level by level, every fiber that
-    reaches the level, sorted by A from the top, and build their `Chains`.
+    0..A, and the fibers cover the buffer: the index is a permutation.  A
+    dense order groups the fibers of equal A with p 2^A <= `DENSE_ENTRIES`
+    side by side, each as one column of its 1D levels.  The other fibers
+    follow level by level, every fiber that reaches the level, sorted by A
+    from the top.
     """
-    d = len(p_in)
+    d, q = len(p), math.prod(p)
     where = dict(zip(layout.levels, zip(layout.starts, layout.shapes)))
     front = (dim, d + dim) + tuple(j for j in range(2 * d) if j not in (dim, d + dim))
     back = front[2:] + front[:2]
 
-    def block(rest: Level, a: int, p: tuple[int, ...], axes) -> np.ndarray:
+    def block(rest: Level, a: int, axes) -> np.ndarray:
         # buffer indices of level a of a fiber, axes of dim first or last
         start, cells = where[rest[:dim] + (a,) + rest[dim:]]
-        q = math.prod(p)
         idx = np.arange(q * start, q * (start + math.prod(cells)))
         return idx.reshape(cells + p).transpose(axes)
 
     def rows(rest: Level, top: int) -> np.ndarray:
         # a fiber's levels 0..top as a (1D index, column) array
-        blocks = [block(rest, a, p_in, front) for a in range(top + 1)]
+        blocks = [block(rest, a, front) for a in range(top + 1)]
         return np.concatenate([b.reshape(b.shape[0] * b.shape[1], -1) for b in blocks])
 
     tops: dict[Level, int] = {}
     for lv in layout.levels:
         rest = lv[:dim] + lv[dim + 1 :]
         tops[rest] = max(tops.get(rest, 0), lv[dim])
-    groups, counts, gather, order = [], [], [], []
-    long = tops
-    if dense:
-        short = {rest: top for rest, top in tops.items() if p_in[dim] << top <= DENSE_ENTRIES}
-        long = {rest: top for rest, top in tops.items() if rest not in short}
-        at = 0
-        ranked = sorted(short, key=lambda rest: (short[rest], rest))
-        for top, rests in itertools.groupby(ranked, key=short.get):
-            x = np.concatenate([rows(r, top) for r in rests], axis=1)
-            groups.append((len(x), x.shape[1], at))
-            gather.append(x.ravel())
-            at += x.size
-    ranked = sorted(long, key=lambda rest: (-long[rest], rest))
-    polys = math.prod(p_in) // p_in[dim]  # per cell of the other dimensions
-    for a in range(max(long.values(), default=-1) + 1):
-        reach = [r for r in ranked if long[r] >= a]
-        counts.append(polys * sum(math.prod(map(num_cells, r)) for r in reach))
-        gather += [block(r, a, p_in, back).ravel() for r in reach]
-        order += [block(r, a, p_out, back).ravel() for r in reach]
-    gather = np.concatenate(gather)
-    order = gather if dense else np.concatenate(order)
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(len(order))
-    chains = Chains(tuple(counts)) if counts else None
-    return _SweepPlan(gather, tuple(groups), chains, inverse)
+    short = {r: a for r, a in tops.items() if dense and p[dim] << a <= DENSE_ENTRIES}
+    parts, groups, counts = [], [], []
+    for top, rests in itertools.groupby(sorted(short, key=lambda r: (short[r], r)), key=short.get):
+        x = np.concatenate([rows(r, top) for r in rests], axis=1)
+        groups.append((*x.shape, sum(map(len, parts))))
+        parts.append(x.ravel())
+    long = sorted((r for r in tops if r not in short), key=lambda r: (-tops[r], r))
+    for a in range(tops[long[0]] + 1 if long else 0):
+        level = [block(r, a, back).ravel() for r in long if tops[r] >= a]
+        counts.append(sum(map(len, level)) // (p[dim] * num_cells(a)))
+        parts += level
+    return np.concatenate(parts), tuple(groups), tuple(counts)
+
+
+def _build_plan(layout: LevelLayout, dim: int, p_in, p_out, dense: bool) -> _SweepPlan:
+    """A sweep's dense groups and the `Chains` of its other fibers."""
+    _, groups, counts = _order(layout, dim, p_in, dense)
+    chains = layout.chains.setdefault(counts, Chains(counts)) if counts else None
+    return _SweepPlan((dim, p_in, dense), (dim, p_out, dense), groups, chains)
 
 
 def _plan(
@@ -371,16 +350,10 @@ def _sweeps(
     layout: LevelLayout, x: np.ndarray, p: tuple[int, ...], ops, dims: list[int]
 ) -> np.ndarray:
     """The sweeps of one term, in the order `dims`, into a work array that
-    the next term reuses.
-
-    Each sweep runs its factor on the gathered fibers: grouped products of
-    a dense leading block or one cascade of a pyramid form.  The fibers cover
-    every output, so the next sweep gathers its fibers straight from this
-    one's output (`_link`), and the last one's output is gathered back into
-    buffer order by the plan's inverse.
-    """
+    the next term reuses.  Each sweep's fibers cover its output, so the next
+    sweep gathers its own straight from it (`_map`)."""
     plan, p = _plan(layout, p, ops[dims[0]], dims[0])
-    xg = _take(x, plan.gather, "gathered")
+    xg = _take(x, _map(layout, None, plan.order_in), "gathered")
     for dim, after in zip(dims, dims[1:] + [None]):
         op = ops[dim]
         if isinstance(op.mat, LeadingBlock):
@@ -389,9 +362,9 @@ def _sweeps(
             yg = op.mat.cascade(op.tag, xg, plan.chains)
         if after is not None:
             nxt, p = _plan(layout, p, ops[after], after)
-            xg = _take(yg, _link(layout, plan, nxt), "gathered")
+            xg = _take(yg, _map(layout, plan.order_out, nxt.order_in), "gathered")
             plan = nxt
-    return _take(yg, plan.inverse, "swept")
+    return _take(yg, _map(layout, plan.order_out, None), "swept")
 
 
 def _take(x: np.ndarray, index: np.ndarray, role: str) -> np.ndarray:
@@ -400,12 +373,22 @@ def _take(x: np.ndarray, index: np.ndarray, role: str) -> np.ndarray:
     return np.take(x, index, out=work_array(role, index.shape), mode="clip")
 
 
-def _link(layout: LevelLayout, plan: _SweepPlan, nxt: _SweepPlan) -> np.ndarray:
-    """Where each of `nxt`'s gathered entries sits in `plan`'s output."""
-    key = (id(plan), id(nxt))  # plans live as long as their layout
-    hit = layout.links.get(key)
+def _map(layout: LevelLayout, out: Order | None, into: Order | None, keep: bool = True):
+    """Where each entry of the order `into` sits in the order `out`, None
+    standing for buffer order: a gather, a link or, into None, the gather
+    back.  Made on first use, and kept on the layout with `keep`."""
+    hit = layout.maps.get((out, into))
     if hit is None:
-        hit = layout.links[key] = plan.inverse[nxt.gather]
+        if out is None:
+            hit = _order(layout, *into)[0]
+        elif into is None:
+            known = _map(layout, None, out, False)
+            hit = np.empty_like(known)
+            hit[known] = np.arange(len(known))
+        else:
+            hit = _map(layout, out, None, False)[_map(layout, None, into, False)]
+        if keep:
+            layout.maps[out, into] = hit
     return hit
 
 

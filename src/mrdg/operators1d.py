@@ -7,7 +7,8 @@ the 2^l intervals of level l.
 
 Every 1D operator is a multiwavelet pyramid form of `pyramid`, and the
 assemblers here build its reference tables: the pairing of the Legendre
-families on one interval, their end values and the values at the nodes.
+families on one interval, their end values and the values at the nodes,
+whose places (`NodeLayout`) the node forms of one node family share.
 The factors of the variable-speed pipeline (mass, volume derivative,
 traces, node values, node-to-surplus and the `lu_split` halves) stay forms;
 a form's cascade chooses its blocks by the operator's tag, so `lu_split`
@@ -138,24 +139,20 @@ def level_values(
     fam: FamilySpec, level: int, x: np.ndarray, sides=1, deriv: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level-`level` cell of each point and the p values there of that
-    cell's functions (derivatives with `deriv`), shape (len(x), p).
+    cell's functions (derivatives with `deriv`), shape (len(x), p), for an
+    Alpert family.
 
     Sides pick the half at breakpoints as in `_locate`.  On the half that
-    holds x, level-l function i (l >= 1) is c_l times the Legendre expansion
-    of mother i on that half, in the half's local coordinate: c_l = 2^(l/2)
-    for Alpert (unitary dilation) and sqrt(2) for the interpolatory family,
-    whose functions keep value 1 at their node.
+    holds x, level-l function i (l >= 1) is 2^(l/2) (the unitary dilation)
+    times the Legendre expansion of mother i on that half, in the half's
+    local coordinate.
     """
+    if fam.kind != "alpert":
+        raise ValueError("level values take an Alpert family")
     half, leg = _locate(fam.degree, level, x, sides, deriv)
-    if fam.kind == "alpert":
-        if level == 0:
-            return half, leg
-        pieces = 2.0 ** (0.5 * level) * mother_wavelets(fam.degree)  # [i, half, q]
-    else:
-        basis = make_interp_basis(fam.degree, fam.variant)
-        if level == 0:
-            return half, leg @ basis.phi.T
-        pieces = np.sqrt(2.0) * basis.mothers
+    if level == 0:
+        return half, leg
+    pieces = 2.0 ** (0.5 * level) * mother_wavelets(fam.degree)  # [i, half, q]
     right = (half & 1).astype(bool)[:, None]
     return half >> 1, np.where(right, leg @ pieces[:, 1].T, leg @ pieces[:, 0].T)
 
@@ -167,9 +164,9 @@ def _level_cols(fam: FamilySpec, level: int, cell: np.ndarray) -> np.ndarray:
 
 
 def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
-    """Value (derivative with `deriv`) of every function of `fam` at the
-    points x in [0, 1], a dense (len(x), ndof) array; sides as in
-    `level_values`.
+    """Value (derivative with `deriv`) of every function of the Alpert
+    family `fam` at the points x in [0, 1], a dense (len(x), ndof) array;
+    sides as in `level_values`.
 
     Left and right limits at a point inside a level's half are bit for bit
     equal, so jumps of the functions smooth there are exact zeros.
@@ -356,6 +353,69 @@ def _probed(form: GalerkinForm, depth: int) -> np.ndarray:
 # node values and surpluses
 
 
+class NodeLayout:
+    """Where the hierarchical nodes of a node family sit: `where[l]` is the
+    level-l interval of every node of levels <= l, and `cells[a]` the
+    level-a cell of every node of levels < a.
+
+    The node forms of one node family and side convention share it (values
+    and derivatives alike, whatever their columns), and with it the index
+    tables it builds on each `Chains`.  Forced sides move the nodes on a
+    breakpoint to the other interval, so they have a layout of their own.
+    """
+
+    def __init__(self, rows: FamilySpec, where: list[np.ndarray]):
+        self.row = rows
+        self.where = where
+        self.cells = [None] + [w[: rows.level_offset(a)] >> 1 for a, w in enumerate(where) if a]
+
+    def top_table(self, ch: Chains) -> tuple[np.ndarray, np.ndarray]:
+        """For every fiber, in order, and every node of levels <= its top
+        level: the single-scale row of the top level's interval that holds
+        the node.  And for every output entry, in output order, its place in
+        that list."""
+        starts, counts = ch.starts, ch.counts
+        ends = [*counts[1:], 0]
+        src, first, at = [], {}, 0
+        for top in range(len(counts) - 1, -1, -1):  # fibers by top, highest first
+            fibers = np.arange(ends[top], counts[top])[:, None]
+            src.append((starts[top] + (fibers << top) + self.where[top]).ravel())
+            first[top] = at - ends[top] * len(self.where[top])
+            at += src[-1].size
+        place = []
+        for b in range(len(counts)):
+            nodes = np.arange(self.row.level_offset(b), self.row.level_offset(b + 1))
+            for top in range(len(counts) - 1, b - 1, -1):
+                fibers = np.arange(ends[top], counts[top])[:, None]
+                place.append((first[top] + fibers * len(self.where[top]) + nodes).ravel())
+        return np.concatenate(src), np.concatenate(place)
+
+    def link_table(self, ch: Chains) -> tuple[np.ndarray, np.ndarray]:
+        """For every finer level a, fiber and node of levels < a: the input
+        row of its level-a cell, and the output entry."""
+        counts = ch.counts
+        src, dst = [], []
+        for a in range(1, len(counts)):
+            fibers = np.arange(counts[a])[:, None]
+            src.append((ch.rows[a] + num_cells(a) * fibers + self.cells[a]).ravel())
+            dst.append(ch.entries(np.arange(len(self.cells[a])), self.row.p, counts[a]).ravel())
+        none = [np.zeros(0, np.intp)]
+        return np.concatenate(src + none), np.concatenate(dst + none)
+
+
+@lru_cache(maxsize=None)
+def _nodes(rows: FamilySpec, force_side: int) -> tuple[np.ndarray, np.ndarray, NodeLayout]:
+    """The hierarchical nodes of a node family, their side tags (all
+    `force_side` when it is nonzero) and their `NodeLayout`, which every
+    node form on them shares."""
+    x, sides = make_interp_basis(rows.degree, rows.variant).all_nodes(rows.n)
+    if force_side:
+        sides = np.full_like(sides, force_side)
+    reach = [rows.level_offset(level + 1) for level in range(rows.n + 1)]
+    where = [_locate(0, level, x[:r], sides[:r], False)[0] for level, r in enumerate(reach)]
+    return x, sides, NodeLayout(rows, where)
+
+
 @lru_cache(maxsize=None)
 def assemble_node_values(
     rows: FamilySpec,
@@ -363,30 +423,26 @@ def assemble_node_values(
     deriv: bool = False,
     force_side: int = 0,
 ) -> Operator1D:
-    """Values (or derivatives) of the column family at the hierarchical
-    nodes, as a `NodeForm`.
+    """Values (or derivatives) of an Alpert column family at the
+    hierarchical nodes, as a `NodeForm`.
 
     A nonzero `force_side` replaces every node's side tag, which samples both
     one-sided limits across coefficient-jump planes (the domain ends keep
     their interval, see `_locate`).
     """
-    if rows.kind != "nodes":
-        raise ValueError("row family must be a node layout")
-    x, sides = make_interp_basis(rows.degree, rows.variant).all_nodes(rows.n)
-    if force_side:
-        sides = np.full_like(sides, force_side)
-    levels, cells, values = [], [None], [np.zeros((0, col.p))]
+    if rows.kind != "nodes" or col.kind != "alpert":
+        raise ValueError("node values take a node layout and an Alpert family")
+    x, sides, nodes = _nodes(rows, force_side)
+    levels, values = [], [np.zeros((0, col.p))]
     for level in range(rows.n + 1):
         below = rows.level_offset(level)  # the nodes of levels < level
         reach = rows.level_offset(level + 1)  # ... and of levels <= level
         # the single-scale basis of each node's level-`level` interval
-        half, leg = _locate(col.degree, level, x[:reach], sides[:reach], deriv)
-        levels.append((half, 2.0 ** (0.5 * level) * leg))
+        _, leg = _locate(col.degree, level, x[:reach], sides[:reach], deriv)
+        levels.append(2.0 ** (0.5 * level) * leg)
         if level:
-            cell, vals = level_values(col, level, x[:below], sides[:below], deriv)
-            cells.append(cell)
-            values.append(vals)
-    form = NodeForm(rows, col, deriv, levels, cells, np.concatenate(values))
+            values.append(level_values(col, level, x[:below], sides[:below], deriv)[1])
+    form = NodeForm(nodes, col, deriv, levels, values)
     return Operator1D(form, rows, col, "general")
 
 

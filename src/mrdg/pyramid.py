@@ -20,12 +20,13 @@ the whole operator ("general"), the blocks whose output level is >= their
 input level ("lower") or the rest ("strictly-upper").
 
 A cascade takes and returns a level-major fiber buffer, laid out by a
-`Chains` that the sweep plan builds once: level l holds counts[l] fibers,
-each its num_cells(l) cells of p values in order, and the levels follow one
-another from level 0.  Fibers are sorted by the top level of their chain,
-highest first, so the fibers that reach level l are the leading counts[l]
-ones of every lower level.  The `Chains` also keeps the index tables that
-the node and surplus forms build on that layout.
+`Chains`, one per distinct `counts` on a level list: level l holds
+counts[l] fibers, each its num_cells(l) cells of p values in order, and the
+levels follow one another from level 0.  Fibers are sorted by the top level
+of their chain, highest first, so the fibers that reach level l are the
+leading counts[l] ones of every lower level.  The `Chains` also keeps the
+index tables that the node and surplus forms build on that layout, one per
+node layout (`operators1d.NodeLayout`) or stencil, whichever forms share it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .grids import num_cells
 from .interp import make_interp_basis
 
 if TYPE_CHECKING:
-    from .operators1d import FamilySpec
+    from .operators1d import FamilySpec, NodeLayout
 
 
 # Work arrays kept from one call to the next, one growing buffer per role
@@ -71,8 +72,9 @@ def drop_work_arrays() -> None:
 
 
 class Chains:
-    """The level-major layout of a sweep's fibers, and the forms' index
-    tables on it, built once per sweep plan.
+    """The level-major layout of a sweep's fibers, and the index tables of
+    the node and surplus forms on it, built once per distinct `counts` on a
+    level list: every sweep plan with those counts shares it.
 
     Level l's block holds its counts[l] fibers, each its num_cells(l) cells
     (the rows of a (cells, p) buffer) or its 2^l single-scale intervals, and
@@ -115,8 +117,10 @@ class Chains:
         return p * (self.cell_row[cell] + self.stride[cell] * fiber) + i
 
     def table(self, build):
-        """build(self), a form's index table on this layout, made on first
-        use; `build` is a bound method of the form."""
+        """build(self), an index table on this layout, made on first use.
+        `build` is a bound method of what the table depends on, an
+        `operators1d.NodeLayout` or a `SurplusStencil`, so the forms that
+        share it share the table."""
         hit = self.tables.get(build)
         if hit is None:
             hit = self.tables[build] = build(self)
@@ -140,7 +144,7 @@ class _Synthesis:
     intervals; its level-l coefficients times `mothers`, times scale[l],
     add its own functions.  The scale is 1 for Alpert (the unitary
     dilation) and sqrt(2) 2^(-l/2) for the interpolatory family, whose
-    functions keep value 1 at their node (`level_values`).
+    functions keep value 1 at their node.
     """
 
     top: np.ndarray  # (p, p)
@@ -363,7 +367,8 @@ class GalerkinForm:
             s = cols.synthesize(x, ch, own, work_array("single", shape), self.exponent)
             h = self._local(s, ch, "lower")
         if tag != "lower":
-            f = rows.carry(self._local(own, ch, "upper"), ch)
+            # s is spent by now, so its work array takes the upper half
+            f = rows.carry(self._local(own, ch, "single"), ch)
             h = f if h is None else np.add(h, f, out=h)
         return rows.analyse(h, ch)
 
@@ -372,103 +377,81 @@ class NodeForm:
     """Values of a family at the hierarchical nodes, as R^T K S with node
     rows: the evaluation K of a single-scale synthesis at the nodes.
 
-    `levels[l]` is the level-l interval of every node of levels <= l and
-    the values of that interval's single-scale basis there.  A level-l node
-    lies at the same place in every level-l cell, on every level l >= 1, so
-    `at` evaluates the two intervals of a cell at its p nodes on the
-    reference scale (2^(-l/2) times the level's, 2^(-3l/2) for derivatives).
-    A coarser node also sees the finer functions: `cells[a]` is the level-a
-    cell of every node of levels < a, and `values` stacks the level-a
-    functions' values there, level after level.
+    `levels[l]` holds the values of the single-scale basis of the level-l
+    interval of every node of levels <= l (`nodes.where[l]`).  A level-l
+    node lies at the same place in every level-l cell, on every level
+    l >= 1, so `at` evaluates the two intervals of a cell at its p nodes on
+    the reference scale (2^(-l/2) times the level's, 2^(-3l/2) for
+    derivatives).  A coarser node also sees the finer functions: `values[a]`
+    holds the level-a functions' values at every node of levels < a, in its
+    level-a cell (`nodes.cells[a]`).  Both tables are stored once per node,
+    not per fiber: a cascade multiplies each fiber's gathered rows by its
+    level's table, gathered by the index tables that `nodes` (an
+    `operators1d.NodeLayout`) keeps on each `Chains`.
     """
 
-    def __init__(self, rows, col, deriv: bool, levels, cells, values):
+    def __init__(self, nodes: NodeLayout, col, deriv: bool, levels, values):
+        rows = nodes.row
         self.row, self.col = rows, col
+        self.nodes = nodes
         self.levels = levels
-        where, vals = levels[min(1, rows.n)]
+        where, vals = nodes.where[min(1, rows.n)], levels[min(1, rows.n)]
         self.at = np.zeros((2 * col.p, rows.p))
         for i in range(rows.p if rows.n else 0):  # the level-1 nodes
             h = where[rows.p + i]
             self.at[h * col.p : (h + 1) * col.p, i] = vals[rows.p + i] / 2.0 ** (0.5 + deriv)
         self.scale = 2.0 ** ((0.5 + deriv) * np.arange(rows.n + 1))
-        self.cells = cells  # [None] + [level-a cell of each node of levels < a]
-        self.values = values  # (nodes of levels < a, summed over a >= 1, p_col)
+        self.values = values  # [(0, p_col)] + [level-a values at nodes of levels < a]
         self.shape = (rows.ndof, col.ndof)
 
     @property
     def data(self) -> np.ndarray:
-        tables = [v for _, v in self.levels] + [self.at, self.values]
-        return _stored(*tables, *_synthesis(self.col).tables)
+        return _stored(*self.levels, self.at, *self.values, *_synthesis(self.col).tables)
 
     @property
     def indices(self) -> np.ndarray:
-        return np.concatenate([j for j, _ in self.levels] + self.cells[1:])
+        return np.concatenate(self.nodes.where + self.nodes.cells[1:])
 
     @property
     def nnz(self) -> int:
         return self.data.size
-
-    def _link_table(self, ch: Chains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For every fiber, finer level a and node of levels < a: the input
-        row of its level-a cell, the values there of its functions and the
-        output entry."""
-        counts, below = ch.counts, 0
-        src, vrow, dst = [], [], []
-        for a in range(1, len(counts)):
-            nodes = np.arange(self.row.level_offset(a))
-            fibers = np.arange(counts[a])[:, None]
-            src.append((ch.rows[a] + num_cells(a) * fibers + self.cells[a]).ravel())
-            vrow.append(np.tile(below + nodes, counts[a]))
-            dst.append(ch.entries(nodes, self.row.p, counts[a]).ravel())
-            below += len(nodes)
-        none = [np.zeros(0, np.intp)]
-        src, vrow, dst = (np.concatenate(part + none) for part in (src, vrow, dst))
-        return src, np.take(self.values, vrow, axis=0), dst
-
-    def _top_table(self, ch: Chains) -> tuple[np.ndarray, np.ndarray]:
-        """For every output entry, in output order: the single-scale row of
-        the interval holding its node on its fiber's top level, and the
-        basis values there."""
-        starts, counts = ch.starts, ch.counts
-        ends = [*counts[1:], 0]
-        rows, vals = [], []
-        for b in range(len(counts)):
-            nodes = self.row.level_slice(b)
-            for top in range(len(counts) - 1, b - 1, -1):  # fibers by top, highest first
-                fibers = np.arange(ends[top], counts[top])[:, None]
-                where, values = self.levels[top]
-                rows.append((starts[top] + (fibers << top) + where[nodes]).ravel())
-                vals.append(np.tile(values[nodes], (len(fibers), 1)))
-        return np.concatenate(rows), np.concatenate(vals)
 
     def cascade(self, tag: str, x: np.ndarray, ch: Chains) -> np.ndarray:
         """As `GalerkinForm.cascade`: "lower" evaluates each level's partial
         synthesis at that level's nodes, "strictly-upper" each level's own
         functions at the coarser nodes, and "general" each fiber's whole
         synthesis at all its nodes."""
-        p, pc = self.row.p, self.col.p
+        p, pc, counts = self.row.p, self.col.p, ch.counts
         size = p * ch.rows[-1]
         if tag == "strictly-upper":
-            src, values, dst = ch.table(self._link_table)
+            src, dst = ch.table(self.nodes.link_table)
+            tables = [(counts[a], self.values[a]) for a in range(1, len(counts))]
         else:
             cols, shape = _synthesis(self.col), (ch.starts[-1], pc)
             own = cols.own(x, ch, work_array("own", shape))
             x = cols.synthesize(x, ch, own, work_array("single", shape), 0)
         if tag == "lower":  # each level's cells at their own nodes, one product
             y = np.empty(size)
-            n0 = ch.counts[0]
-            np.matmul(x[:n0], self.levels[0][1].T, out=y[: n0 * p].reshape(-1, p))
+            n0 = counts[0]
+            np.matmul(x[:n0], self.levels[0].T, out=y[: n0 * p].reshape(-1, p))
             out = y[n0 * p :].reshape(-1, p)
             np.matmul(x[n0:].reshape(len(out), 2 * pc), self.at, out=out)
             _scale_levels(y.reshape(-1, p), ch.rows, self.scale)
             return y
         if tag == "general":
-            src, values = ch.table(self._top_table)
-        gathered = work_array("nodes", values.shape)
+            src, place = ch.table(self.nodes.top_table)
+            ends = [*counts[1:], 0]
+            tables = [(counts[a] - ends[a], self.levels[a]) for a in range(len(counts) - 1, -1, -1)]
+        gathered = work_array("nodes", (len(src), pc))
         np.take(x.reshape(-1, pc), src, axis=0, out=gathered, mode="clip")
-        out = np.multiply(gathered, values, out=gathered) @ np.ones(pc)
-        if tag == "general":
-            return out
+        flat, at = gathered.ravel(), 0
+        for fibers, table in tables:  # each fiber's rows times the table of its level
+            block = flat[at : at + fibers * table.size].reshape(fibers, table.size)
+            np.multiply(block, table.ravel(), out=block)
+            at += block.size
+        out = np.matmul(gathered, np.ones(pc), out=work_array("node sums", (len(src),)))
+        if tag == "general":  # into the spent rows' work array
+            return np.take(out, place, out=work_array("nodes", place.shape), mode="clip")
         # float even without links (a sweep whose fibers all stop at level 0),
         # where bincount gives int64 zeros
         return np.bincount(dst, out, size).astype(float, copy=False)

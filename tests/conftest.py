@@ -22,11 +22,13 @@ from mrdg.alpert import Quadrature1D, legendre_values, mother_wavelets, two_scal
 from mrdg.fastmv import CoeffSet, TensorSpace, TensorTerm
 from mrdg.grids import MAX_LEVEL, AdaptiveGrid, Key, Level, num_cells
 from mrdg.interp import make_interp_basis
+from mrdg import operators1d
 from mrdg.operators1d import (
     _TRACE_WEIGHTS,
     FamilySpec,
     Operator1D,
     _cellwise,
+    _locate,
     alpert_family,
     assemble_mass,
     assemble_node_values,
@@ -34,9 +36,8 @@ from mrdg.operators1d import (
     assemble_volume_derivative,
     interp_family,
     node_family,
-    point_values,
 )
-from mrdg.pyramid import Chains
+from mrdg.pyramid import Chains, NodeForm
 
 
 def dense(op: Operator1D) -> np.ndarray:
@@ -63,6 +64,53 @@ def _applied_to_identity(op: Operator1D) -> np.ndarray:
         at += ncol * size
     out.flags.writeable = False  # shared by every caller
     return out
+
+
+# ---------------------------------------------------------------------------
+# the interpolatory family at points: the solver evaluates Alpert families only
+
+
+def interp_level_values(fam: FamilySpec, level: int, x, sides, deriv: bool = False):
+    """`operators1d.level_values` for the interpolatory family.  Its level-l
+    functions (l >= 1) are sqrt(2) times the Legendre expansions of its
+    mothers on each half, so they keep value 1 at their node; its level 0 is
+    the Lagrange basis `phi`."""
+    half, leg = _locate(fam.degree, level, x, sides, deriv)
+    basis = make_interp_basis(fam.degree, fam.variant)
+    if level == 0:
+        return half, leg @ basis.phi.T
+    pieces = np.sqrt(2.0) * basis.mothers
+    right = (half & 1).astype(bool)[:, None]
+    return half >> 1, np.where(right, leg @ pieces[:, 1].T, leg @ pieces[:, 0].T)
+
+
+def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
+    """`operators1d.point_values` for either family, a dense (len(x), ndof)
+    table; the interpolatory one from `interp_level_values`."""
+    if fam.kind == "alpert":
+        return operators1d.point_values(fam, x, sides, deriv)
+    out = np.zeros((len(x), fam.ndof))
+    for level in range(fam.n + 1):
+        cell, v = interp_level_values(fam, level, x, sides, deriv)
+        cols = fam.level_offset(level) + fam.p * cell[:, None] + np.arange(fam.p)
+        out[np.arange(len(x))[:, None], cols] += v
+    return out
+
+
+@lru_cache(maxsize=None)
+def node_values(nodes: FamilySpec, col: FamilySpec) -> Operator1D:
+    """`assemble_node_values` for either column family.  An interpolatory
+    column shares the node layout and the single-scale tables of the Alpert
+    form of its degree, and adds its own functions' values at the coarser
+    nodes."""
+    if col.kind == "alpert":
+        return assemble_node_values(nodes, col)
+    alpert = assemble_node_values(nodes, alpert_family(col.degree, col.n)).mat
+    x, sides = make_interp_basis(nodes.degree, nodes.variant).all_nodes(nodes.n)
+    below = [nodes.level_offset(a) for a in range(1, nodes.n + 1)]
+    values = [interp_level_values(col, a, x[:b], sides[:b])[1] for a, b in enumerate(below, 1)]
+    form = NodeForm(alpert.nodes, col, False, alpert.levels, [np.zeros((0, col.p))] + values)
+    return Operator1D(form, nodes, col, "general")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +157,7 @@ def exact_point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.nda
             cell, vals = half, leg @ level0.T.astype(np.longdouble)
         else:
             # level l is 2^(l/2) times the mothers for Alpert, sqrt(2) times
-            # them for the interpolatory family (see `level_values`)
+            # them for the interpolatory family (see `interp_level_values`)
             scale = root2**level if fam.kind == "alpert" else root2
             pieces = scale * mothers.astype(np.longdouble)
             right = (half & 1).astype(bool)[:, None]
@@ -210,7 +258,7 @@ def variable_speed_factors(n: int, bc: tuple[str, str]):
         (assemble_node_values(nd, a), point_values(a, x, sides)),
         (assemble_node_values(nd, a, True), point_values(a, x, sides, True)),
         (assemble_node_values(nd, a, False, -1), point_values(a, x, -1)),
-        (assemble_node_values(nd, i), point_values(i, x, sides)),
+        (node_values(nd, i), point_values(i, x, sides)),
     ]
 
 
@@ -609,23 +657,29 @@ def flatten(space: TensorSpace, cs: CoeffSet) -> np.ndarray:
     return out
 
 
-def _grouped_to_interleaved(ncells: tuple[int, ...], p: tuple[int, ...]) -> np.ndarray:
-    # kron of per-dimension (cell, poly) matrices orders axes (c1,p1,c2,p2,...);
-    # coefficient blocks order them (c1,...,cd,p1,...,pd).
-    axes = []
-    for c, q in zip(ncells, p):
-        axes += [c, q]
-    arr = np.arange(int(np.prod(axes))).reshape(axes)
-    d = len(ncells)
-    order = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    return arr.transpose(order).ravel()
-
-
 def _active_mask_flat(space: TensorSpace, lv, p: tuple[int, ...]) -> np.ndarray:
     m = space.masks[lv]
     return np.broadcast_to(
         m.reshape(m.shape + (1,) * len(p)), m.shape + tuple(p)
     ).ravel()
+
+
+def _level_blocks(op: Operator1D | None, levels, p: int) -> dict:
+    """The nonzero level blocks of a 1D factor, read from `dense(op)`, by
+    (output level, input level), each as a (cells, p_out, cells, p_in)
+    array; an absent factor is the identity."""
+    out = {}
+    for lo in levels:
+        for li in levels:
+            if op is None:
+                size = num_cells(li) * p
+                block = np.eye(size) if lo == li else np.zeros((0, size))
+            else:
+                block = dense(op)[op.row.level_slice(lo), op.col.level_slice(li)]
+            if block.any():
+                cells = num_cells(lo), num_cells(li)
+                out[lo, li] = block.reshape(cells[0], -1, cells[1], block.shape[1] // cells[1])
+    return out
 
 
 def dense_from_terms(
@@ -635,7 +689,9 @@ def dense_from_terms(
 
     Entries are read straight from `dense(op)` level blocks; tags, sweep order,
     and the L+U expansion are never consulted, so the result is an
-    independent reference for the fast apply.
+    independent reference for the fast apply.  A level pair's block is the
+    outer product of the factors' level blocks, each on its own axes of the
+    (cells, polys) x (cells, polys) layout of the two levels.
     """
     d = space.ndim
     p_out = tuple(
@@ -645,36 +701,22 @@ def dense_from_terms(
     off_out, tot_out = space_layout(space, p_out)
     mat = np.zeros((tot_out, tot_in))
     for term in terms:
+        levels = [sorted({lv[m] for lv in space.levels}) for m in range(d)]
+        blocks = [_level_blocks(op, levels[m], p_in[m]) for m, op in enumerate(term.ops)]
         for lvo in space.levels:
+            oo, so = off_out[lvo]
             for lvi in space.levels:
-                factors = []
-                for m in range(d):
-                    op = term.ops[m]
-                    if op is None:
-                        if lvo[m] != lvi[m]:
-                            factors = None
-                            break
-                        factors.append(np.eye(num_cells(lvi[m]) * p_in[m]))
-                    else:
-                        factors.append(
-                            dense(op)[op.row.level_slice(lvo[m]), op.col.level_slice(lvi[m])]
-                        )
-                if factors is None:
+                parts = [blocks[m].get((lvo[m], lvi[m])) for m in range(d)]
+                if any(part is None for part in parts):
                     continue
-                kron = factors[0]
-                for fac in factors[1:]:
-                    kron = np.kron(kron, fac)
-                if not kron.any():
-                    continue
-                co = tuple(num_cells(l) for l in lvo)
-                ci = tuple(num_cells(l) for l in lvi)
-                rows = _grouped_to_interleaved(co, p_out)
-                cols = _grouped_to_interleaved(ci, p_in)
-                oo, so = off_out[lvo]
+                block = term.scale
+                for m, part in enumerate(parts):  # axes m, d + m, 2d + m, 3d + m
+                    shape = [1] * (4 * d)
+                    shape[m :: d] = part.shape
+                    block = block * part.reshape(shape)
                 oi, si = off_in[lvi]
-                mat[oo : oo + int(np.prod(so)), oi : oi + int(np.prod(si))] += (
-                    term.scale * kron[np.ix_(rows, cols)]
-                )
+                rows, cols = int(np.prod(so)), int(np.prod(si))
+                mat[oo : oo + rows, oi : oi + cols] += block.reshape(rows, cols)
     row_mask = np.concatenate(
         [_active_mask_flat(space, lv, p_out) for lv in space.levels]
     )

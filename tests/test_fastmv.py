@@ -52,6 +52,7 @@ from conftest import (
     flatten,
     is_leaf,
     lower_mask,
+    node_values,
     random_coeffs,
     random_pruning,
     variable_speed_factors,
@@ -222,7 +223,7 @@ def operator_menu(d: int, k: int, n: int) -> list[tuple[str, list[TensorTerm]]]:
     S = assemble_stiffness(A, A)
     C = assemble_mass(A, I)
     EA = assemble_node_values(Nd, A)
-    E = lu_split(assemble_node_values(Nd, I))[0]  # the unit-lower interpolation system
+    E = lu_split(node_values(Nd, I))[0]  # the unit-lower interpolation system
     wave = assemble_ipdg(A, bc, 1.0, 20.0)
 
     menu = []
@@ -488,20 +489,22 @@ def test_sweep_plans_follow_the_level_list(plan_builds):
 
 def test_cascade_index_tables_follow_the_sweep_plan(plan_builds, monkeypatch):
     # the index tables of the node and surplus forms live on the `Chains`
-    # of the sweep plan that cascades them: each is built once per plan, so
-    # equal level lists share them and a new level list builds its own
+    # of the sweep plans that cascade them: each is built once per node
+    # layout (or surplus stencil) and `Chains`, so the value and derivative
+    # forms share theirs, equal level lists share them and a new level list
+    # builds its own
     tables = []
 
     def counted(name, build):
-        def wrapper(form, ch):
-            tables.append((name, form, ch))
-            return build(form, ch)
+        def wrapper(owner, ch):
+            tables.append((name, owner, ch))
+            return build(owner, ch)
 
         return wrapper
 
     builders = {
-        "_link_table": pyramid.NodeForm,
-        "_top_table": pyramid.NodeForm,
+        "link_table": operators1d.NodeLayout,
+        "top_table": operators1d.NodeLayout,
         "_gather": pyramid.SurplusStencil,
     }
     for name, owner in builders.items():
@@ -531,32 +534,138 @@ def test_cascade_index_tables_follow_the_sweep_plan(plan_builds, monkeypatch):
     for space, made in ((spaces[0], first), (spaces[2], new)):
         layouts = {id(plan.chains) for plan in space.layout.plans.values()}
         assert {id(ch) for _, _, ch in made} <= layouts  # on the plans' own layouts
-    keys = [(name, id(form), id(ch)) for name, form, ch in tables]
-    assert len(set(keys)) == len(keys)  # once per form and plan
+        assert {id(ch) for ch in space.layout.chains.values()} == layouts - {id(None)}
+    nodes = assemble_node_values(node_family(3, "interface", n), alpert_family(2, n)).mat.nodes
+    assert all(owner is nodes for name, owner, _ in tables if name != "_gather")
+    keys = [(name, id(owner), id(ch)) for name, owner, ch in tables]
+    assert len(set(keys)) == len(keys)  # once per node layout and `Chains`
 
 
 @given(st.integers(1, 3), st.integers(0, 2**16), st.data())
 @settings(max_examples=30, deadline=None)
 def test_sweep_plans_gather_and_gather_back_by_permutations(d, seed, data):
     # every fiber of a downward-closed level list holds its whole chain, so
-    # a sweep's fibers cover the buffer: its gather and the inverse of its
-    # output order are permutations, and nothing needs a zero fill
+    # a sweep's fibers cover the buffer: each fiber order and its inverse
+    # are permutations, and nothing needs a zero fill.  One sweep's input is
+    # linked to the previous one's output by the index of each of its
+    # entries in that output's order.
     n = {1: 5, 2: 4, 3: 3}[d]
-    layout = TensorSpace(random_pruning(d, n, seed)).layout
+    layout = fastmv.LevelLayout(tuple(TensorSpace(random_pruning(d, n, seed)).levels))
     p_in = tuple(data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d), label="p_in"))
+    plans = []
     for dim in range(d):
         for dense in (True, False):  # a dense factor is square
             q = p_in[dim] if dense else data.draw(st.integers(1, 3), label="p_out")
             p_out = p_in[:dim] + (q,) + p_in[dim + 1 :]
             plan = fastmv._build_plan(layout, dim, p_in, p_out, dense)
+            assert (plan.order_in, plan.order_out) == ((dim, p_in, dense), (dim, p_out, dense))
             size_in, size_out = (layout.cells * math.prod(p) for p in (p_in, p_out))
-            np.testing.assert_array_equal(np.sort(plan.gather), np.arange(size_in))
-            np.testing.assert_array_equal(np.sort(plan.inverse), np.arange(size_out))
+            gather = fastmv._map(layout, None, plan.order_in)
+            inverse = fastmv._map(layout, plan.order_out, None)
+            np.testing.assert_array_equal(np.sort(gather), np.arange(size_in))
+            np.testing.assert_array_equal(np.sort(inverse), np.arange(size_out))
+            order_out = fastmv._order(layout, *plan.order_out)[0]
+            np.testing.assert_array_equal(inverse[order_out], np.arange(size_out))
             if dense:
                 assert sum(rows * width for rows, width, _ in plan.groups) == size_in
             else:
                 fibers = sum(c * num_cells(l) for l, c in enumerate(plan.chains.counts))
                 assert fibers * p_in[dim] == size_in
+            plans.append(plan)
+    links = set()
+    for plan in plans:
+        for nxt in plans:
+            if nxt.order_in[1] != plan.order_out[1] or nxt is plan:
+                continue
+            link = fastmv._map(layout, plan.order_out, nxt.order_in)
+            links.add((plan.order_out, nxt.order_in))
+            out, into = (fastmv._order(layout, *o)[0] for o in (plan.order_out, nxt.order_in))
+            np.testing.assert_array_equal(link, np.argsort(out)[into])  # inverse_out[gather_in]
+            np.testing.assert_array_equal(out[link], into)
+    # what the warm sweeps read is kept: the gathers and inverses asked for,
+    # and the links; nothing else
+    gathers = {(None, plan.order_in) for plan in plans}
+    assert set(layout.maps) == gathers | {(plan.order_out, None) for plan in plans} | links
+
+
+def _term_orders(top: TensorOperator, p: tuple[int, ...]):
+    """(first input order, links, last output order) of each of `top`'s
+    terms on fields of polynomial counts p, derived from the factors."""
+    for term, dims in zip(top.terms, top.orders):
+        orders, q = [], p
+        for dim in dims:
+            op = term.ops[dim]
+            dense = isinstance(op.mat, operators1d.LeadingBlock)
+            out = q[:dim] + (op.row.p,) + q[dim + 1 :]
+            orders.append(((dim, q, dense), (dim, out, dense)))
+            q = out
+        links = {(out, nxt) for (_, out), (nxt, _) in zip(orders, orders[1:])}
+        yield orders[0][0], links, orders[-1][1]
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+def test_layouts_keep_one_index_map_per_order_and_one_table_per_node_layout(d, n):
+    # after two warm applies of a smooth-speed operator the layout holds
+    # one gather per distinct first-sweep input order, one inverse per
+    # distinct last-sweep output order and one link per distinct pair of
+    # consecutive orders; the value and derivative node forms share one
+    # index table per `Chains`
+    fastmv._layout.cache_clear()  # layouts other tests built hold their maps
+    prob = make_problem("smooth-speed", d)
+    cfg = SchemeConfig(
+        ndim=d, k=2, m=3, variant="interface", n_max=n, sigma=10.0, bc=prob.bc, csq=prob.csq
+    )
+    wop = WaveOperator(cfg)
+    space = TensorSpace(AdaptiveGrid.sparse(d, n))
+    u = random_coeffs(space, wop.p_a, 0)
+    for _ in range(2):
+        wop.apply(space, u)
+    firsts, links, lasts = set(), set(), set()
+    applied = [(wop._penalty, wop.p_a)]
+    for node_op, _, op in wop._terms:
+        applied += [(node_op, wop.p_a), (wop._surplus, wop.p_i), (op, wop.p_i)]
+    for top, p in applied:
+        for first, pairs, last in _term_orders(top, p):
+            firsts.add(first)
+            links |= pairs
+            lasts.add(last)
+    maps = set(space.layout.maps)
+    assert {into for out, into in maps if out is None} == firsts
+    assert {key for key in maps if None not in key} == links
+    assert {out for out, into in maps if into is None} == lasts
+    layout = space.layout
+    ea, eda = (
+        assemble_node_values(node_family(3, "interface", n), alpert_family(2, n), deriv).mat
+        for deriv in (False, True)
+    )
+    assert ea.nodes is eda.nodes
+    for ch in layout.chains.values():
+        names = [build.__name__ for build in ch.tables]
+        assert len(names) == len(set(names))  # one table of each kind
+        assert all(build.__self__ is ea.nodes for build in ch.tables if build.__name__ != "_gather")
+    fastmv._layout.cache_clear()
+
+
+def test_forced_side_node_forms_keep_their_own_tables():
+    # layered-aligned samples both one-sided limits across the planes: the
+    # forced sides move the nodes on a breakpoint, so they share no table
+    # with the unforced forms
+    fastmv._layout.cache_clear()
+    n = 3
+    prob = make_problem("layered-aligned", 2)
+    cfg = SchemeConfig(
+        ndim=2, k=2, m=3, variant="interface", n_max=n, sigma=10.0, bc=prob.bc, csq=prob.csq
+    )
+    wop = WaveOperator(cfg)
+    space = TensorSpace(AdaptiveGrid.sparse(2, n))
+    wop.apply(space, random_coeffs(space, wop.p_a, 0))
+    nd, a = node_family(3, "interface", n), alpert_family(2, n)
+    ea, minus, plus = (assemble_node_values(nd, a, False, s).mat.nodes for s in (0, -1, 1))
+    assert len({id(ea), id(minus), id(plus)}) == 3
+    owners = [b.__self__ for ch in space.layout.chains.values() for b in ch.tables]
+    for nodes in (ea, minus, plus):  # each cascaded on its own tables
+        assert any(owner is nodes for owner in owners)
+    fastmv._layout.cache_clear()
 
 
 def test_adaptive_run_builds_plans_per_level_list(plan_builds, monkeypatch):

@@ -1,7 +1,8 @@
 """Interpolatory multiwavelets: node families, delta property, interpolants.
 
-The interpolants go through the solver's own operators (values from
-`point_values`, surpluses from `assemble_node_to_surplus`); a dense
+The interpolants go through the solver's surplus map
+(`assemble_node_to_surplus`) and the interpolatory point values of conftest
+(`point_values`; the solver evaluates Alpert families only); a dense
 node-value matrix built from the pointwise `interp_hier` oracle checks them.
 """
 
@@ -11,15 +12,16 @@ import numpy as np
 import pytest
 
 from mrdg.interp import make_interp_basis
-from mrdg.operators1d import (
-    assemble_node_to_surplus,
-    assemble_node_values,
-    interp_family,
-    node_family,
+from mrdg.operators1d import assemble_node_to_surplus, interp_family, node_family
+
+from conftest import (
+    dense,
+    interp_mother,
+    interp_phi,
+    interp_values_brute,
+    node_values,
     point_values,
 )
-
-from conftest import dense, interp_mother, interp_phi, interp_values_brute
 
 EXACT = 1e-12
 
@@ -101,7 +103,7 @@ def test_interpolation_matrix_unit_lower(m, variant):
     np.testing.assert_allclose(np.diag(e), 1.0, atol=EXACT)
     assert np.max(np.abs(np.triu(e, 1))) < EXACT
     # the solver's node-value operator is the same matrix
-    op = assemble_node_values(node_family(m, variant, 3), interp_family(m, variant, 3))
+    op = node_values(node_family(m, variant, 3), interp_family(m, variant, 3))
     np.testing.assert_allclose(dense(op), e, atol=1e-11)
 
 

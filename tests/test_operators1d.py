@@ -4,7 +4,8 @@ The brute path evaluates basis functions pointwise (`alpert_hier` and
 `interp_hier` in conftest), re-expands them per finest cell in orthonormal
 Legendre coefficients, and integrates with Gauss quadrature, one function
 at a time; the assembly code evaluates a whole level per point instead
-(`level_values`).
+(`level_values`; the interpolatory family's point and node values come from
+conftest, as the solver evaluates Alpert families only).
 """
 
 import numpy as np
@@ -31,9 +32,9 @@ from mrdg.operators1d import (
     assemble_volume_derivative,
     boundary_vectors,
     interp_family,
+    level_values,
     lu_split,
     node_family,
-    point_values,
 )
 from mrdg.problems import make_problem
 from mrdg.pyramid import Chains, GalerkinForm, NodeForm, SurplusStencil
@@ -47,6 +48,8 @@ from conftest import (
     interp_values_brute,
     lower_mask,
     mapped,
+    node_values,
+    point_values,
     trace_oracle,
     variable_speed_factors,
 )
@@ -329,11 +332,21 @@ def test_point_values_breakpoint_convention(side):
     assert np.all(np.abs(got - other).max(axis=1) > 0.1)
 
 
+def test_solver_point_and_node_values_refuse_an_interpolatory_family():
+    # the solver evaluates Alpert families only; the interpolatory family's
+    # point and node values are conftest oracles
+    fam = interp_family(2, "interface", 3)
+    with pytest.raises(ValueError, match="Alpert"):
+        level_values(fam, 1, np.array([0.3]))
+    with pytest.raises(ValueError, match="Alpert"):
+        assemble_node_values(node_family(2, "interface", 3), fam)
+
+
 def test_interp_node_system_is_unit_lower():
     m, n = 3, 3
     nd = node_family(m, "inner", n)
     fam = interp_family(m, "inner", n)
-    low, up = lu_split(assemble_node_values(nd, fam))
+    low, up = lu_split(node_values(nd, fam))
     np.testing.assert_allclose(np.diag(dense(low)), 1.0, atol=1e-12)
     assert np.max(np.abs(np.triu(dense(low), 1))) < 1e-12
     assert np.max(np.abs(dense(up))) < 1e-12  # roundoff of the delta property
@@ -583,7 +596,7 @@ def test_node_to_surplus_is_the_exact_local_inverse(m, variant, n):
     assert (per_row[fam.p :].reshape(-1, fam.p) == stencil).all()
     # exact up to the roundoff of E itself; the inner nodes of high m make
     # E ill-conditioned, so the bound scales with the two norms
-    e = dense(lu_split(assemble_node_values(nd, fam))[0])
+    e = dense(lu_split(node_values(nd, fam))[0])
     nx, ne = np.abs(x).sum(axis=1).max(), np.abs(e).sum(axis=1).max()
     tol = 1e-12 * nx * ne
     assert np.abs(x @ e - np.eye(fam.ndof)).max() <= tol
