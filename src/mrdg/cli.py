@@ -17,10 +17,10 @@ byte-identical across repeated invocations of the same configuration.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-
-import numpy as np
+from typing import Iterator
 
 from .config import RunConfig, load_config
 from .diagnostics import write_csv, write_lines
@@ -31,16 +31,21 @@ def _tag(t: float) -> str:
     return f"{t:g}"
 
 
+def _slice_lines(axes, vals) -> Iterator[str]:
+    """The rows of a slice file, lazily: the lattice coordinates, then the
+    value, in `np.ndindex` order.  Each coordinate is formatted once per
+    axis and each value once, as `diagnostics.fmt` formats a float."""
+    coords = [list(map("{:.6g}".format, x.tolist())) for x in axes]
+    points = map(",".join, itertools.product(*coords))
+    return map("{},{:.6g}".format, points, vals.ravel().tolist())
+
+
 def _write_snapshots(result: RunResult, out: str, echo) -> list[str]:
     written = []
     for t, axes, vals in result.slices:
         path = os.path.join(out, f"slice_{_tag(t)}.csv")
-        header = [f"x{i + 1}" for i in range(len(axes))] + ["u"]
-        rows = []
-        for idx in np.ndindex(vals.shape):
-            coords = [axes[i][idx[i]] for i in range(len(axes))]
-            rows.append(coords + [vals[idx]])
-        write_csv(path, header, rows, echo)
+        header = ",".join([f"x{i + 1}" for i in range(len(axes))] + ["u"])
+        write_lines(path, itertools.chain([header], _slice_lines(axes, vals)), echo)
         written.append(path)
     for t, lines in result.centers:
         path = os.path.join(out, f"centers_{_tag(t)}.txt")

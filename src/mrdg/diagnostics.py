@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -136,20 +136,17 @@ def fmt(x) -> str:
 
 def write_csv(path, header: Sequence[str], rows, echo: Sequence[str] = ()):
     """CSV with the resolved configuration echoed as leading comments."""
-    lines = [f"# {line}" for line in echo]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [",".join(header)]
+    lines += [",".join(map(fmt, row)) for row in rows]
+    write_lines(path, lines, echo)
 
 
-def write_lines(path, body: Sequence[str], echo: Sequence[str] = ()):
+def write_lines(path, body: Iterable[str], echo: Sequence[str] = ()):
+    """`echo` as ``# `` comment lines, then `body`, each line ended by a
+    newline, in one write.  `body` may be lazy: it is read here."""
+    lines = [*map("# {}".format, echo), *body]
     with open(path, "w") as fh:
-        for line in echo:
-            fh.write(f"# {line}\n")
-        for line in body:
-            fh.write(line + "\n")
+        fh.write("\n".join(lines) + "\n" if lines else "")
 
 
 @dataclass

@@ -95,6 +95,7 @@ class LevelLayout:
         self.plans: dict[tuple, _SweepPlan] = {}
         self.chains = {}  # `Chains` by counts
         self.maps = {}  # the index maps a warm apply reads (`_map`)
+        self.moves = {}  # `cell_map` by the old level list
 
     def views(self, buf: np.ndarray, p: tuple[int, ...]) -> dict[Level, np.ndarray]:
         q = math.prod(p)
@@ -104,6 +105,20 @@ class LevelLayout:
                 self.levels, self.shapes, self.starts, self.starts[1:]
             )
         }
+
+    def cell_map(self, old: "LevelLayout") -> tuple[np.ndarray, np.ndarray]:
+        """The cells of the levels that `old` and this layout share: their
+        indices in `old` and here, in one order."""
+        hit = self.moves.get(old.levels)
+        if hit is None:
+            here = dict(zip(self.levels, self.starts))
+            src, dst = [], []
+            for lv, lo, hi in zip(old.levels, old.starts, old.starts[1:]):
+                if lv in here:
+                    src.append(np.arange(lo, hi))
+                    dst.append(np.arange(here[lv], here[lv] + hi - lo))
+            hit = self.moves[old.levels] = np.concatenate(src), np.concatenate(dst)
+        return hit
 
 
 # an adaptive run moves between a few level lists; each keeps its plans
@@ -195,12 +210,11 @@ class TensorSpace:
         return cs
 
     def conform(self, cs: CoeffSet) -> CoeffSet:
-        """Carry coefficients onto this space's level set (drop/extend/mask)."""
+        """Carry coefficients onto this space's level set (drop/extend/mask),
+        by one cell map per pair of level lists."""
+        src, dst = self.layout.cell_map(cs.layout)
         out = self.zeros(cs.p)
-        for lv, arr in cs.data.items():
-            view = out.data.get(lv)
-            if view is not None:
-                view[...] = arr
+        out.buf.reshape(self.layout.cells, -1)[dst] = cs.buf.reshape(cs.layout.cells, -1)[src]
         return self.mask(out)
 
 
@@ -532,13 +546,22 @@ class Lattice:
         levels = cs.layout.levels
         self.cs, self.k, self.budget = cs, k, budget
         self.shape = tuple(len(x) for x in axes_points)
-        # per axis and level: the cell and the k+1 values of every point
-        self.points = [
-            {l: level_values(alpert_family(k, l), l, x) for l in {lv[m] for lv in levels}}
-            for m, x in enumerate(axes_points)
+        used = [sorted({lv[m] for lv in levels}) for m in range(len(axes_points))]
+        # per axis and level: the cell and the k+1 values of every point, and
+        # the leading axes' tables over all their points; found once per
+        # axis array and level, as the axes often share one array
+        points, tables = {}, {}
+        for m, (x, ls) in enumerate(zip(axes_points, used)):
+            for l in ls:
+                key = id(x), l
+                if key not in points:
+                    points[key] = level_values(alpert_family(k, l), l, x)
+                if m < len(used) - 1 and key not in tables:
+                    tables[key] = _table(*points[key])
+        self.points = [{l: points[id(x), l] for l in ls} for x, ls in zip(axes_points, used)]
+        self.leading = [
+            {l: tables[id(x), l] for l in ls} for x, ls in zip(axes_points[:-1], used)
         ]
-        # the leading axes' tables over all their points
-        self.leading = [{l: _table(*cv) for l, cv in axis.items()} for axis in self.points[:-1]]
         self.fibers = {
             key: list(fiber) for key, fiber in itertools.groupby(levels, key=lambda lv: lv[:-1])
         }

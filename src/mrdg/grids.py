@@ -49,13 +49,6 @@ def cell_width(level: int) -> float:
     return 1.0 if level <= 1 else 2.0 ** (1 - level)
 
 
-def element_center(key: Key) -> tuple[float, ...]:
-    levels, cells = key
-    return tuple(
-        (j + 0.5) * cell_width(l) if l >= 1 else 0.5 for l, j in zip(levels, cells)
-    )
-
-
 def sparse_levels(ndim: int, n: int) -> list[Level]:
     """All level multi-indices with |l|_1 <= n, lexicographically sorted."""
     out = [
@@ -118,21 +111,26 @@ class AdaptiveGrid:
         """
         masks = dict(self.masks)
         dirty: set[Level] = set()
+        added = 0
         for lv, flag in flags.items():
             if flag.any():
                 for dim, l in enumerate(lv):
                     if l < self.n_max:
                         child = _shift(lv, dim, 1)
-                        if _merge(masks, child, _split(flag, dim, l)):
+                        new = _merge(masks, child, _split(flag, dim, l))
+                        if new:
                             dirty.add(child)
+                            added += new
         for top in range(max(map(sum, dirty), default=0), 0, -1):
             for lv in [lv for lv in dirty if sum(lv) == top]:
                 for dim, l in enumerate(lv):
                     if l > 0:
                         up = _shift(lv, dim, -1)
-                        if _merge(masks, up, _pool(masks[lv], dim, l)):
+                        new = _merge(masks, up, _pool(masks[lv], dim, l))
+                        if new:
                             dirty.add(up)
-        return self._commit(masks)
+                            added += new
+        return self._commit(masks, added)
 
     def coarsen(self, small: dict[Level, np.ndarray]) -> int:
         """Remove small cells that keep no active child; the root stays.
@@ -144,6 +142,7 @@ class AdaptiveGrid:
         """
         masks = dict(self.masks)
         root = (0,) * self.ndim
+        removed = 0
         for lv in sorted(masks, key=sum, reverse=True):
             if lv == root or lv not in small:
                 continue
@@ -152,14 +151,17 @@ class AdaptiveGrid:
                 child = masks.get(_shift(lv, dim, 1))
                 if child is not None:
                     keep |= _pool(child, dim, l + 1)
-            masks[lv] = masks[lv] & keep
-            if not masks[lv].any():
+            kept = masks[lv] & keep
+            left = int(np.count_nonzero(kept))
+            removed += int(np.count_nonzero(masks[lv])) - left
+            masks[lv] = kept
+            if not left:
                 del masks[lv]
-        return self._commit(masks)
+        return self._commit(masks, removed)
 
-    def _commit(self, masks: dict[Level, np.ndarray]) -> int:
-        # refine only adds cells and coarsen only removes them
-        changed = abs(sum(int(m.sum()) for m in masks.values()) - len(self))
+    def _commit(self, masks: dict[Level, np.ndarray], changed: int) -> int:
+        """Install `masks`, which differ from the current ones by `changed`
+        cells, all added (refine) or all removed (coarsen)."""
         self.masks = masks
         self.version += changed
         return changed
@@ -198,13 +200,30 @@ class AdaptiveGrid:
         return grid
 
     def dump_centers(self) -> list[str]:
-        """One line per active element: levels, cells, then cell centers."""
-        lines = []
-        for levels, cells in self:
-            center = element_center((levels, cells))
-            fields = [str(v) for v in levels + cells] + [f"{c:.8f}" for c in center]
-            lines.append(" ".join(fields))
-        return lines
+        """One line per active element, in iteration order: levels, cells,
+        then cell centers.  Each level's cells come from one `argwhere`, and
+        each (level, dimension, cell) index and center is formatted once."""
+        keys = sorted(self.masks)
+        found = [np.argwhere(self.masks[lv]) for lv in keys]
+        counts = [len(cells) for cells in found]
+        cells = np.concatenate(found).T
+        levels = np.repeat(np.array(keys).T, counts, axis=1)
+        index, center = [], []
+        for m in range(self.ndim):
+            # every cell of each level along m, one table; row = offset + cell
+            offsets = np.zeros(self.n_max + 1, int)
+            names, places = [], []
+            for l in sorted({lv[m] for lv in keys}):
+                offsets[l] = len(names)
+                j = np.arange(num_cells(l))
+                names += map(str, j.tolist())
+                places += map("{:.8f}".format, ((j + 0.5) * cell_width(l)).tolist())
+            rows = (offsets[levels[m]] + cells[m]).tolist()
+            index.append(map(names.__getitem__, rows))
+            center.append(map(places.__getitem__, rows))
+        heads = [" ".join(map(str, lv)) for lv in keys]
+        head = itertools.chain.from_iterable(map(itertools.repeat, heads, counts))
+        return list(map(" ".join, zip(head, *index, *center)))
 
 
 def _shape(lv: Level) -> tuple[int, ...]:
@@ -232,14 +251,14 @@ def _pool(mask: np.ndarray, dim: int, level: int) -> np.ndarray:
     return mask.reshape(shape[:dim] + (shape[dim] // 2, 2) + shape[dim + 1 :]).any(axis=dim + 1)
 
 
-def _merge(masks: dict[Level, np.ndarray], lv: Level, cells: np.ndarray) -> bool:
-    """OR `cells` into level lv's mask, creating the level if absent; True
-    if a cell was added."""
+def _merge(masks: dict[Level, np.ndarray], lv: Level, cells: np.ndarray) -> int:
+    """OR `cells` into level lv's mask, creating the level if absent; the
+    number of cells added."""
     old = masks.get(lv)
     if old is None:
         masks[lv] = cells.copy()
-        return True
-    if not (cells & ~old).any():
-        return False
-    masks[lv] = old | cells
-    return True
+        return int(np.count_nonzero(cells))
+    added = int(np.count_nonzero(cells & ~old))
+    if added:
+        masks[lv] = old | cells
+    return added

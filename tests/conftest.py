@@ -20,7 +20,8 @@ import pytest
 
 from mrdg.alpert import Quadrature1D, legendre_values, mother_wavelets, two_scale
 from mrdg.fastmv import CoeffSet, TensorSpace, TensorTerm
-from mrdg.grids import MAX_LEVEL, AdaptiveGrid, Key, Level, num_cells
+from mrdg.diagnostics import fmt
+from mrdg.grids import MAX_LEVEL, AdaptiveGrid, Key, Level, cell_width, num_cells
 from mrdg.interp import make_interp_basis
 from mrdg import operators1d
 from mrdg.operators1d import (
@@ -49,7 +50,7 @@ def dense(op: Operator1D) -> np.ndarray:
     return _applied_to_identity(op)
 
 
-@lru_cache(maxsize=32)  # `dense_from_terms` reads each factor once per level pair
+@lru_cache(maxsize=32)  # `dense_apply` reads each factor once per level pair
 def _applied_to_identity(op: Operator1D) -> np.ndarray:
     n, ncol = op.col.n, op.col.ndof
     counts = (ncol,) * (n + 1)
@@ -635,6 +636,43 @@ def random_pruning(ndim: int, n_max: int, seed: int, steps: int = 40) -> Adaptiv
 
 
 # ---------------------------------------------------------------------------
+# output-text oracles: the CLI's files written one element or row at a time
+
+
+def element_center(key: Key) -> tuple[float, ...]:
+    levels, cells = key
+    return tuple(
+        (j + 0.5) * cell_width(l) if l >= 1 else 0.5 for l, j in zip(levels, cells)
+    )
+
+
+def center_lines(grid: AdaptiveGrid) -> list[str]:
+    """What `AdaptiveGrid.dump_centers` writes: levels, cells and centers
+    of each element, in iteration order."""
+    lines = []
+    for levels, cells in grid:
+        center = element_center((levels, cells))
+        fields = [str(v) for v in levels + cells] + [f"{c:.8f}" for c in center]
+        lines.append(" ".join(fields))
+    return lines
+
+
+def slice_text(axes, vals: np.ndarray, echo=()) -> str:
+    """What a slice file holds: a CSV row of coordinates and value per
+    lattice point, each number through `fmt`."""
+    header = [f"x{i + 1}" for i in range(len(axes))] + ["u"]
+    rows = []
+    for idx in np.ndindex(vals.shape):
+        coords = [axes[i][idx[i]] for i in range(len(axes))]
+        rows.append(coords + [vals[idx]])
+    lines = [f"# {line}" for line in echo]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # dense tensor-operator oracle
 
 
@@ -682,16 +720,19 @@ def _level_blocks(op: Operator1D | None, levels, p: int) -> dict:
     return out
 
 
-def dense_from_terms(
-    terms: list[TensorTerm], space: TensorSpace, p_in: tuple[int, ...]
+def dense_apply(
+    terms: list[TensorTerm], space: TensorSpace, p_in: tuple[int, ...], x: np.ndarray
 ) -> np.ndarray:
-    """Dense matrix of sum(scale * kron(ops)) restricted to the active set.
+    """sum(scale * kron(ops)) restricted to the active set, times the flat
+    vector x (or each column of x).
 
     Entries are read straight from `dense(op)` level blocks; tags, sweep order,
     and the L+U expansion are never consulted, so the result is an
     independent reference for the fast apply.  A level pair's block is the
     outer product of the factors' level blocks, each on its own axes of the
-    (cells, polys) x (cells, polys) layout of the two levels.
+    (cells, polys) x (cells, polys) layout of the two levels.  Each block
+    multiplies x as it is formed, so the matrix of the whole space is never
+    held; inactive rows and columns count as zero, as in that matrix.
     """
     d = space.ndim
     p_out = tuple(
@@ -699,7 +740,16 @@ def dense_from_terms(
     )
     off_in, tot_in = space_layout(space, p_in)
     off_out, tot_out = space_layout(space, p_out)
-    mat = np.zeros((tot_out, tot_in))
+    row_mask = np.concatenate(
+        [_active_mask_flat(space, lv, p_out) for lv in space.levels]
+    )
+    col_mask = np.concatenate(
+        [_active_mask_flat(space, lv, p_in) for lv in space.levels]
+    )
+    assert len(x) == tot_in
+    x = x.copy()
+    x[~col_mask] = 0.0
+    out = np.zeros((tot_out,) + x.shape[1:])
     for term in terms:
         levels = [sorted({lv[m] for lv in space.levels}) for m in range(d)]
         blocks = [_level_blocks(op, levels[m], p_in[m]) for m, op in enumerate(term.ops)]
@@ -716,16 +766,9 @@ def dense_from_terms(
                     block = block * part.reshape(shape)
                 oi, si = off_in[lvi]
                 rows, cols = int(np.prod(so)), int(np.prod(si))
-                mat[oo : oo + rows, oi : oi + cols] += block.reshape(rows, cols)
-    row_mask = np.concatenate(
-        [_active_mask_flat(space, lv, p_out) for lv in space.levels]
-    )
-    col_mask = np.concatenate(
-        [_active_mask_flat(space, lv, p_in) for lv in space.levels]
-    )
-    mat[~row_mask] = 0.0
-    mat[:, ~col_mask] = 0.0
-    return mat
+                out[oo : oo + rows] += block.reshape(rows, cols) @ x[oi : oi + cols]
+    out[~row_mask] = 0.0
+    return out
 
 
 def random_coeffs(space: TensorSpace, p: tuple[int, ...], seed: int) -> CoeffSet:

@@ -9,17 +9,23 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mrdg.adapt
-from mrdg.cli import main
+from mrdg.cli import _write_snapshots, main
 from mrdg.config import RunConfig
 from mrdg.problems import make_problem
 from mrdg.runner import run
 from mrdg.timestep import compute_dt, effective_cfl
+
+from conftest import slice_text
 
 BASE = """\
 # smallest non-trivial standing wave
@@ -30,6 +36,44 @@ n = 3
 t_final = 0.05
 slice_points = 8
 """
+
+
+# every kind of float a slice value can be, drawn often
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-320, 1e300, -1e300]
+
+
+@st.composite
+def slices(draw):
+    """(axes, values) as the runner makes them: `slice_points` midpoints
+    per axis, and a single plane in 3D; or arbitrary coordinates."""
+    ndim = draw(st.integers(1, 3))
+    points = draw(st.integers(1, 9))
+    pts = (np.arange(points) + 0.5) / points
+    axes = [pts] * min(ndim, 2) + [pts[len(pts) // 2 :][:1]] * (ndim == 3)
+    if draw(st.booleans()):
+        axes = [
+            np.array(draw(st.lists(st.floats(), min_size=1, max_size=4))) for _ in range(ndim)
+        ]
+    shape = tuple(len(x) for x in axes)
+    floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
+    vals = draw(st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return axes, np.array(vals).reshape(shape)
+
+
+@given(slices())
+@example(([np.array([0.5])], np.array([-0.0])))  # slice_points = 1
+@example(([np.array([0.5])] * 2 + [np.array([0.25])], np.array(SPECIAL[:1]).reshape(1, 1, 1)))
+@example(([np.array([0.25, 0.75])] * 2, np.array(SPECIAL[5:]).reshape(2, 2)))
+@settings(max_examples=60, deadline=None)
+def test_slice_files_equal_the_row_by_row_writer(case):
+    axes, vals = case
+    echo = ["problem = cosine-periodic", "k = 1"]
+    result = SimpleNamespace(slices=[(0.05, axes, vals)], centers=[])
+    with tempfile.TemporaryDirectory() as out:
+        (path,) = _write_snapshots(result, out, echo)
+        assert os.path.basename(path) == "slice_0.05.csv"
+        with open(path, newline="") as fh:
+            assert fh.read() == slice_text(axes, vals, echo)
 
 
 @pytest.fixture

@@ -2,8 +2,9 @@
 
 The core check: applying Kronecker-factor operators through ordered level
 sweeps on a downward-closed active set must equal the dense restricted
-matrix.  `dense_from_terms` assembles that matrix from raw operator entries
-without consulting tags, sweep order, or the L+U expansion.
+matrix.  `dense_apply` multiplies by that matrix, formed level pair by level
+pair from raw operator entries, without consulting tags, sweep order, or the
+L+U expansion.
 """
 
 import math
@@ -47,7 +48,7 @@ from conftest import (
     children,
     deactivate,
     dense,
-    dense_from_terms,
+    dense_apply,
     dense_lattice_values,
     flatten,
     is_leaf,
@@ -204,8 +205,9 @@ def test_expand_term_splits_extra_generals():
         assert sum(1 for op in p.ops if op.tag == "general") == 1
     # the pieces must sum back to the original operator
     space = TensorSpace(AdaptiveGrid.sparse(3, 2))
-    dense = dense_from_terms([term], space, (2, 2, 2))
-    recon = dense_from_terms(parts, space, (2, 2, 2))
+    eye = np.eye(space.dof_count((2, 2, 2)))
+    dense = dense_apply([term], space, (2, 2, 2), eye)
+    recon = dense_apply(parts, space, (2, 2, 2), eye)
     np.testing.assert_allclose(recon, dense, atol=1e-12)
 
 
@@ -264,8 +266,7 @@ def test_fast_apply_equals_dense_restriction(d, k, n):
             p_in = tuple(op.col.p if op is not None else k + 1 for op in terms[0].ops)
             x = random_coeffs(space, p_in, hash((gname, oname)) % 2**32)
             got = flatten(space, top.apply(space, x))
-            dense = dense_from_terms(terms, space, p_in)
-            want = dense @ flatten(space, x)
+            want = dense_apply(terms, space, p_in, flatten(space, x))
             scale = max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) / scale < ORACLE_TOL, (
                 f"{gname}/{oname} diverges from the dense reference"
@@ -285,7 +286,7 @@ def test_fast_apply_with_missing_input_levels_equals_dense(d, k, seed, data):
     for lv in data.draw(st.sets(st.sampled_from(space.levels))):
         x.data[lv][...] = 0.0
     got = flatten(space, TensorOperator(terms).apply(space, x))
-    want = dense_from_terms(terms, space, p_in) @ flatten(space, x)
+    want = dense_apply(terms, space, p_in, flatten(space, x))
     scale = max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) / scale < ORACLE_TOL, oname
 
@@ -304,7 +305,7 @@ def test_dense_groups_and_cascaded_chains_equal_dense_restriction(monkeypatch, d
         space = TensorSpace(grid)
         x = random_coeffs(space, p_in, hash(gname) % 2**32)
         got = flatten(space, top.apply(space, x))
-        want = dense_from_terms(terms, space, p_in) @ flatten(space, x)
+        want = dense_apply(terms, space, p_in, flatten(space, x))
         scale = max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) / scale < ORACLE_TOL, gname
         if gname == "sparse":  # fibers of every top level 0..n
@@ -336,7 +337,7 @@ def test_dense_block_grows_to_the_levels_applied(monkeypatch):
         space = TensorSpace(AdaptiveGrid.sparse(2, top_level, n_max=n))
         x = random_coeffs(space, (k + 1, k + 1), top_level)
         got = flatten(space, top.apply(space, x))
-        want = dense_from_terms(terms, space, (k + 1, k + 1)) @ flatten(space, x)
+        want = dense_apply(terms, space, (k + 1, k + 1), flatten(space, x))
         assert np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))) < ORACLE_TOL
     assert depths == [3, 5]  # once per deeper level, never to n_max
     size = fam.level_offset(6)
@@ -434,7 +435,7 @@ def test_variable_speed_operators_match_dense_oracles(d, problem, seed, bcs):
         p_in = tuple(op.col.p if op is not None else 3 for op in top.terms[0].ops)
         x = random_coeffs(space, p_in, seed + i)
         got = flatten(space, top.apply(space, x))
-        want = dense_from_terms(top.terms, space, p_in) @ flatten(space, x)
+        want = dense_apply(top.terms, space, p_in, flatten(space, x))
         assert np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))) < ORACLE_TOL
     for pair in set(bc):
         for op, want in variable_speed_factors(n, pair):
@@ -478,7 +479,7 @@ def test_sweep_plans_follow_the_level_list(plan_builds):
     for space in spaces:
         x = random_coeffs(space, (k + 1, k + 1), len(counts))
         got = flatten(space, top.apply(space, x))
-        want = dense_from_terms(terms, space, (k + 1, k + 1)) @ flatten(space, x)
+        want = dense_apply(terms, space, (k + 1, k + 1), flatten(space, x))
         assert np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))) < ORACLE_TOL
         counts.append(len(builds))
     assert spaces[0].layout is spaces[1].layout is not spaces[2].layout

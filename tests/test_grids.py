@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from mrdg.grids import (
     AdaptiveGrid,
     cell_width,
-    element_center,
     num_cells,
     sparse_levels,
 )
@@ -22,9 +21,11 @@ from mrdg.fastmv import TensorSpace
 
 from conftest import (
     activate,
+    center_lines,
     children,
     contains,
     deactivate,
+    element_center,
     is_leaf,
     parent,
     random_pruning,
@@ -81,6 +82,16 @@ def test_validate_key_rejects_out_of_range_cells():
 def test_element_center():
     assert element_center(((0, 0), (0, 0))) == (0.5, 0.5)
     assert element_center(((2, 3), (1, 0))) == (0.75, 0.125)
+
+
+@given(st.integers(1, 3), st.integers(0, 6), st.integers(0, 2**16), st.integers(0, 60))
+@settings(max_examples=40, deadline=None)
+def test_dump_centers_equals_element_centers(ndim, n_max, seed, steps):
+    # the whole-level formatting writes what one element at a time writes
+    grid = random_pruning(ndim, n_max, seed, steps)
+    assert grid.dump_centers() == center_lines(grid)
+    grid = AdaptiveGrid.sparse(ndim, min(n_max, 4), n_max)
+    assert grid.dump_centers() == center_lines(grid)
 
 
 @pytest.mark.parametrize("ndim,n", [(1, 4), (2, 3), (3, 3)])
