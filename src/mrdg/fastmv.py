@@ -36,9 +36,13 @@ product, and grows the block to the deepest; longer fibers cascade.
 A fiber order depends only on the level list, m, the polynomial counts and
 whether the factor is dense, so the `_SweepPlan`s and the index maps live
 on the `LevelLayout` of the level list: each map once, and only those a warm
-apply reads (first gathers, links, last gathers back).  Gathers and products
-are work arrays (`work_array`) that the next sweep reuses, so a warm dense
-apply allocates none of them.
+apply reads (first gathers, links, last gathers back).  A plan needs only
+the counts of its fibers (`_fibers`).  The maps come from the fiber orders
+(`_order`), each built once while the first apply on the layout makes them:
+a kept gather or gather back stands for its order, and the layout holds
+the others until that apply ends (`LevelLayout.orders`).  Gathers and
+products are work arrays (`work_array`) that the next sweep reuses, so a
+warm dense apply allocates none of them.
 
 Operators with more than one unconstrained dimension are expanded into at
 most 2^(d-1) sweepable terms by L+U splitting of the surplus factors.
@@ -95,6 +99,7 @@ class LevelLayout:
         self.plans: dict[tuple, _SweepPlan] = {}
         self.chains = {}  # `Chains` by counts
         self.maps = {}  # the index maps a warm apply reads (`_map`)
+        self.orders = {}  # fiber orders while maps are made; the caller drops them
         self.moves = {}  # `cell_map` by the old level list
 
     def views(self, buf: np.ndarray, p: tuple[int, ...]) -> dict[Level, np.ndarray]:
@@ -273,22 +278,49 @@ class _SweepPlan:
     chains: Chains | None  # the level-major layout of the cascaded fibers
 
 
-def _order(layout: LevelLayout, dim: int, p: tuple[int, ...], dense: bool):
-    """The buffer index of each entry of a field of polynomial counts p in
-    the fibers of a sweep along `dim`; and those fibers' dense groups (rows,
-    width, at) and level counts.
+def _fibers(layout: LevelLayout, dim: int, p: tuple[int, ...], dense: bool):
+    """The fibers of a sweep along `dim` over fields of polynomial counts
+    p, each by the rest of its level tuples: the top level A of each, the
+    dense and the cascaded ones in their order, their dense groups (rows,
+    width, at) and level counts; all without building the index.
 
     The level list is downward closed, so every fiber holds its whole chain
-    0..A, and the fibers cover the buffer: the index is a permutation.  A
-    dense order groups the fibers of equal A with p 2^A <= `DENSE_ENTRIES`
-    side by side, each as one column of its 1D levels.  The other fibers
-    follow level by level, every fiber that reaches the level, sorted by A
-    from the top.
+    0..A, and the fibers cover the buffer.  A dense sweep sets the fibers of
+    equal A with p 2^A <= `DENSE_ENTRIES` side by side, one column per
+    polynomial and cell of their other dimensions.  The other fibers follow
+    level by level, every fiber that reaches the level, sorted by A from
+    the top.
     """
+    pd = p[dim]
+    tops: dict[Level, int] = {}
+    for lv in layout.levels:
+        rest = lv[:dim] + lv[dim + 1 :]
+        tops[rest] = max(tops.get(rest, 0), lv[dim])
+    columns = {r: math.prod(p) // pd * math.prod(map(num_cells, r)) for r in tops}
+    short = sorted((r for r, a in tops.items() if dense and pd << a <= DENSE_ENTRIES),
+                   key=lambda r: (tops[r], r))
+    groups, at = [], 0
+    for top, rests in itertools.groupby(short, key=tops.get):
+        width = sum(map(columns.get, rests))
+        groups.append((pd << top, width, at))
+        at += (pd << top) * width
+    long = sorted(tops.keys() - set(short), key=lambda r: (-tops[r], r))
+    reach = tops[long[0]] + 1 if long else 0
+    counts = [sum(columns[r] for r in long if tops[r] >= a) for a in range(reach)]
+    return tops, short, long, tuple(groups), tuple(counts)
+
+
+def _order(layout: LevelLayout, dim: int, p: tuple[int, ...], dense: bool) -> np.ndarray:
+    """The buffer index of each entry of a field of polynomial counts p in
+    the fibers of a sweep along `dim` (`_fibers`), a permutation: each dense
+    group's fibers side by side as its columns, each cascaded level's
+    fibers one after another.  One index block per level of the list: on
+    these grids that costs less than index arithmetic over every entry."""
     d, q = len(p), math.prod(p)
     where = dict(zip(layout.levels, zip(layout.starts, layout.shapes)))
     front = (dim, d + dim) + tuple(j for j in range(2 * d) if j not in (dim, d + dim))
     back = front[2:] + front[:2]
+    tops, short, long, _, counts = _fibers(layout, dim, p, dense)
 
     def block(rest: Level, a: int, axes) -> np.ndarray:
         # buffer indices of level a of a fiber, axes of dim first or last
@@ -301,27 +333,37 @@ def _order(layout: LevelLayout, dim: int, p: tuple[int, ...], dense: bool):
         blocks = [block(rest, a, front) for a in range(top + 1)]
         return np.concatenate([b.reshape(b.shape[0] * b.shape[1], -1) for b in blocks])
 
-    tops: dict[Level, int] = {}
-    for lv in layout.levels:
-        rest = lv[:dim] + lv[dim + 1 :]
-        tops[rest] = max(tops.get(rest, 0), lv[dim])
-    short = {r: a for r, a in tops.items() if dense and p[dim] << a <= DENSE_ENTRIES}
-    parts, groups, counts = [], [], []
-    for top, rests in itertools.groupby(sorted(short, key=lambda r: (short[r], r)), key=short.get):
-        x = np.concatenate([rows(r, top) for r in rests], axis=1)
-        groups.append((*x.shape, sum(map(len, parts))))
-        parts.append(x.ravel())
-    long = sorted((r for r in tops if r not in short), key=lambda r: (-tops[r], r))
-    for a in range(tops[long[0]] + 1 if long else 0):
-        level = [block(r, a, back).ravel() for r in long if tops[r] >= a]
-        counts.append(sum(map(len, level)) // (p[dim] * num_cells(a)))
-        parts += level
-    return np.concatenate(parts), tuple(groups), tuple(counts)
+    parts = [
+        np.concatenate([rows(r, top) for r in rests], axis=1).ravel()
+        for top, rests in itertools.groupby(short, key=tops.get)
+    ]
+    for a in range(len(counts)):
+        parts += [block(r, a, back).ravel() for r in long if tops[r] >= a]
+    return np.concatenate(parts)
+
+
+def _fiber_order(layout: LevelLayout, order: Order) -> np.ndarray:
+    """`_order`: its kept gather, the inverse of its kept gather back, or
+    built once and held on the layout until a map stands for it or the
+    caller drops `orders`."""
+    hit = layout.maps.get((None, order))
+    if hit is None:
+        back = layout.maps.get((order, None))
+        hit = layout.orders.get(order) if back is None else _inverse(back)
+    if hit is None:
+        hit = layout.orders[order] = _order(layout, *order)
+    return hit
+
+
+def _inverse(index: np.ndarray) -> np.ndarray:
+    out = np.empty_like(index)
+    out[index] = np.arange(len(index))
+    return out
 
 
 def _build_plan(layout: LevelLayout, dim: int, p_in, p_out, dense: bool) -> _SweepPlan:
     """A sweep's dense groups and the `Chains` of its other fibers."""
-    _, groups, counts = _order(layout, dim, p_in, dense)
+    *_, groups, counts = _fibers(layout, dim, p_in, dense)
     chains = layout.chains.setdefault(counts, Chains(counts)) if counts else None
     return _SweepPlan((dim, p_in, dense), (dim, p_out, dense), groups, chains)
 
@@ -394,15 +436,15 @@ def _map(layout: LevelLayout, out: Order | None, into: Order | None, keep: bool 
     hit = layout.maps.get((out, into))
     if hit is None:
         if out is None:
-            hit = _order(layout, *into)[0]
+            hit = _fiber_order(layout, into)
         elif into is None:
-            known = _map(layout, None, out, False)
-            hit = np.empty_like(known)
-            hit[known] = np.arange(len(known))
+            hit = _inverse(_fiber_order(layout, out))
         else:
             hit = _map(layout, out, None, False)[_map(layout, None, into, False)]
         if keep:
             layout.maps[out, into] = hit
+            if out is None or into is None:
+                layout.orders.pop(out or into, None)  # the map stands for the order
     return hit
 
 

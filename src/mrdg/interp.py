@@ -153,26 +153,22 @@ class InterpBasis1D:
 
     # -- node enumeration ------------------------------------------------
 
-    def nodes_level0(self) -> list[tuple[float, int]]:
-        return [(float(x), s) for x, s in self.base_nodes]
-
-    def nodes_for(self, level: int, cell: int) -> list[tuple[float, int]]:
-        """Fresh nodes owned by (level, cell), as (value, side) floats."""
-        if level == 0:
-            return self.nodes_level0()
-        scale = Fraction(1, 1 << (level - 1))
-        return [(float((x + cell) * scale), s) for x, s in self.fresh_nodes]
-
     def level_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates and side tags of one level's nodes, each shaped
-        (cells, p); built once per level and read-only."""
+        (cells, p), built once per level and read-only: the base nodes x on
+        level 0, 2^-(l-1) (x + cell) for the fresh ones on level l >= 1.
+        With x = num/den, one correctly rounded division of integers, then
+        an exact scale by a power of 2, rounds the rational bit for bit."""
         table = self._level_nodes.get(level)
         if table is None:
-            nodes = np.array([self.nodes_for(level, c) for c in range(num_cells(level))])
-            table = (nodes[..., 0], nodes[..., 1].astype(int))
+            nodes = self.fresh_nodes if level else self.base_nodes
+            num, den = np.array([(x.numerator, x.denominator) for x, _ in nodes]).T
+            cell = np.arange(num_cells(level))[:, None]
+            coords = np.ldexp((num + cell * den) / den, 1 - max(level, 1))
+            sides = np.tile([s for _, s in nodes], (len(cell), 1))
+            table = self._level_nodes[level] = (coords, sides)
             for arr in table:
                 arr.flags.writeable = False
-            self._level_nodes[level] = table
         return table
 
     def all_nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,6 +185,10 @@ class InterpBasis1D:
         is the level-0 Lagrange function k at fresh node i, computed in exact
         rationals, and coarse[c, k] is the `all_nodes(n)` index of base node
         k mapped onto the c-th cell of levels 1..n (level-major).
+
+        The nodes are nested: base node k on half h of a cell is fresh node
+        i of the cell or its base node k', so each level's table is one
+        gather from its parent level's, without comparing coordinates.
         """
         base = [x for x, _ in self.base_nodes]
         weights = np.empty((self.p, self.p))
@@ -199,15 +199,18 @@ class InterpBasis1D:
                     if j != k:
                         w *= (x - xj) / (xk - xj)
                 weights[i, k] = float(w)
-        coords, sides = self.all_nodes(n)
-        index = {node: a for a, node in enumerate(zip(coords.tolist(), sides.tolist()))}
-        coarse = [
-            [index[float((x + cell) * scale), s] for x, s in self.base_nodes]
-            for level in range(1, n + 1)
-            for scale in [Fraction(1, 1 << (level - 1))]
-            for cell in range(num_cells(level))
-        ]
-        return weights, np.array(coarse, dtype=int).reshape(-1, self.p)
+        fresh = {node: i for i, node in enumerate(self.fresh_nodes)}
+        halves = [[((x + h) / 2, s) for x, s in self.base_nodes] for h in (0, 1)]
+        is_fresh = np.array([[node in fresh for node in half] for half in halves])
+        slot = np.array([[fresh[node] if node in fresh else self.base_nodes.index(node)
+                          for node in half] for half in halves])
+        coarse = [np.arange(self.p)[None]] if n else []  # level 1: the level-0 nodes
+        for level in range(2, n + 1):
+            cell = np.arange(num_cells(level))
+            parent, h = cell[:, None] >> 1, cell & 1
+            own = self.p * (num_cells(level - 1) + parent) + slot[h]  # fresh on the parent
+            coarse.append(np.where(is_fresh[h], own, coarse[-1][parent, slot[h]]))
+        return weights, np.concatenate(coarse + [np.zeros((0, self.p), dtype=int)])
 
 
 @lru_cache(maxsize=None)

@@ -217,17 +217,22 @@ class WaveOperator:
     def apply(
         self, space: TensorSpace, u: CoeffSet, out: CoeffSet | None = None
     ) -> CoeffSet:
-        """out += L u (allocates a fresh zero target when out is None)."""
+        """out += L u (allocates a fresh zero target when out is None).
+        The fiber orders that the first apply on a layout builds for its
+        index maps serve all the operators, then go."""
         if self.cfg.csq.is_constant:
-            return self._op_const.apply(space, u, out)
-        if out is None:
-            out = space.zeros(self.p_a)
-        self._penalty.apply(space, u, out)
-        samples = [
-            _elementwise_mul(node_op.apply(space, u), self._csq_at_nodes(space, force))
-            for node_op, force, _ in self._terms
-        ]
-        return self.apply_interpolated(space, samples, out)
+            out = self._op_const.apply(space, u, out)
+        else:
+            if out is None:
+                out = space.zeros(self.p_a)
+            self._penalty.apply(space, u, out)
+            samples = [
+                _elementwise_mul(node_op.apply(space, u), self._csq_at_nodes(space, force))
+                for node_op, force, _ in self._terms
+            ]
+            self.apply_interpolated(space, samples, out)
+        space.layout.orders.clear()
+        return out
 
     def apply_interpolated(
         self,

@@ -157,12 +157,6 @@ def level_values(
     return half >> 1, np.where(right, leg @ pieces[:, 1].T, leg @ pieces[:, 0].T)
 
 
-def _level_cols(fam: FamilySpec, level: int, cell: np.ndarray) -> np.ndarray:
-    """Columns of the p functions of each given level-`level` cell, shape
-    cell.shape + (p,)."""
-    return fam.level_offset(level) + fam.p * cell[..., None] + np.arange(fam.p)
-
-
 def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
     """Value (derivative with `deriv`) of every function of the Alpert
     family `fam` at the points x in [0, 1], a dense (len(x), ndof) array;
@@ -174,7 +168,8 @@ def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
     out = np.zeros((len(x), fam.ndof))
     for level in range(fam.n + 1):
         cell, v = level_values(fam, level, x, sides, deriv)
-        out[np.arange(len(x))[:, None], _level_cols(fam, level, cell)] += v
+        cols = fam.level_offset(level) + fam.p * cell[:, None] + np.arange(fam.p)
+        out[np.arange(len(x))[:, None], cols] += v
     return out
 
 
@@ -321,10 +316,21 @@ def _probed(form: GalerkinForm, depth: int) -> np.ndarray:
     wrap face the outputs written across the ends are exact zeros.  Every
     block above the diagonal mirrors the one below.  A lower cascade's
     level-b outputs read levels <= b only, so no deeper level enters.
+
+    Each cascade's outputs go into the matrix at once, as a p x p block
+    and its mirror per output cell of levels >= a and colour, through the
+    matrix's (cell, function, cell, function) view.  One cascade of all
+    levels' probes side by side moves the roundoff of some entries (k 0
+    with a wall at depth 1, k >= 8), as its matrix products have other
+    shapes.
     """
     fam, p = form.row, form.row.p
     size = fam.level_offset(depth + 1)
+    counts = np.array([num_cells(level) for level in range(depth + 1)])
+    level = np.repeat(np.arange(depth + 1), counts)  # of each cell h of levels 0..depth
+    cell = np.arange(len(level)) - (1 << level >> 1)
     mat = np.zeros((size, size))
+    blocks = mat.reshape(len(level), p, len(level), p)  # [h, i, h', q]
     for a in range(depth + 1):
         cells = num_cells(a)
         colours = min(4, cells)
@@ -334,17 +340,18 @@ def _probed(form: GalerkinForm, depth: int) -> np.ndarray:
         probe = probe.reshape(colours, p, cells // colours, colours, p)
         probe[np.arange(colours), :, :, np.arange(colours)] = np.eye(p)[:, None]
         y = form.cascade("lower", x, Chains((fibers,) * (depth + 1)))
-        for b in range(a, depth + 1):
-            ancestor = np.arange(num_cells(b)) >> (b - a)
-            d = (np.arange(colours)[:, None] - ancestor + 1) % colours - 1
-            r, cell = np.nonzero(d <= 1)  # d = 2: colour r is not next to u
-            col = (ancestor[cell] + d[r, cell]) % cells
-            out = y[fibers * fam.level_offset(b) : fibers * fam.level_offset(b + 1)]
-            vals = out.reshape(colours, p, -1, p)[r, :, cell].transpose(0, 2, 1)
-            rows, cols = _level_cols(fam, b, cell)[:, :, None], _level_cols(fam, a, col)[:, None]
-            mat[rows, cols] = vals
-            if b > a:
-                mat[cols, rows] = vals
+        # each cell h of levels b >= a with each colour r next to its ancestor u
+        h = np.arange(1 << a >> 1, len(level))
+        u = cell[h] >> (level[h] - a)
+        d = (np.arange(colours) - u[:, None] + 1) % colours - 1
+        pair, r = np.nonzero(d <= 1)  # d = 2: colour r is not next to u
+        h, col = h[pair], (1 << a >> 1) + (u[pair] + d[pair, r]) % cells
+        b = level[h]
+        # the p outputs of h on fiber (r, q) are one row of y: [h, q, i]
+        rows = fibers * (h - cell[h]) + p * r * counts[b] + cell[h]
+        vals = y.reshape(-1, p)[rows[:, None] + counts[b][:, None] * np.arange(p)]
+        blocks[h, :, col, :] = vals.transpose(0, 2, 1)
+        blocks[col[b > a], :, h[b > a], :] = vals[b > a]
     drop_work_arrays()  # the probe's buffers; the sweeps' cascades size their own
     return mat
 

@@ -13,12 +13,16 @@ whole-mask `AdaptiveGrid.refine` / `coarsen` are checked against it.
 
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from mrdg.alpert import Quadrature1D, legendre_values, mother_wavelets, two_scale
+from mrdg import fastmv
 from mrdg.fastmv import CoeffSet, TensorSpace, TensorTerm
 from mrdg.diagnostics import fmt
 from mrdg.grids import MAX_LEVEL, AdaptiveGrid, Key, Level, cell_width, num_cells
@@ -112,6 +116,45 @@ def node_values(nodes: FamilySpec, col: FamilySpec) -> Operator1D:
     values = [interp_level_values(col, a, x[:b], sides[:b])[1] for a, b in enumerate(below, 1)]
     form = NodeForm(alpert.nodes, col, False, alpert.levels, [np.zeros((0, col.p))] + values)
     return Operator1D(form, nodes, col, "general")
+
+
+# ---------------------------------------------------------------------------
+# node tables in exact rationals: the solver scales integers
+
+
+def nodes_level0(basis) -> list[tuple[float, int]]:
+    """The base nodes of an interpolatory family, as (value, side) floats."""
+    return [(float(x), s) for x, s in basis.base_nodes]
+
+
+def nodes_for(basis, level: int, cell: int) -> list[tuple[float, int]]:
+    """Fresh nodes owned by (level, cell), as (value, side) floats, each
+    the rounding of 2^-(level-1) (x + cell) evaluated as a `Fraction`."""
+    if level == 0:
+        return nodes_level0(basis)
+    scale = Fraction(1, 1 << (level - 1))
+    return [(float((x + cell) * scale), s) for x, s in basis.fresh_nodes]
+
+
+def level_nodes(basis, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """`InterpBasis1D.level_nodes`, one cell at a time through `nodes_for`."""
+    nodes = np.array([nodes_for(basis, level, c) for c in range(num_cells(level))])
+    return nodes[..., 0], nodes[..., 1].astype(int)
+
+
+def coarse_nodes(basis, n: int) -> np.ndarray:
+    """The `coarse` table of `InterpBasis1D.coarse_stencil`, each coarse
+    node looked up by its (value, side) in a dict of all nodes."""
+    tables = [level_nodes(basis, level) for level in range(n + 1)]
+    coords, sides = (np.concatenate([t[j].ravel() for t in tables]) for j in (0, 1))
+    index = {node: a for a, node in enumerate(zip(coords.tolist(), sides.tolist()))}
+    coarse = [
+        [index[float((x + cell) * scale), s] for x, s in basis.base_nodes]
+        for level in range(1, n + 1)
+        for scale in [Fraction(1, 1 << (level - 1))]
+        for cell in range(num_cells(level))
+    ]
+    return np.array(coarse, dtype=int).reshape(-1, basis.p)
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +713,77 @@ def slice_text(axes, vals: np.ndarray, echo=()) -> str:
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# sweep set-up one fiber and one level at a time: the solver builds both by
+# whole arrays
+
+
+def fiber_order(layout, dim: int, p: tuple[int, ...], dense: bool):
+    """`fastmv._order`, one index block per (fiber, level): each level's
+    buffer indices, transposed to put `dim` first (dense groups) or last
+    (cascaded levels), concatenated in fiber order."""
+    d, q = len(p), math.prod(p)
+    where = dict(zip(layout.levels, zip(layout.starts, layout.shapes)))
+    front = (dim, d + dim) + tuple(j for j in range(2 * d) if j not in (dim, d + dim))
+    back = front[2:] + front[:2]
+
+    def block(rest: Level, a: int, axes) -> np.ndarray:
+        start, cells = where[rest[:dim] + (a,) + rest[dim:]]
+        idx = np.arange(q * start, q * (start + math.prod(cells)))
+        return idx.reshape(cells + p).transpose(axes)
+
+    def rows(rest: Level, top: int) -> np.ndarray:
+        blocks = [block(rest, a, front) for a in range(top + 1)]
+        return np.concatenate([b.reshape(b.shape[0] * b.shape[1], -1) for b in blocks])
+
+    tops: dict[Level, int] = {}
+    for lv in layout.levels:
+        rest = lv[:dim] + lv[dim + 1 :]
+        tops[rest] = max(tops.get(rest, 0), lv[dim])
+    short = {r: a for r, a in tops.items() if dense and p[dim] << a <= fastmv.DENSE_ENTRIES}
+    parts, groups, counts = [], [], []
+    for top, rests in itertools.groupby(sorted(short, key=lambda r: (short[r], r)), key=short.get):
+        x = np.concatenate([rows(r, top) for r in rests], axis=1)
+        groups.append((*x.shape, sum(map(len, parts))))
+        parts.append(x.ravel())
+    long = sorted((r for r in tops if r not in short), key=lambda r: (-tops[r], r))
+    for a in range(tops[long[0]] + 1 if long else 0):
+        level = [block(r, a, back).ravel() for r in long if tops[r] >= a]
+        counts.append(sum(map(len, level)) // (p[dim] * num_cells(a)))
+        parts += level
+    return np.concatenate(parts), tuple(groups), tuple(counts)
+
+
+def probed_by_level(form, depth: int) -> np.ndarray:
+    """`operators1d._probed`, one lower cascade per input level a over its
+    coloured probes, scattered one output level b at a time."""
+    fam, p = form.row, form.row.p
+    size = fam.level_offset(depth + 1)
+    mat = np.zeros((size, size))
+    for a in range(depth + 1):
+        cells = num_cells(a)
+        colours = min(4, cells)
+        fibers = colours * p
+        x = np.zeros(fibers * size)
+        probe = x[fibers * fam.level_offset(a) : fibers * fam.level_offset(a + 1)]
+        probe = probe.reshape(colours, p, cells // colours, colours, p)
+        probe[np.arange(colours), :, :, np.arange(colours)] = np.eye(p)[:, None]
+        y = form.cascade("lower", x, Chains((fibers,) * (depth + 1)))
+        for b in range(a, depth + 1):
+            ancestor = np.arange(num_cells(b)) >> (b - a)
+            d = (np.arange(colours)[:, None] - ancestor + 1) % colours - 1
+            r, cell = np.nonzero(d <= 1)
+            col = (ancestor[cell] + d[r, cell]) % cells
+            out = y[fibers * fam.level_offset(b) : fibers * fam.level_offset(b + 1)]
+            vals = out.reshape(colours, p, -1, p)[r, :, cell].transpose(0, 2, 1)
+            rows = (fam.level_offset(b) + p * cell[:, None] + np.arange(p))[:, :, None]
+            cols = (fam.level_offset(a) + p * col[:, None] + np.arange(p))[:, None]
+            mat[rows, cols] = vals
+            if b > a:
+                mat[cols, rows] = vals
+    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from conftest import (
     dense_apply,
     flatten,
     interp_phi,
+    nodes_level0,
     random_coeffs,
     random_pruning,
 )
@@ -244,7 +245,7 @@ def test_basis_foundations():
     for m in range(1, 6):
         for variant in ("interface", "inner"):
             basis = make_interp_basis(m, variant)
-            nodes = basis.nodes_level0()
+            nodes = nodes_level0(basis)
             for i in range(m + 1):
                 for j, (x, s) in enumerate(nodes):
                     got = interp_phi(basis, i, np.array([float(x)]), s)[0]

@@ -7,8 +7,10 @@ pair from raw operator entries, without consulting tags, sweep order, or the
 L+U expansion.
 """
 
+import collections
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +52,7 @@ from conftest import (
     dense,
     dense_apply,
     dense_lattice_values,
+    fiber_order,
     flatten,
     is_leaf,
     lower_mask,
@@ -565,7 +568,7 @@ def test_sweep_plans_gather_and_gather_back_by_permutations(d, seed, data):
             inverse = fastmv._map(layout, plan.order_out, None)
             np.testing.assert_array_equal(np.sort(gather), np.arange(size_in))
             np.testing.assert_array_equal(np.sort(inverse), np.arange(size_out))
-            order_out = fastmv._order(layout, *plan.order_out)[0]
+            order_out = fastmv._order(layout, *plan.order_out)
             np.testing.assert_array_equal(inverse[order_out], np.arange(size_out))
             if dense:
                 assert sum(rows * width for rows, width, _ in plan.groups) == size_in
@@ -580,13 +583,31 @@ def test_sweep_plans_gather_and_gather_back_by_permutations(d, seed, data):
                 continue
             link = fastmv._map(layout, plan.order_out, nxt.order_in)
             links.add((plan.order_out, nxt.order_in))
-            out, into = (fastmv._order(layout, *o)[0] for o in (plan.order_out, nxt.order_in))
+            out, into = (fastmv._order(layout, *o) for o in (plan.order_out, nxt.order_in))
             np.testing.assert_array_equal(link, np.argsort(out)[into])  # inverse_out[gather_in]
             np.testing.assert_array_equal(out[link], into)
     # what the warm sweeps read is kept: the gathers and inverses asked for,
     # and the links; nothing else
     gathers = {(None, plan.order_in) for plan in plans}
     assert set(layout.maps) == gathers | {(plan.order_out, None) for plan in plans} | links
+
+
+@given(st.integers(1, 3), st.integers(0, 2**16), st.sampled_from([2, 6, 24, 512]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_fiber_orders_equal_the_orders_built_fiber_by_fiber(d, seed, bound, data):
+    # the plan's groups and counts come without the index, and any faster
+    # `_order` must keep the fiber-by-fiber build's orders; with small dense
+    # bounds a dense order holds both groups and cascaded chains
+    n = {1: 6, 2: 5, 3: 4}[d]
+    layout = fastmv.LevelLayout(tuple(TensorSpace(random_pruning(d, n, seed)).levels))
+    p = tuple(data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d), label="p"))
+    with mock.patch.object(fastmv, "DENSE_ENTRIES", bound):
+        for dim in range(d):
+            for dense in (True, False):
+                index, groups, counts = fiber_order(layout, dim, p, dense)
+                got = fastmv._order(layout, dim, p, dense)
+                assert got.dtype == index.dtype and np.array_equal(got, index)
+                assert fastmv._fibers(layout, dim, p, dense)[3:] == (groups, counts)
 
 
 def _term_orders(top: TensorOperator, p: tuple[int, ...]):
@@ -644,6 +665,43 @@ def test_layouts_keep_one_index_map_per_order_and_one_table_per_node_layout(d, n
         names = [build.__name__ for build in ch.tables]
         assert len(names) == len(set(names))  # one table of each kind
         assert all(build.__self__ is ea.nodes for build in ch.tables if build.__name__ != "_gather")
+    fastmv._layout.cache_clear()
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+def test_first_apply_builds_each_fiber_order_once(d, n, monkeypatch):
+    # the operators of one apply share their fiber orders while they make
+    # their maps, then drop them; the layout keeps the maps a warm apply
+    # reads, no more
+    fastmv._layout.cache_clear()
+    builds = collections.Counter()
+    build = fastmv._order
+
+    def counted(layout, *key):
+        builds[key] += 1
+        return build(layout, *key)
+
+    monkeypatch.setattr(fastmv, "_order", counted)
+    prob = make_problem("smooth-speed", d)
+    cfg = SchemeConfig(
+        ndim=d, k=2, m=3, variant="interface", n_max=n, sigma=10.0, bc=prob.bc, csq=prob.csq
+    )
+    wop = WaveOperator(cfg)
+    space = TensorSpace(AdaptiveGrid.sparse(d, n))
+    wop.apply(space, random_coeffs(space, wop.p_a, 0))
+    assert set(builds.values()) == {1}
+    assert not space.layout.orders
+    keys = set()
+    applied = [(wop._penalty, wop.p_a)]
+    for node_op, _, op in wop._terms:
+        applied += [(node_op, wop.p_a), (wop._surplus, wop.p_i), (op, wop.p_i)]
+    for top, p in applied:
+        for first, pairs, last in _term_orders(top, p):
+            keys |= {(None, first), (last, None)} | pairs
+    assert set(space.layout.maps) == keys
+    made = sum(builds.values())
+    wop.apply(space, random_coeffs(space, wop.p_a, 1))
+    assert sum(builds.values()) == made  # a warm apply builds none
     fastmv._layout.cache_clear()
 
 

@@ -10,16 +10,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mrdg.interp import make_interp_basis
+from mrdg.interp import InterpBasis1D, make_interp_basis
 from mrdg.operators1d import assemble_node_to_surplus, interp_family, node_family
 
 from conftest import (
+    coarse_nodes,
     dense,
     interp_mother,
     interp_phi,
     interp_values_brute,
+    level_nodes,
     node_values,
+    nodes_for,
+    nodes_level0,
     point_values,
 )
 
@@ -61,7 +67,7 @@ def test_node_counts_and_sides(m, variant):
 def test_level0_delta_property(m, variant):
     basis = make_interp_basis(m, variant)
     for i in range(m + 1):
-        for j, (x, s) in enumerate(basis.nodes_level0()):
+        for j, (x, s) in enumerate(nodes_level0(basis)):
             val = interp_phi(basis, i, np.array([x]), s)[0]
             assert abs(val - (1.0 if i == j else 0.0)) < EXACT
 
@@ -70,14 +76,34 @@ def test_level0_delta_property(m, variant):
 def test_wavelet_delta_property(m, variant):
     # wavelet i is 1 at fresh node i, 0 at every other node of levels <= 1
     basis = make_interp_basis(m, variant)
-    fresh = basis.nodes_for(1, 0)
-    base = basis.nodes_level0()
+    fresh = nodes_for(basis, 1, 0)
+    base = nodes_level0(basis)
     for i in range(m + 1):
         for j, (x, s) in enumerate(fresh):
             val = interp_mother(basis, i, np.array([x]), s)[0]
             assert abs(val - (1.0 if i == j else 0.0)) < EXACT
         for x, s in base:
             assert abs(interp_mother(basis, i, np.array([x]), s)[0]) < EXACT
+
+
+@given(st.integers(1, 5), st.sampled_from(["interface", "inner"]), st.integers(0, 12))
+@settings(max_examples=30, deadline=None)
+@example(3, "interface", 0)
+@example(5, "inner", 12)
+@example(4, "interface", 12)
+def test_node_tables_equal_the_exact_rational_enumeration(m, variant, n):
+    # each coordinate is the rounding of its exact rational value, so the
+    # integer arithmetic gives the `Fraction` enumeration's floats bit for
+    # bit, and the nesting finds the same coarse nodes as a lookup by value
+    basis = InterpBasis1D(m, variant)  # fresh tables
+    for level in range(n + 1):
+        (coords, sides), (want, want_sides) = basis.level_nodes(level), level_nodes(basis, level)
+        assert coords.dtype == want.dtype and coords.tobytes() == want.tobytes()
+        assert sides.dtype == want_sides.dtype and np.array_equal(sides, want_sides)
+    _, coarse = basis.coarse_stencil(n)
+    want = coarse_nodes(basis, n)
+    assert coarse.dtype == want.dtype and coarse.shape == want.shape
+    assert np.array_equal(coarse, want)
 
 
 def interpolation_matrix(m, variant, n):
@@ -134,7 +160,7 @@ def test_interpolant_exact_on_polynomials(m, variant):
 def test_interface_m4_matches_closed_forms():
     basis = make_interp_basis(4, "interface")
     # nodes are the quarter points, one-sided at the dyadic ones
-    assert basis.nodes_level0() == [(0.0, 1), (0.25, -1), (0.5, -1), (0.75, -1), (1.0, -1)]
+    assert nodes_level0(basis) == [(0.0, 1), (0.25, -1), (0.5, -1), (0.75, -1), (1.0, -1)]
     x = np.linspace(0.0, 1.0, 9)
     # phi_0 interpolates (0, +): the Lagrange polynomial through the quarter points
     phi0 = np.polynomial.Polynomial.fromroots([0.25, 0.5, 0.75, 1.0])
@@ -142,7 +168,7 @@ def test_interface_m4_matches_closed_forms():
     np.testing.assert_allclose(interp_phi(basis, 0, x), phi0(x), atol=1e-11)
     assert abs(interp_phi(basis, 0, np.array([0.0]), 1)[0] - 1.0) < EXACT
     # right-half wavelet for fresh node (7/8)-: -(32/3)(x-1)(2x-1)(4x-3)(8x-5)
-    fresh = basis.nodes_for(1, 0)
+    fresh = nodes_for(basis, 1, 0)
     idx = fresh.index((0.875, -1))
     xr = np.linspace(0.51, 0.99, 17)
     expect = -(32.0 / 3.0) * (xr - 1) * (2 * xr - 1) * (4 * xr - 3) * (8 * xr - 5)

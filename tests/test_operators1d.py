@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrdg import pyramid
+from mrdg import fastmv, pyramid
 from mrdg.alpert import Quadrature1D, legendre_values
 from mrdg.fastmv import TensorOperator
 from mrdg.interp import make_interp_basis
@@ -50,6 +50,7 @@ from conftest import (
     mapped,
     node_values,
     point_values,
+    probed_by_level,
     trace_oracle,
     variable_speed_factors,
 )
@@ -525,6 +526,29 @@ def test_ipdg_matrix_matches_dense_products(k, n, bc):
     for level in range(n):  # the blocks off the diagonal mirror exactly
         rows = fam.level_slice(level)
         assert np.array_equal(mat[rows, rows.stop :], mat[rows.stop :, rows].T)
+
+
+@st.composite
+def probe_shapes(draw):
+    """A degree k, and a depth whose leading block a dense sweep may use."""
+    k = draw(st.integers(0, 10))
+    depth = draw(st.integers(0, (fastmv.DENSE_ENTRIES // (k + 1)).bit_length() - 1))
+    return k, depth
+
+
+@given(probe_shapes(), st.sampled_from(ORACLE_BCS))
+@settings(max_examples=60, deadline=None)
+@example((1, 8), ("periodic", "periodic"))  # const2d
+@example((2, 7), ("periodic", "periodic"))
+@example((0, 1), ("dirichlet", "dirichlet"))  # batched probes change these
+@example((8, 5), ("neumann", "dirichlet"))
+@example((10, 5), ("dirichlet", "neumann"))
+def test_probed_block_equals_the_block_probed_level_by_level(shape, bc):
+    # the whole-array scatter writes what the per-level scatter wrote, bit
+    # for bit, from the same cascades
+    k, depth = shape
+    form = assemble_ipdg(alpert_family(k, depth), bc, 0.7, 10.0 * (1 << depth)).mat.form
+    assert np.array_equal(_probed(form, depth), probed_by_level(form, depth))
 
 
 def test_probing_drops_the_cascade_work_arrays():
