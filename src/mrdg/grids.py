@@ -18,13 +18,10 @@ are the pairwise OR of a finer mask.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
 
 import numpy as np
 
 Level = tuple[int, ...]
-Cell = tuple[int, ...]
-Key = tuple[Level, Cell]
 
 # Input bound on levels.  Storage is bounded separately: a 1D operator is a
 # pyramid, a few (k+1)^2 tables per level plus node tables of O(2^n p)
@@ -86,16 +83,6 @@ class AdaptiveGrid:
 
     def __len__(self) -> int:
         return sum(int(mask.sum()) for mask in self.masks.values())
-
-    def __iter__(self) -> Iterator[Key]:
-        """Active keys in sorted order (a snapshot; safe to mutate while iterating)."""
-        return iter(
-            [
-                (lv, tuple(cells))
-                for lv in sorted(self.masks)
-                for cells in np.argwhere(self.masks[lv]).tolist()
-            ]
-        )
 
     # -- mutation --------------------------------------------------------
 

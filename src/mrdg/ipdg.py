@@ -25,7 +25,7 @@ h = 2^-n_max.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -49,8 +49,9 @@ from .operators1d import (
 class Coefficient:
     """Squared wave speed c^2 as a field on [0,1]^d.
 
-    `fn(xs, sides)` receives broadcast coordinate and side-tag arrays (one per
-    dimension, sides in {-1, 0, +1}) and returns c^2 elementwise.  Fields with
+    `fn(xs, sides)` receives broadcastable coordinate and side-tag arrays (one
+    per dimension, sides in {-1, 0, +1}) and returns c^2 elementwise, in any
+    shape that broadcasts to theirs.  Fields with
     jumps aligned to dyadic planes must set `aligned_jumps` so the scheme
     samples both one-sided limits across them.
     """
@@ -206,9 +207,7 @@ class WaveOperator:
                 m, side = force
                 inner = (coords[m] > 0.0) & (coords[m] < 1.0)
                 sides[m] = np.where(inner, side, sides[m])
-            xs = np.broadcast_arrays(*on_level(coords))
-            ss = np.broadcast_arrays(*on_level(sides))
-            view[...] = cfg.csq(xs, ss)
+            view[...] = cfg.csq(on_level(coords), on_level(sides))
         self._cval[force] = vals.buf
         return vals.buf
 
@@ -218,18 +217,20 @@ class WaveOperator:
         self, space: TensorSpace, u: CoeffSet, out: CoeffSet | None = None
     ) -> CoeffSet:
         """out += L u (allocates a fresh zero target when out is None).
-        The fiber orders that the first apply on a layout builds for its
-        index maps serve all the operators, then go."""
+        The node samples are made one term at a time, as the interpolated
+        terms use them, so at most two are alive at once.  The fiber orders
+        that the first apply on a layout builds for its index maps serve all
+        the operators, then go."""
         if self.cfg.csq.is_constant:
             out = self._op_const.apply(space, u, out)
         else:
             if out is None:
                 out = space.zeros(self.p_a)
             self._penalty.apply(space, u, out)
-            samples = [
+            samples = (
                 _elementwise_mul(node_op.apply(space, u), self._csq_at_nodes(space, force))
                 for node_op, force, _ in self._terms
-            ]
+            )
             self.apply_interpolated(space, samples, out)
         space.layout.orders.clear()
         return out
@@ -237,12 +238,12 @@ class WaveOperator:
     def apply_interpolated(
         self,
         space: TensorSpace,
-        samples: list[CoeffSet],
+        samples: Iterable[CoeffSet],
         out: CoeffSet | None = None,
     ) -> CoeffSet:
         """Variable-speed interpolated terms driven by node samples (out += ...).
 
-        `samples` holds one node-sample set per interpolated term: c^2 d_m u
+        `samples` yields one node-sample set per interpolated term: c^2 d_m u
         for each m, then c^2 u for a smooth speed, or for aligned jumps its
         one-sided limits across the planes normal to each m (below, then
         above).  `apply` passes samples of the discrete u; exact samples of a

@@ -7,8 +7,8 @@ the 2^l intervals of level l.
 
 Every 1D operator is a multiwavelet pyramid form of `pyramid`, and the
 assemblers here build its reference tables: the pairing of the Legendre
-families on one interval, their end values and the values at the nodes,
-whose places (`NodeLayout`) the node forms of one node family share.
+families on one interval, their end values and their values at the
+nodes, whose cells (`NodeLayout`) the node forms of one node family share.
 The factors of the variable-speed pipeline (mass, volume derivative,
 traces, node values, node-to-surplus and the `lu_split` halves) stay forms;
 a form's cascade chooses its blocks by the operator's tag, so `lu_split`
@@ -361,41 +361,20 @@ def _probed(form: GalerkinForm, depth: int) -> np.ndarray:
 
 
 class NodeLayout:
-    """Where the hierarchical nodes of a node family sit: `where[l]` is the
-    level-l interval of every node of levels <= l, and `cells[a]` the
-    level-a cell of every node of levels < a.
+    """Where the hierarchical nodes of a node family sit: `cells[a]` is the
+    level-a cell of every node of levels < a, and `halves` the level-1
+    interval (0 or 1) of every level-1 node.
 
     The node forms of one node family and side convention share it (values
     and derivatives alike, whatever their columns), and with it the index
-    tables it builds on each `Chains`.  Forced sides move the nodes on a
+    table it builds on each `Chains`.  Forced sides move the nodes on a
     breakpoint to the other interval, so they have a layout of their own.
     """
 
-    def __init__(self, rows: FamilySpec, where: list[np.ndarray]):
+    def __init__(self, rows: FamilySpec, cells: list, halves: np.ndarray):
         self.row = rows
-        self.where = where
-        self.cells = [None] + [w[: rows.level_offset(a)] >> 1 for a, w in enumerate(where) if a]
-
-    def top_table(self, ch: Chains) -> tuple[np.ndarray, np.ndarray]:
-        """For every fiber, in order, and every node of levels <= its top
-        level: the single-scale row of the top level's interval that holds
-        the node.  And for every output entry, in output order, its place in
-        that list."""
-        starts, counts = ch.starts, ch.counts
-        ends = [*counts[1:], 0]
-        src, first, at = [], {}, 0
-        for top in range(len(counts) - 1, -1, -1):  # fibers by top, highest first
-            fibers = np.arange(ends[top], counts[top])[:, None]
-            src.append((starts[top] + (fibers << top) + self.where[top]).ravel())
-            first[top] = at - ends[top] * len(self.where[top])
-            at += src[-1].size
-        place = []
-        for b in range(len(counts)):
-            nodes = np.arange(self.row.level_offset(b), self.row.level_offset(b + 1))
-            for top in range(len(counts) - 1, b - 1, -1):
-                fibers = np.arange(ends[top], counts[top])[:, None]
-                place.append((first[top] + fibers * len(self.where[top]) + nodes).ravel())
-        return np.concatenate(src), np.concatenate(place)
+        self.cells = cells
+        self.halves = halves
 
     def link_table(self, ch: Chains) -> tuple[np.ndarray, np.ndarray]:
         """For every finer level a, fiber and node of levels < a: the input
@@ -418,9 +397,13 @@ def _nodes(rows: FamilySpec, force_side: int) -> tuple[np.ndarray, np.ndarray, N
     x, sides = make_interp_basis(rows.degree, rows.variant).all_nodes(rows.n)
     if force_side:
         sides = np.full_like(sides, force_side)
-    reach = [rows.level_offset(level + 1) for level in range(rows.n + 1)]
-    where = [_locate(0, level, x[:r], sides[:r], False)[0] for level, r in enumerate(reach)]
-    return x, sides, NodeLayout(rows, where)
+    cells = [None]
+    for a in range(1, rows.n + 1):  # the level-a cell of each node of levels < a
+        below = rows.level_offset(a)
+        cells.append(_locate(0, a, x[:below], sides[:below], False)[0] >> 1)
+    fresh = slice(rows.level_offset(1), rows.level_offset(2))  # empty at n 0
+    halves = _locate(0, 1, x[fresh], sides[fresh], False)[0]
+    return x, sides, NodeLayout(rows, cells, halves)
 
 
 @lru_cache(maxsize=None)
@@ -431,7 +414,9 @@ def assemble_node_values(
     force_side: int = 0,
 ) -> Operator1D:
     """Values (or derivatives) of an Alpert column family at the
-    hierarchical nodes, as a `NodeForm`.
+    hierarchical nodes, as a `NodeForm`: the single-scale basis of level 0
+    at the level-0 nodes and of level 1 at the level-1 nodes, and each finer
+    level's functions at the coarser nodes.
 
     A nonzero `force_side` replaces every node's side tag, which samples both
     one-sided limits across coefficient-jump planes (the domain ends keep
@@ -443,10 +428,10 @@ def assemble_node_values(
     levels, values = [], [np.zeros((0, col.p))]
     for level in range(rows.n + 1):
         below = rows.level_offset(level)  # the nodes of levels < level
-        reach = rows.level_offset(level + 1)  # ... and of levels <= level
-        # the single-scale basis of each node's level-`level` interval
-        _, leg = _locate(col.degree, level, x[:reach], sides[:reach], deriv)
-        levels.append(2.0 ** (0.5 * level) * leg)
+        if level < 2:  # the single-scale basis of the level's own nodes
+            own = slice(below, rows.level_offset(level + 1))
+            _, leg = _locate(col.degree, level, x[own], sides[own], deriv)
+            levels.append(2.0 ** (0.5 * level) * leg)
         if level:
             values.append(level_values(col, level, x[:below], sides[:below], deriv)[1])
     form = NodeForm(nodes, col, deriv, levels, values)

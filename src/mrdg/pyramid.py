@@ -10,14 +10,16 @@ Every variable-speed factor is R^T K S, stored as tables of (k+1)^2 to
 * K is the local form on one level's intervals: block diagonal for mass and
   volume derivative, the faces between neighbouring intervals plus the wrap
   face or walls of the bc pair for traces (`GalerkinForm`), or the values
-  at the nodes (`NodeForm`);
+  at the nodes, of each level's partial synthesis at its own nodes and of
+  its own functions at the coarser ones (`NodeForm`);
 * R^T is the row family's analysis, the transposed synthesis.
 
 The node-to-surplus map is its exact local stencil instead
 (`SurplusStencil`).  A form is applied by `cascade` to all the fibers of a
 sweep at once, and the operator's triangularity tag chooses the cascade:
-the whole operator ("general"), the blocks whose output level is >= their
-input level ("lower") or the rest ("strictly-upper").
+the blocks whose output level is >= their input level ("lower"), the rest
+("strictly-upper"), or the whole operator ("general"), the sum of the two,
+so the halves of `lu_split` add up to it exactly.
 
 A cascade takes and returns a level-major fiber buffer, laid out by a
 `Chains`, one per distinct `counts` on a level list: level l holds
@@ -377,17 +379,19 @@ class NodeForm:
     """Values of a family at the hierarchical nodes, as R^T K S with node
     rows: the evaluation K of a single-scale synthesis at the nodes.
 
-    `levels[l]` holds the values of the single-scale basis of the level-l
-    interval of every node of levels <= l (`nodes.where[l]`).  A level-l
-    node lies at the same place in every level-l cell, on every level
-    l >= 1, so `at` evaluates the two intervals of a cell at its p nodes on
-    the reference scale (2^(-l/2) times the level's, 2^(-3l/2) for
-    derivatives).  A coarser node also sees the finer functions: `values[a]`
-    holds the level-a functions' values at every node of levels < a, in its
-    level-a cell (`nodes.cells[a]`).  Both tables are stored once per node,
-    not per fiber: a cascade multiplies each fiber's gathered rows by its
-    level's table, gathered by the index tables that `nodes` (an
-    `operators1d.NodeLayout`) keeps on each `Chains`.
+    The lower half evaluates each level's partial synthesis at that level's
+    own nodes: `levels[0]` holds the level-0 single-scale values at the
+    level-0 nodes.  A level-l node lies at the same place in every level-l
+    cell, on every level l >= 1, so `at` evaluates the two intervals of a
+    cell at its p nodes on the reference scale (2^(-l/2) times the level's,
+    2^(-3l/2) for derivatives), from the level-1 values `levels[1]` on their
+    intervals `nodes.halves`.  The strictly-upper half evaluates the finer
+    functions at the coarser nodes: `values[a]` holds the level-a functions'
+    values at every node of levels < a, in its level-a cell
+    (`nodes.cells[a]`), stored once per node, not per fiber.  A cascade
+    multiplies each fiber's rows by its level's table, gathered by the
+    index table that `nodes` (an `operators1d.NodeLayout`) keeps on each
+    `Chains`.  The whole operator is the sum of the two halves.
     """
 
     def __init__(self, nodes: NodeLayout, col, deriv: bool, levels, values):
@@ -395,11 +399,9 @@ class NodeForm:
         self.row, self.col = rows, col
         self.nodes = nodes
         self.levels = levels
-        where, vals = nodes.where[min(1, rows.n)], levels[min(1, rows.n)]
         self.at = np.zeros((2 * col.p, rows.p))
-        for i in range(rows.p if rows.n else 0):  # the level-1 nodes
-            h = where[rows.p + i]
-            self.at[h * col.p : (h + 1) * col.p, i] = vals[rows.p + i] / 2.0 ** (0.5 + deriv)
+        for i, h in enumerate(nodes.halves):  # the level-1 nodes
+            self.at[h * col.p : (h + 1) * col.p, i] = levels[1][i] / 2.0 ** (0.5 + deriv)
         self.scale = 2.0 ** ((0.5 + deriv) * np.arange(rows.n + 1))
         self.values = values  # [(0, p_col)] + [level-a values at nodes of levels < a]
         self.shape = (rows.ndof, col.ndof)
@@ -410,7 +412,7 @@ class NodeForm:
 
     @property
     def indices(self) -> np.ndarray:
-        return np.concatenate(self.nodes.where + self.nodes.cells[1:])
+        return np.concatenate([self.nodes.halves, *self.nodes.cells[1:]])
 
     @property
     def nnz(self) -> int:
@@ -419,39 +421,34 @@ class NodeForm:
     def cascade(self, tag: str, x: np.ndarray, ch: Chains) -> np.ndarray:
         """As `GalerkinForm.cascade`: "lower" evaluates each level's partial
         synthesis at that level's nodes, "strictly-upper" each level's own
-        functions at the coarser nodes, and "general" each fiber's whole
-        synthesis at all its nodes."""
+        functions at the coarser nodes, and "general" is their sum, so the
+        two halves of `lu_split` add up to it exactly."""
+        if tag == "general":
+            y = self.cascade("lower", x, ch)
+            return np.add(y, self.cascade("strictly-upper", x, ch), out=y)
         p, pc, counts = self.row.p, self.col.p, ch.counts
         size = p * ch.rows[-1]
-        if tag == "strictly-upper":
-            src, dst = ch.table(self.nodes.link_table)
-            tables = [(counts[a], self.values[a]) for a in range(1, len(counts))]
-        else:
+        if tag == "lower":  # each level's cells at their own nodes, one product
             cols, shape = _synthesis(self.col), (ch.starts[-1], pc)
             own = cols.own(x, ch, work_array("own", shape))
-            x = cols.synthesize(x, ch, own, work_array("single", shape), 0)
-        if tag == "lower":  # each level's cells at their own nodes, one product
+            s = cols.synthesize(x, ch, own, work_array("single", shape), 0)
             y = np.empty(size)
             n0 = counts[0]
-            np.matmul(x[:n0], self.levels[0].T, out=y[: n0 * p].reshape(-1, p))
+            np.matmul(s[:n0], self.levels[0].T, out=y[: n0 * p].reshape(-1, p))
             out = y[n0 * p :].reshape(-1, p)
-            np.matmul(x[n0:].reshape(len(out), 2 * pc), self.at, out=out)
+            np.matmul(s[n0:].reshape(len(out), 2 * pc), self.at, out=out)
             _scale_levels(y.reshape(-1, p), ch.rows, self.scale)
             return y
-        if tag == "general":
-            src, place = ch.table(self.nodes.top_table)
-            ends = [*counts[1:], 0]
-            tables = [(counts[a] - ends[a], self.levels[a]) for a in range(len(counts) - 1, -1, -1)]
+        src, dst = ch.table(self.nodes.link_table)
         gathered = work_array("nodes", (len(src), pc))
         np.take(x.reshape(-1, pc), src, axis=0, out=gathered, mode="clip")
         flat, at = gathered.ravel(), 0
-        for fibers, table in tables:  # each fiber's rows times the table of its level
-            block = flat[at : at + fibers * table.size].reshape(fibers, table.size)
+        for a in range(1, len(counts)):  # each fiber's rows times the table of its level
+            table = self.values[a]
+            block = flat[at : at + counts[a] * table.size].reshape(counts[a], table.size)
             np.multiply(block, table.ravel(), out=block)
             at += block.size
         out = np.matmul(gathered, np.ones(pc), out=work_array("node sums", (len(src),)))
-        if tag == "general":  # into the spent rows' work array
-            return np.take(out, place, out=work_array("nodes", place.shape), mode="clip")
         # float even without links (a sweep whose fibers all stop at level 0),
         # where bincount gives int64 zeros
         return np.bincount(dst, out, size).astype(float, copy=False)

@@ -25,7 +25,7 @@ from mrdg.alpert import Quadrature1D, legendre_values, mother_wavelets, two_scal
 from mrdg import fastmv
 from mrdg.fastmv import CoeffSet, TensorSpace, TensorTerm
 from mrdg.diagnostics import fmt
-from mrdg.grids import MAX_LEVEL, AdaptiveGrid, Key, Level, cell_width, num_cells
+from mrdg.grids import MAX_LEVEL, AdaptiveGrid, Level, cell_width, num_cells
 from mrdg.interp import make_interp_basis
 from mrdg import operators1d
 from mrdg.operators1d import (
@@ -105,9 +105,10 @@ def point_values(fam: FamilySpec, x, sides, deriv: bool = False) -> np.ndarray:
 @lru_cache(maxsize=None)
 def node_values(nodes: FamilySpec, col: FamilySpec) -> Operator1D:
     """`assemble_node_values` for either column family.  An interpolatory
-    column shares the node layout and the single-scale tables of the Alpert
-    form of its degree, and adds its own functions' values at the coarser
-    nodes."""
+    column shares the node layout and the level-0 and level-1 single-scale
+    tables of the Alpert form of its degree (both families synthesise to
+    the Legendre intervals), and adds its own functions' values at the
+    coarser nodes."""
     if col.kind == "alpert":
         return assemble_node_values(nodes, col)
     alpert = assemble_node_values(nodes, alpert_family(col.degree, col.n)).mat
@@ -513,6 +514,19 @@ def interp_values_brute(m, variant, n, x, side=0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # grids: the key-by-key reference model
 
+Cell = tuple[int, ...]
+Key = tuple[Level, Cell]
+
+
+def grid_keys(grid: AdaptiveGrid) -> list[Key]:
+    """The active keys of a grid in sorted order, a snapshot: the grid may
+    change while a caller walks it."""
+    return [
+        (lv, tuple(cells))
+        for lv in sorted(grid.masks)
+        for cells in np.argwhere(grid.masks[lv]).tolist()
+    ]
+
 
 def validate_key(key: Key) -> None:
     levels, cells = key
@@ -669,7 +683,7 @@ def random_pruning(ndim: int, n_max: int, seed: int, steps: int = 40) -> Adaptiv
     rng = np.random.default_rng(seed)
     grid = AdaptiveGrid(ndim, n_max)
     for _ in range(steps):
-        keys = sorted(grid)
+        keys = grid_keys(grid)
         key = keys[int(rng.integers(len(keys)))]
         dim = int(rng.integers(ndim))
         kids = children(key, dim, n_max)
@@ -691,9 +705,9 @@ def element_center(key: Key) -> tuple[float, ...]:
 
 def center_lines(grid: AdaptiveGrid) -> list[str]:
     """What `AdaptiveGrid.dump_centers` writes: levels, cells and centers
-    of each element, in iteration order."""
+    of each element, in `grid_keys` order."""
     lines = []
-    for levels, cells in grid:
+    for levels, cells in grid_keys(grid):
         center = element_center((levels, cells))
         fields = [str(v) for v in levels + cells] + [f"{c:.8f}" for c in center]
         lines.append(" ".join(fields))
@@ -883,6 +897,25 @@ def dense_apply(
                 out[oo : oo + rows] += block.reshape(rows, cols) @ x[oi : oi + cols]
     out[~row_mask] = 0.0
     return out
+
+
+def csq_at_nodes_broadcast(cfg, space: TensorSpace, force) -> np.ndarray:
+    """`WaveOperator._csq_at_nodes` with every coordinate and side array
+    broadcast to its level's full block shape before c^2 sees it."""
+    basis = make_interp_basis(cfg.m, cfg.variant)
+    vals = space.zeros((cfg.m + 1,) * cfg.ndim)
+    for lv, view in vals.data.items():
+        tables = [basis.level_nodes(l) for l in lv]
+        coords = [c for c, _ in tables]
+        sides = [s for _, s in tables]
+        if force is not None:
+            m, side = force
+            inner = (coords[m] > 0.0) & (coords[m] < 1.0)
+            sides[m] = np.where(inner, side, sides[m])
+        xs = np.broadcast_arrays(*fastmv.on_level(coords))
+        ss = np.broadcast_arrays(*fastmv.on_level(sides))
+        view[...] = cfg.csq(xs, ss)
+    return vals.buf
 
 
 def random_coeffs(space: TensorSpace, p: tuple[int, ...], seed: int) -> CoeffSet:

@@ -15,6 +15,7 @@ from mrdg.grids import AdaptiveGrid
 from conftest import (
     children,
     contains,
+    grid_keys,
     key_coarsen,
     key_refine,
     level_norms,
@@ -72,7 +73,7 @@ def test_refine_keeps_grid_downward_closed():
     space = TensorSpace(grid)
     u = random_coeffs(space, (2, 2), 3)
     refine(grid, space, [u], 1e-3)
-    for key in list(grid):
+    for key in grid_keys(grid):
         lv, cells = key
         for dim in range(2):
             if lv[dim] == 0:
@@ -90,7 +91,7 @@ def test_coarsen_removes_only_small_leaves_and_keeps_root():
     u = space.zeros((2, 2))
     u.data[(0, 0)][..., 0, 0] = 1.0  # only the root holds signal
     assert coarsen(grid, space, [u], 1e-8)
-    assert list(grid) == [((0, 0), (0, 0))]
+    assert grid_keys(grid) == [((0, 0), (0, 0))]
     # a second pass finds nothing to do
     space2 = TensorSpace(grid)
     assert not coarsen(grid, space2, [space2.conform(u)], 1e-8)

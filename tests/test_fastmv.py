@@ -54,6 +54,7 @@ from conftest import (
     dense_lattice_values,
     fiber_order,
     flatten,
+    grid_keys,
     is_leaf,
     lower_mask,
     node_values,
@@ -166,7 +167,7 @@ def test_coeffset_buffer_ops_match_per_level(d, seed, data):
 
     # conform onto a mutated grid is a per-level copy, masked
     for _ in range(data.draw(st.integers(1, 6), label="mutations")):
-        keys = sorted(grid)
+        keys = grid_keys(grid)
         key = data.draw(st.sampled_from(keys))
         leaves = [k for k in keys if is_leaf(grid, k) and k != keys[0]]
         if leaves and data.draw(st.booleans()):
@@ -508,7 +509,6 @@ def test_cascade_index_tables_follow_the_sweep_plan(plan_builds, monkeypatch):
 
     builders = {
         "link_table": operators1d.NodeLayout,
-        "top_table": operators1d.NodeLayout,
         "_gather": pyramid.SurplusStencil,
     }
     for name, owner in builders.items():

@@ -7,9 +7,12 @@ interpolated operator applied to exact node samples is shown to converge
 to the projected strong form at the expected rate.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
+from mrdg import ipdg
 from mrdg.fastmv import TensorSpace, on_level, project_separable
 from mrdg.grids import AdaptiveGrid
 from mrdg.interp import make_interp_basis
@@ -21,8 +24,9 @@ from mrdg.ipdg import (
     WaveOperator,
     make_rhs,
 )
+from mrdg.problems import make_problem
 
-from conftest import activate, flatten, random_coeffs, space_layout
+from conftest import activate, csq_at_nodes_broadcast, flatten, random_coeffs, space_layout
 
 PER = ("periodic", "periodic")
 TAU = 2 * np.pi
@@ -273,6 +277,43 @@ def test_interpolated_takes_one_sample_set_per_term(csq, terms):
 
 # ---------------------------------------------------------------------------
 # first-order system assembly
+
+
+@pytest.mark.parametrize("ndim,n", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("problem", ["smooth-speed", "layered-aligned", "layered-pulse"])
+def test_csq_samples_equal_the_broadcast_evaluation(problem, ndim, n):
+    # c^2 sees broadcastable per-dimension views; elementwise on the full
+    # block or broadcast afterwards, every sample takes the same bits
+    prob = make_problem(problem, ndim)
+    wop = scheme(ndim, 2, 3, n, prob.csq, bc=prob.bc)
+    space = TensorSpace(AdaptiveGrid.sparse(ndim, n))
+    forces = [None]
+    if prob.csq.aligned_jumps:
+        forces += [(m, side) for m in range(ndim) for side in (-1, 1)]
+    for force in forces:
+        got = wop._csq_at_nodes(space, force)
+        assert np.array_equal(got, csq_at_nodes_broadcast(wop.cfg, space, force))
+
+
+@pytest.mark.parametrize("problem,terms", [("smooth-speed", 3), ("layered-aligned", 6)])
+def test_apply_holds_at_most_two_node_sample_sets(problem, terms, monkeypatch):
+    # each interpolated term's node samples are made as it takes them, so
+    # the previous term's set is the only other one alive
+    made, alive = [], []
+    multiply = ipdg._elementwise_mul
+
+    def tracked(cs, values):
+        made.append(weakref.ref(cs.buf))
+        alive.append(sum(ref() is not None for ref in made))
+        return multiply(cs, values)
+
+    monkeypatch.setattr(ipdg, "_elementwise_mul", tracked)
+    prob = make_problem(problem, 2)
+    wop = scheme(2, 2, 3, 4, prob.csq, bc=prob.bc)
+    space = TensorSpace(AdaptiveGrid.sparse(2, 4))
+    wop.apply(space, random_coeffs(space, wop.p_a, 0))
+    assert len(made) == terms
+    assert max(alive) == 2
 
 
 def test_one_operator_on_two_grids_of_equal_version():

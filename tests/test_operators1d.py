@@ -8,6 +8,8 @@ at a time; the assembly code evaluates a whole level per point instead
 conftest, as the solver evaluates Alpert families only).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -594,11 +596,19 @@ def test_constant_speed_dimensions_share_one_matrix_per_bc_pair(problem, ndim):
 
 
 def test_sparse_lu_split_reconstructs_exactly():
+    # a general cascade is its two halves summed, so every split adds up
+    # to its operator bit for bit: traces, and node values and derivatives
+    # of both variants, with and without forced sides
     a, i = alpert_family(2, 4), interp_family(3, "interface", 4)
-    op = assemble_trace(a, i, "davg", "jump", ("periodic", "periodic"))
-    low, up = lu_split(op)
-    assert np.array_equal(dense(low) + dense(up), dense(op))
-    assert np.array_equal(dense(low), np.where(lower_mask(a, i), dense(op), 0.0))
+    ops = [assemble_trace(a, i, "davg", "jump", ("periodic", "periodic"))]
+    for variant in ("interface", "inner"):
+        nd = node_family(3, variant, 4)
+        kinds = itertools.product((False, True), (0, -1, 1))  # deriv, forced side
+        ops += [assemble_node_values(nd, a, deriv, side) for deriv, side in kinds]
+    for op in ops:
+        low, up = lu_split(op)
+        assert np.array_equal(dense(low) + dense(up), dense(op))
+        assert np.array_equal(dense(low), np.where(lower_mask(op.row, op.col), dense(op), 0.0))
 
 
 @given(st.integers(1, 5), st.sampled_from(["interface", "inner"]), st.integers(0, 7))
