@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -553,17 +554,6 @@ def _contract(x: np.ndarray, offsets: np.ndarray | None, vals: np.ndarray) -> np
     return np.einsum("ajqb,jq->ajb", x[:, offsets], vals)
 
 
-def _prefix_tree(keys: list[Level], m: int) -> list | Level:
-    """Equal-length keys grouped by key[m], then by key[m + 1] within each
-    group, and so on: [(key[m], subtree)], down to the key itself."""
-    if m == len(keys[0]):
-        return keys[0]
-    return [
-        (l, _prefix_tree(list(sub), m + 1))
-        for l, sub in itertools.groupby(keys, key=lambda key: key[m])
-    ]
-
-
 class Lattice:
     """An Alpert-coefficient field prepared for evaluation on one tensor
     lattice of points, a tile of rows at a time.
@@ -571,12 +561,14 @@ class Lattice:
     A level-l function is nonzero on one cell, so each point needs k+1
     values per axis and level, and only the cells holding points enter.
     Sum factorisation over level prefixes, depth first: the level tuples
-    that share lv[:m+1] are summed with axes m+1.. already evaluated, and
-    axis m is then evaluated once for their sum.  The last axis comes
-    first: the levels that share lv[:-1], a fiber, sum to one (rows of the
-    leading axes, points) array.  Those fiber sums are kept for a window of
-    last-axis points, so the tiles inside it re-expand only the leading
-    axes; the point values of every axis and level are found once.
+    that share lv[:m+1], contiguous in the sorted level list, are summed
+    with axes m+1.. already evaluated, and axis m is then evaluated once for
+    their sum.  The last axis comes first: the levels that share lv[:-1], a
+    fiber, sum to one (rows of the leading axes, points) array.  Those fiber
+    sums are kept for a window of last-axis points, so the tiles inside it
+    re-expand only the leading axes.  The point values of every axis array
+    and level are found once, and a leading axis's table once per row range
+    (`_table`).
 
     `budget`, in points, sizes `tiles` and the window; without it the
     window is the tile.
@@ -585,29 +577,14 @@ class Lattice:
     def __init__(
         self, cs: CoeffSet, k: int, axes_points: list[np.ndarray], budget: int | None = None
     ):
-        levels = cs.layout.levels
-        self.cs, self.k, self.budget = cs, k, budget
+        self.cs, self.k, self.axes, self.budget = cs, k, axes_points, budget
         self.shape = tuple(len(x) for x in axes_points)
-        used = [sorted({lv[m] for lv in levels}) for m in range(len(axes_points))]
-        # per axis and level: the cell and the k+1 values of every point, and
-        # the leading axes' tables over all their points; found once per
-        # axis array and level, as the axes often share one array
-        points, tables = {}, {}
-        for m, (x, ls) in enumerate(zip(axes_points, used)):
-            for l in ls:
-                key = id(x), l
-                if key not in points:
-                    points[key] = level_values(alpert_family(k, l), l, x)
-                if m < len(used) - 1 and key not in tables:
-                    tables[key] = _table(*points[key])
-        self.points = [{l: points[id(x), l] for l in ls} for x, ls in zip(axes_points, used)]
-        self.leading = [
-            {l: tables[id(x), l] for l in ls} for x, ls in zip(axes_points[:-1], used)
-        ]
         self.fibers = {
-            key: list(fiber) for key, fiber in itertools.groupby(levels, key=lambda lv: lv[:-1])
+            key: list(fiber)
+            for key, fiber in itertools.groupby(cs.layout.levels, key=lambda lv: lv[:-1])
         }
-        self.tree = _prefix_tree(list(self.fibers), 0)
+        self._points = {}  # each point's cell and k+1 values, by axis array and level
+        self._tables = {}  # the leading axes' tables, by axis, level and rows
         self._window = None  # (leading rows, first and end point, fiber sums)
 
     def tiles(self):
@@ -629,27 +606,42 @@ class Lattice:
     def values(self, rows: tuple[slice, ...]) -> np.ndarray:
         """Values on the tile `rows`, one slice of point indices per axis."""
         shape = tuple(r.stop - r.start for r in rows)
-        tables = [
-            whole if r == slice(0, s) else {l: _table(c[r], v[r]) for l, (c, v) in axis.items()}
-            for whole, axis, r, s in zip(self.leading, self.points, rows, self.shape)
-        ]
-        sums, lo = self._fiber_sums(tables, rows)
+        sums, lo = self._fiber_sums(rows)
         cut = slice(lo, lo + shape[-1])
         if len(shape) == 1:
             return sums[()][0, cut].copy()
-        return self._expand(self.tree, 0, tables, sums, cut, shape).reshape(shape)
+        return self._expand(self.cs.layout.levels, 0, rows, sums, cut).reshape(shape)
 
-    def _expand(self, tree: list, m: int, tables, sums, cut: slice, shape) -> np.ndarray:
-        """Sum over the fibers in `tree`, which share key[:m], with axes m..
-        evaluated: (rows of axes < m, points of axes m..)."""
+    def _table(self, m: int, l: int, rows: slice) -> tuple[slice, np.ndarray | None, np.ndarray]:
+        """`_table` of axis m's points `rows` at level l.  An axis array's
+        point values are found once per level, as the axes often share one
+        array; a leading axis's tables are kept, the last axis's belong to
+        the window that asks for them."""
+        key = m, l, rows.start, rows.stop
+        table = self._tables.get(key)
+        if table is not None:
+            return table
+        x = self.axes[m]
+        if (id(x), l) not in self._points:
+            self._points[id(x), l] = level_values(alpert_family(self.k, l), l, x)
+        cell, vals = self._points[id(x), l]
+        table = _table(cell[rows], vals[rows])
+        if m < len(self.shape) - 1:
+            self._tables[key] = table
+        return table
+
+    def _expand(self, levels, m: int, rows: tuple[slice, ...], sums, cut: slice) -> np.ndarray:
+        """Sum over `levels`, which share lv[:m], with axes m.. evaluated:
+        (rows of axes < m, points of axes m..)."""
+        points = math.prod(r.stop - r.start for r in rows[m + 1 :])
         acc = None
-        for l, sub in tree:
-            cells, offsets, vals = tables[m][l]
-            if m + 2 < len(shape):
-                x = self._expand(sub, m + 1, tables, sums, cut, shape)
+        for l, group in itertools.groupby(levels, key=operator.itemgetter(m)):
+            cells, offsets, vals = self._table(m, l, rows[m])
+            if m + 2 < len(rows):
+                x = self._expand(group, m + 1, rows, sums, cut)
             else:
-                x = sums[sub][:, cut]
-            x = x.reshape(-1, cells.stop - cells.start, self.k + 1, math.prod(shape[m + 1 :]))
+                x = sums[next(group)[:-1]][:, cut]
+            x = x.reshape(-1, cells.stop - cells.start, self.k + 1, points)
             x = _contract(x, offsets, vals)
             if acc is None:
                 acc = x
@@ -658,9 +650,7 @@ class Lattice:
             del x  # free this group's part before the next one is expanded
         return acc
 
-    def _fiber_sums(
-        self, tables: list[dict], rows: tuple[slice, ...]
-    ) -> tuple[dict[Level, np.ndarray], int]:
+    def _fiber_sums(self, rows: tuple[slice, ...]) -> tuple[dict[Level, np.ndarray], int]:
         """Every fiber's sum, (rows of the leading axes, points), over a
         window of last-axis points that holds rows[-1]; and where rows[-1]
         starts in it.  The window spans as many tiles as `budget` holds."""
@@ -671,24 +661,27 @@ class Lattice:
                 return sums, last.start - start
         self._window = None  # free the old sums before the new ones are made
         k, d = self.k, len(rows)
+        # the cell ranges of each fiber's leading levels that hold points
+        used = {
+            key: tuple(self._table(m, l, r)[0] for m, (l, r) in enumerate(zip(key, lead)))
+            for key in self.fibers
+        }
         width = last.stop - last.start
         if self.budget is not None:
             # values the sums hold per last-axis point: their leading rows
             size = sum(
-                math.prod((t[l][0].stop - t[l][0].start) * (k + 1) for t, l in zip(tables, key))
-                for key in self.fibers
+                math.prod((c.stop - c.start) * (k + 1) for c in cells) for cells in used.values()
             )
             width *= max(1, self.budget // (size * width))
         window = slice(last.start, min(last.start + width, self.shape[-1]))
-        ends = {l: _table(c[window], v[window]) for l, (c, v) in self.points[-1].items()}
+        ends = {l: self._table(d - 1, l, window) for l in {lv[-1] for lv in self.cs.layout.levels}}
         perm = [i // 2 + (i % 2) * d for i in range(2 * d)]  # (c1,p1,c2,p2,...)
         sums = {}
         for key, fiber in self.fibers.items():
             acc = None
             for lv in fiber:
                 cells, offsets, vals = ends[lv[-1]]
-                used = tuple(t[l][0] for t, l in zip(tables, key)) + (cells,)
-                x = self.cs.data[lv][used].transpose(perm)
+                x = self.cs.data[lv][used[key] + (cells,)].transpose(perm)
                 x = _contract(x.reshape(-1, cells.stop - cells.start, k + 1, 1), offsets, vals)
                 if acc is None:
                     acc = x
@@ -712,6 +705,10 @@ def eval_on_lattice(
     `tile`, a `Lattice` and the rows of one of its `tiles`, evaluates that
     part of a lattice prepared once; `axes_points` are then the points of
     those rows.  Without it the whole lattice is one tile.
+
+    `space` and `n` are unused.  They stay because the benchmark's probe
+    (`perfbench/probes.py`, `_count_points`) counts the points of the fifth
+    argument, `axes_points`, by position.
     """
     if tile is None:
         lattice = Lattice(cs, k, axes_points)

@@ -53,7 +53,8 @@ class Coefficient:
     per dimension, sides in {-1, 0, +1}) and returns c^2 elementwise, in any
     shape that broadcasts to theirs.  Fields with
     jumps aligned to dyadic planes must set `aligned_jumps` so the scheme
-    samples both one-sided limits across them.
+    samples both one-sided limits across them.  A constant speed carries no
+    `fn`: the scheme folds it into its operators and never samples it.
     """
 
     fn: Callable | None = None
@@ -77,8 +78,6 @@ class Coefficient:
         return self.constant is not None
 
     def __call__(self, xs, sides):
-        if self.is_constant:
-            return np.broadcast_to(self.constant, np.broadcast(*xs).shape).copy()
         return self.fn(xs, sides)
 
 

@@ -200,24 +200,17 @@ def sweep(cfg: RunConfig):
     from dataclasses import replace
 
     if cfg.mode == "adaptive":
-        values = cfg.eps_values or (cfg.eps,)
-        results = [run(replace(cfg, eps=float(e))) for e in values]
-        errs = [r.record.l2 for r in results]
-        dofs = [r.record.dof for r in results]
-        rd = [float("nan")] + dof_rates(dofs, errs)
-        re_ = [float("nan")] + eps_rates(values, errs)
-        header = ["epsilon", "DoF", "l2_error", "R_DoF", "R_eps"]
-        rows = [
-            [values[i], dofs[i], errs[i], rd[i], re_[i]] for i in range(len(values))
-        ]
-        return header, rows, results
-    values = cfg.n_values or (cfg.n,)
-    results = [run(replace(cfg, n=int(nv))) for nv in values]
+        name, cast, values = "eps", float, cfg.eps_values or (cfg.eps,)
+    else:
+        name, cast, values = "n", int, cfg.n_values or (cfg.n,)
+    results = [run(replace(cfg, **{name: cast(v)})) for v in values]
     errs = [r.record.l2 for r in results]
-    ords = [float("nan")] + orders(errs)
-    header = ["N", "DoF", "l2_error", "order"]
-    rows = [
-        [values[i], results[i].record.dof, errs[i], ords[i]]
-        for i in range(len(values))
-    ]
-    return header, rows, results
+    dofs = [r.record.dof for r in results]
+    if cfg.mode == "adaptive":
+        header = ["epsilon", "DoF", "l2_error", "R_DoF", "R_eps"]
+        rates = [dof_rates(dofs, errs), eps_rates(values, errs)]
+    else:
+        header = ["N", "DoF", "l2_error", "order"]
+        rates = [orders(errs)]
+    columns = [values, dofs, errs, *([float("nan"), *r] for r in rates)]
+    return header, [list(row) for row in zip(*columns)], results

@@ -899,6 +899,14 @@ def dense_apply(
     return out
 
 
+def csq_values(csq, xs, sides) -> np.ndarray:
+    """c^2 at broadcastable coordinate and side arrays, a constant speed
+    broadcast to their shape (the solver never samples a constant speed)."""
+    if csq.is_constant:
+        return np.broadcast_to(csq.constant, np.broadcast(*xs).shape).copy()
+    return csq(xs, sides)
+
+
 def csq_at_nodes_broadcast(cfg, space: TensorSpace, force) -> np.ndarray:
     """`WaveOperator._csq_at_nodes` with every coordinate and side array
     broadcast to its level's full block shape before c^2 sees it."""

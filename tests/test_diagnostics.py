@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrdg import diagnostics
+from mrdg import diagnostics, fastmv
 from mrdg.diagnostics import (
     RunRecord,
     center_lattice,
@@ -153,6 +154,37 @@ def test_linf_error_tiles_match_one_whole_evaluation(d, n, k, budget, adaptive, 
     scale = np.abs(whole).max()
     assert np.abs(got_vals - whole).max() <= 1e-14 * scale
     assert abs(got - want) <= 1e-14 * want
+
+
+def test_linf_error_builds_each_leading_table_once(monkeypatch):
+    # 3D n 2 in tiles of 16 points: axis 0 whole, axis 1 in four chunks of
+    # 2 rows, axis 2 a row at a time.  Each leading axis's table of one
+    # level and row range is built once, however many tiles read it; the
+    # last axis's tables belong to their window of fiber sums.
+    d, n, k = 3, 2, 1
+    space = TensorSpace(AdaptiveGrid.sparse(d, n))
+    u = random_coeffs(space, (k + 1,) * d, 0)
+    built, asked = Counter(), []
+    method, table = fastmv.Lattice._table, fastmv._table
+
+    def asking(self, m, l, rows):
+        asked.append((m, l, rows.start, rows.stop))
+        try:
+            return method(self, m, l, rows)
+        finally:
+            asked.pop()
+
+    def building(cell, vals):
+        built[asked[-1]] += 1
+        return table(cell, vals)
+
+    monkeypatch.setattr(fastmv.Lattice, "_table", asking)
+    monkeypatch.setattr(fastmv, "_table", building)
+    monkeypatch.setattr(diagnostics, "SLAB_POINTS", 16)
+    linf_error(space, u, k, n, lambda x, y, z: x * y * z)
+    leading = {key: count for key, count in built.items() if key[0] < d - 1}
+    assert {key[2:] for key in leading if key[0] == 1} == {(0, 2), (2, 4), (4, 6), (6, 8)}
+    assert set(leading.values()) == {1}
 
 
 @pytest.mark.parametrize("n", [6, 7])
