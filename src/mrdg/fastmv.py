@@ -1,11 +1,12 @@
 """Tensor-product operator application on adaptive hierarchical level sets.
 
-A field's coefficients live in one contiguous float64 buffer.  The levels of
-the sorted level list follow one another, each C-contiguous in the shape
-(cells_1, ..., cells_d, polys_1, ..., polys_d); `CoeffSet.data[lv]` is a view
-of level lv's part.  Every level is dense over all its cells, and inactive
-cells are kept at zero, so a buffer is also a (cells of all levels,
-polys per cell) array and one fancy index zeroes every inactive cell.
+A field's coefficients live in one contiguous float64 buffer, in the order
+of its `grids.LevelLayout`: the levels of the sorted level list one after
+another, each C-contiguous in the shape (cells_1, ..., cells_d, polys_1,
+..., polys_d); `CoeffSet.data[lv]` is a view of level lv's part.  Inactive
+cells are kept at zero, so a buffer is also a (cells, polys per cell) array,
+indexed like the grid's active-cell array, and one fancy index zeroes every
+inactive cell.
 
 A tensor-product operator is applied one dimension at a time, along the
 dimensions that carry a factor (an absent factor is the identity).  Sweeps
@@ -54,12 +55,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .alpert import project_1d
-from .grids import AdaptiveGrid, num_cells
+from .grids import AdaptiveGrid, LevelLayout, num_cells
 from .operators1d import (
     FamilySpec,
     LeadingBlock,
@@ -82,55 +82,6 @@ _SWEEP_RANK = {"strictly-upper": 0, "general": 1, "lower": 2}
 # the cascade's (2D k 3 n 8, k 1 n 9, k 2 n 10); dense fibers of 256 and 512
 # entries cost 0.45-0.78x (3D k 1 n 8, 2D k 1 n 8).
 DENSE_ENTRIES = 512
-
-
-class LevelLayout:
-    """Where each level of a sorted level list sits in a coefficient buffer.
-
-    Level lv takes prod(cells) consecutive cells of prod(p) values each, in
-    list order.  The layout depends on the level list alone, so spaces with
-    equal level lists share one layout and its sweep plans.
-    """
-
-    def __init__(self, levels: tuple[Level, ...]):
-        self.levels = levels
-        self.shapes = [tuple(num_cells(l) for l in lv) for lv in levels]
-        self.starts = [0, *itertools.accumulate(math.prod(s) for s in self.shapes)]
-        self.cells = self.starts[-1]
-        self.plans: dict[tuple, _SweepPlan] = {}
-        self.chains = {}  # `Chains` by counts
-        self.maps = {}  # the index maps a warm apply reads (`_map`)
-        self.orders = {}  # fiber orders while maps are made; the caller drops them
-        self.moves = {}  # `cell_map` by the old level list
-
-    def views(self, buf: np.ndarray, p: tuple[int, ...]) -> dict[Level, np.ndarray]:
-        q = math.prod(p)
-        return {
-            lv: buf[q * lo : q * hi].reshape(shape + p)
-            for lv, shape, lo, hi in zip(
-                self.levels, self.shapes, self.starts, self.starts[1:]
-            )
-        }
-
-    def cell_map(self, old: "LevelLayout") -> tuple[np.ndarray, np.ndarray]:
-        """The cells of the levels that `old` and this layout share: their
-        indices in `old` and here, in one order."""
-        hit = self.moves.get(old.levels)
-        if hit is None:
-            here = dict(zip(self.levels, self.starts))
-            src, dst = [], []
-            for lv, lo, hi in zip(old.levels, old.starts, old.starts[1:]):
-                if lv in here:
-                    src.append(np.arange(lo, hi))
-                    dst.append(np.arange(here[lv], here[lv] + hi - lo))
-            hit = self.moves[old.levels] = np.concatenate(src), np.concatenate(dst)
-        return hit
-
-
-# an adaptive run moves between a few level lists; each keeps its plans
-@lru_cache(maxsize=16)
-def _layout(levels: tuple[Level, ...]) -> LevelLayout:
-    return LevelLayout(levels)
 
 
 class CoeffSet:
@@ -179,23 +130,24 @@ class CoeffSet:
 class TensorSpace:
     """Active-cell structure of an adaptive grid, frozen at one version.
 
-    Holds the sorted level list and its `LevelLayout`, a copy of the grid's
-    per-level boolean cell masks, the layout index of every inactive cell,
-    and constructors for coefficient sets.  Rebuild after the grid changes
-    (the stored version detects staleness).
+    Holds the grid's sorted level list, `LevelLayout` and active-cell array
+    as they were at the build (the grid replaces its array on every change
+    and never writes to it), the layout place of every inactive cell, and
+    constructors for coefficient sets.  Rebuild after the grid changes.
+    `version`, the grid's version at the build, and `level_set` serve the
+    benchmark's probes only: its sweep statistics are cached under
+    (grid, version) and replayed against the level set.
     """
 
     def __init__(self, grid: AdaptiveGrid):
         self.grid = grid
         self.version = grid.version
         self.ndim = grid.ndim
-        self.levels: list[Level] = sorted(grid.masks)
+        self.layout = grid.layout
+        self.active = grid.active
+        self.levels: list[Level] = list(self.layout.levels)
         self.level_set = frozenset(self.levels)
-        self.masks = {lv: grid.masks[lv].copy() for lv in self.levels}
-        self.layout = _layout(tuple(self.levels))
-        self._inactive = np.flatnonzero(
-            np.concatenate([~self.masks[lv].ravel() for lv in self.levels])
-        )
+        self._inactive = np.flatnonzero(~self.active)
 
     @property
     def n_active(self) -> int:

@@ -7,17 +7,21 @@ lives on the root cell as well), and level l >= 1 cell j is supported on the
 dyadic interval [j * 2^-(l-1), (j+1) * 2^-(l-1)].  Multi-dimensional elements
 are tensor products of these 1D increments.
 
-The classes here know nothing about basis functions or coefficients; they only
-track which elements are active, as one boolean cell mask per level, and the
-index sets of sparse (|l|_1 <= N) and full (|l|_inf <= N) tensor grids.  Grids
-change by whole-mask operations: along one dimension, the children of a
-level's cells are its mask with every cell repeated twice, and their parents
-are the pairwise OR of a finer mask.
+The classes here know nothing about basis functions or coefficients.  A
+`LevelLayout` places the cells of a sorted level list one level after
+another, and every coefficient buffer follows it.  An `AdaptiveGrid` holds
+its active elements as one boolean array over a layout; it also builds the
+sparse (|l|_1 <= N) and full (|l|_inf <= N) tensor grids.  Grids change by
+whole arrays: refine and coarsen index the layout's cell tables (each cell's
+parents and children) until a fixed point, then carry the result onto the
+layout of the levels left nonempty.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,95 +65,185 @@ def full_levels(ndim: int, n: int) -> list[Level]:
     return sorted(itertools.product(range(n + 1), repeat=ndim))
 
 
+class LevelLayout:
+    """Where each cell of a sorted level list sits: level lv takes
+    prod(cells) consecutive places, in list order, its cells in C order.  A
+    coefficient buffer holds prod(p) values per place.  Grids and spaces
+    with equal level lists share one layout (`level_layout`) and its caches.
+    """
+
+    def __init__(self, levels: tuple[Level, ...]):
+        self.levels = levels
+        self.shapes = [tuple(num_cells(l) for l in lv) for lv in levels]
+        self.starts = [0, *itertools.accumulate(math.prod(s) for s in self.shapes)]
+        self.cells = self.starts[-1]
+        self.plans = {}  # `fastmv._SweepPlan`s by sweep
+        self.chains = {}  # `Chains` by counts
+        self.maps = {}  # the index maps a warm apply reads (`fastmv._map`)
+        self.orders = {}  # fiber orders while maps are made; the caller drops them
+        self.moves = {}  # `cell_map` by the old level list
+        self.regrids = {}  # `_cell_tables` by n_max
+
+    def views(self, buf: np.ndarray, p: tuple[int, ...]) -> dict[Level, np.ndarray]:
+        q = math.prod(p)
+        spans = zip(self.levels, self.shapes, self.starts, self.starts[1:])
+        return {lv: buf[q * lo : q * hi].reshape(shape + p) for lv, shape, lo, hi in spans}
+
+    def cell_map(self, old: "LevelLayout") -> tuple[np.ndarray, np.ndarray]:
+        """The cells of the levels that `old` and this layout share: their
+        places in `old` and here, in one order."""
+        hit = self.moves.get(old.levels)
+        if hit is None:
+            here = dict(zip(self.levels, self.starts))
+            keep = np.array([lv in here for lv in old.levels])
+            shift = np.array([here.get(lv, lo) - lo for lv, lo in zip(old.levels, old.starts)])
+            level = np.repeat(np.arange(len(old.levels)), np.diff(old.starts))
+            src = np.flatnonzero(keep[level])
+            hit = self.moves[old.levels] = src, src + shift[level[src]]
+        return hit
+
+    def tables(self, n_max: int):
+        """`_cell_tables` of this level list, built once per n_max."""
+        if n_max not in self.regrids:
+            self.regrids[n_max] = _cell_tables(self, n_max)
+        return self.regrids[n_max]
+
+
+# an adaptive run moves between a few level lists; each keeps its caches
+@lru_cache(maxsize=16)
+def level_layout(levels: tuple[Level, ...]) -> LevelLayout:
+    return LevelLayout(levels)
+
+
+def _geometry(layout: LevelLayout):
+    """Per level, its first place and cell strides along each dimension,
+    with the place after the last and zero strides for a missing level
+    (list position -1); per cell, its list position and coordinates."""
+    shapes, starts = np.array(layout.shapes), np.array(layout.starts)
+    strides = np.zeros((len(shapes) + 1, shapes.shape[1]), int)
+    strides[:-1] = np.stack([shapes[:, m + 1 :].prod(axis=1) for m in range(shapes.shape[1])], 1)
+    level = np.repeat(np.arange(len(shapes)), np.diff(starts))
+    local = np.arange(layout.cells) - starts[level]
+    return starts, strides, level, local[:, None] // strides[level] % shapes[level]
+
+
+def _places(starts, strides, at: np.ndarray, coord: np.ndarray, moved: np.ndarray):
+    """Places of the cells, one per row and dimension m, on the level at
+    list position at[:, m], with the coordinates `coord` but moved[:, m]
+    along m."""
+    out = starts[at]
+    for k in range(coord.shape[1]):
+        c = coord[:, [k] * coord.shape[1]]  # the coordinate along k, for each m
+        c[:, k] = moved[:, k]
+        out += c * strides[:, k][at]
+    return out
+
+
+def _cell_tables(layout: LevelLayout, n_max: int):
+    """A level list's regrid tables: `ext`, the layout of the list extended
+    by one level along each dimension up to n_max; each cell's place there
+    (`into`); the places there of its children along every dimension
+    (`kids`, (cells, 2 d), a level-0 cell's one child twice) and of each
+    `ext` cell's parents (`up`, (ext.cells, d)).  A missing child or parent
+    has the place `ext.cells`.  A level's code, its index in a mixed radix,
+    sorts as the level does and finds its list position in `pos`."""
+    levels = np.array(layout.levels)
+    d, radix = levels.shape[1], n_max + 2
+    weight = radix ** np.arange(d - 1, -1, -1)
+    grown = (levels[:, None] + np.eye(d, dtype=int)).reshape(-1, d)
+    pos = np.full(radix**d, -1)
+    pos[(np.concatenate([levels, grown[grown.max(axis=1) <= n_max]]) * weight).sum(1)] = 0
+    codes = np.flatnonzero(pos == 0)
+    pos[codes] = np.arange(len(codes))
+    ext_levels = codes[:, None] // weight % radix
+    ext = LevelLayout(tuple(map(tuple, ext_levels.tolist())))
+
+    def near(lv: np.ndarray, step: int) -> np.ndarray:
+        # list positions in ext of each level lv + step e_m, (levels, d); -1 if absent
+        code = (lv * weight).sum(1)[:, None] + step * weight
+        return np.where(lv + step >= 0, pos[code], -1)
+
+    *_, level, coord = _geometry(layout)
+    starts, strides, ext_level, ext_coord = _geometry(ext)
+    at, two = near(levels, 1)[level], levels[level] > 0
+    kids = [_places(starts, strides, at, coord, (2 * coord + b) * two) for b in (0, 1)]
+    up = _places(starts, strides, near(ext_levels, -1)[ext_level], ext_coord, ext_coord >> 1)
+    return ext, ext.cell_map(layout)[1], np.concatenate(kids, axis=1), up
+
+
 class AdaptiveGrid:
     """Downward-closed active set of multilevel elements.
 
-    The active set is one boolean cell mask per active level, `masks[level]`
-    shaped (num_cells(l_1), ..., num_cells(l_d)); a level whose last cell
-    goes is dropped.  The set changes only through `refine` and `coarsen`,
-    which act on whole masks and keep two invariants: every ancestor of an
-    active element is active (downward closure), and |level|_inf <= n_max.
-    `version` grows by the number of cells they add or remove, so
-    coefficient containers and cached per-level views can detect staleness.
+    The active set is one boolean array `active` over `layout`, whose level
+    list holds the levels with an active cell.  `refined` and `coarsened`
+    give a changed set, (layout, active, cells changed), and `commit`
+    installs one; the array is replaced, never written.  Every ancestor of
+    an active element is active, and |level|_inf <= n_max.  `version` grows
+    by the cells each change adds or removes, so a grid and its version
+    name one active set.
     """
 
     def __init__(self, ndim: int, n_max: int):
         if ndim < 1:
             raise ValueError("ndim must be >= 1")
-        self.ndim = ndim
-        self.n_max = n_max
-        self.masks: dict[Level, np.ndarray] = {(0,) * ndim: np.ones((1,) * ndim, bool)}
-        self.version = 1
+        self.ndim, self.n_max, self.version = ndim, n_max, 0
+        self.commit(level_layout(((0,) * ndim,)), np.ones(1, bool), 1)
 
     def __len__(self) -> int:
-        return sum(int(mask.sum()) for mask in self.masks.values())
+        return int(np.count_nonzero(self.active))
+
+    @property
+    def masks(self) -> dict[Level, np.ndarray]:
+        """One cell mask per active level, each a view of `active`."""
+        return self.layout.views(self.active, ())
 
     # -- mutation --------------------------------------------------------
 
-    def refine(self, flags: dict[Level, np.ndarray]) -> int:
-        """Activate the children, in every dimension, of the flagged cells.
+    def refined(self, flags: np.ndarray):
+        """Add the children, along every dimension up to n_max, of the cells
+        `flags` marks; then the new cells' missing parents, a round at a
+        time, until a round finds none missing."""
+        ext, into, kids, up = self.layout.tables(self.n_max)
+        act = np.zeros(ext.cells + 1, bool)
+        act[into] = self.active
+        act[-1] = True  # a missing child or parent: nothing to add
+        new = np.zeros_like(act)
+        new[kids[flags]] = True
+        while len(cells := np.flatnonzero(new & ~act)):
+            act[cells] = True
+            new[:] = False
+            new[up[cells]] = True
+        return self._relayout(ext, act[:-1])
 
-        `flags[lv]` is a cell mask shaped like level lv.  Children stop at
-        level n_max.  The ancestors of every new cell are then added, one
-        |l|_1 layer at a time from the top, so each layer is complete before
-        it is pooled into the next.  Only levels that gained cells are
-        pooled: the others kept their ancestors when they got them.  Returns
-        the number of cells added.
-        """
-        masks = dict(self.masks)
-        dirty: set[Level] = set()
-        added = 0
-        for lv, flag in flags.items():
-            if flag.any():
-                for dim, l in enumerate(lv):
-                    if l < self.n_max:
-                        child = _shift(lv, dim, 1)
-                        new = _merge(masks, child, _split(flag, dim, l))
-                        if new:
-                            dirty.add(child)
-                            added += new
-        for top in range(max(map(sum, dirty), default=0), 0, -1):
-            for lv in [lv for lv in dirty if sum(lv) == top]:
-                for dim, l in enumerate(lv):
-                    if l > 0:
-                        up = _shift(lv, dim, -1)
-                        new = _merge(masks, up, _pool(masks[lv], dim, l))
-                        if new:
-                            dirty.add(up)
-                            added += new
-        return self._commit(masks, added)
+    def coarsened(self, small: np.ndarray):
+        """Remove the cells `small` marks that keep no active child, but not
+        the root.  A cell stays if it is not small, is the root, or has a
+        staying child: rounds remove the small cells whose children are all
+        gone until one removes none, the fixed point of removing small
+        leaves one at a time."""
+        ext, into, kids, _ = self.layout.tables(self.n_max)
+        stay = np.zeros(ext.cells + 1, bool)  # a missing child does not stay
+        stay[into] = self.active
+        left = np.flatnonzero(small[1:]) + 1  # cell 0, the root, stays
+        while (free := ~stay[kids[left]].any(axis=1)).any():
+            stay[into[left[free]]] = False
+            left = left[~free]
+        return self._relayout(ext, stay[:-1])
 
-    def coarsen(self, small: dict[Level, np.ndarray]) -> int:
-        """Remove small cells that keep no active child; the root stays.
+    def _relayout(self, ext: LevelLayout, act: np.ndarray):
+        """`act`, over `ext`, on the layout of its nonempty levels."""
+        changed = abs(int(np.count_nonzero(act)) - len(self))
+        if not changed:
+            return self.layout, self.active, 0
+        keep = np.logical_or.reduceat(act, ext.starts[:-1]).tolist()
+        layout = level_layout(tuple(itertools.compress(ext.levels, keep)))
+        src, _ = layout.cell_map(ext)  # every cell of layout, in order
+        return layout, act[src], changed
 
-        One pass over levels in decreasing |l|_1: a cell goes iff
-        `small[lv]` flags it and none of its children is still active.
-        Removal only ever exposes parents, so this is the fixed point of
-        removing small leaves one at a time.  Returns the number removed.
-        """
-        masks = dict(self.masks)
-        root = (0,) * self.ndim
-        removed = 0
-        for lv in sorted(masks, key=sum, reverse=True):
-            if lv == root or lv not in small:
-                continue
-            keep = ~small[lv]
-            for dim, l in enumerate(lv):
-                child = masks.get(_shift(lv, dim, 1))
-                if child is not None:
-                    keep |= _pool(child, dim, l + 1)
-            kept = masks[lv] & keep
-            left = int(np.count_nonzero(kept))
-            removed += int(np.count_nonzero(masks[lv])) - left
-            masks[lv] = kept
-            if not left:
-                del masks[lv]
-        return self._commit(masks, removed)
-
-    def _commit(self, masks: dict[Level, np.ndarray], changed: int) -> int:
-        """Install `masks`, which differ from the current ones by `changed`
-        cells, all added (refine) or all removed (coarsen)."""
-        self.masks = masks
+    def commit(self, layout: LevelLayout, active: np.ndarray, changed: int) -> int:
+        """Install `active` over `layout`, `changed` cells from the set."""
+        active.flags.writeable = False
+        self.layout, self.active = layout, active
         self.version += changed
         return changed
 
@@ -182,16 +276,18 @@ class AdaptiveGrid:
     def _whole_levels(cls, ndim: int, n_max: int, levels: list[Level]) -> "AdaptiveGrid":
         """Grid of every cell on a downward-closed level list."""
         grid = cls(ndim, n_max)
-        grid.masks = {lv: np.ones(_shape(lv), dtype=bool) for lv in levels}
-        grid.version = len(grid)  # as if each element were activated singly
+        layout = level_layout(tuple(levels))
+        grid.version = 0  # as if each element were activated singly
+        grid.commit(layout, np.ones(layout.cells, bool), layout.cells)
         return grid
 
     def dump_centers(self) -> list[str]:
         """One line per active element, in iteration order: levels, cells,
         then cell centers.  Each level's cells come from one `argwhere`, and
         each (level, dimension, cell) index and center is formatted once."""
-        keys = sorted(self.masks)
-        found = [np.argwhere(self.masks[lv]) for lv in keys]
+        masks = self.masks
+        keys = list(masks)
+        found = [np.argwhere(masks[lv]) for lv in keys]
         counts = [len(cells) for cells in found]
         cells = np.concatenate(found).T
         levels = np.repeat(np.array(keys).T, counts, axis=1)
@@ -211,41 +307,3 @@ class AdaptiveGrid:
         heads = [" ".join(map(str, lv)) for lv in keys]
         head = itertools.chain.from_iterable(map(itertools.repeat, heads, counts))
         return list(map(" ".join, zip(head, *index, *center)))
-
-
-def _shape(lv: Level) -> tuple[int, ...]:
-    return tuple(num_cells(l) for l in lv)
-
-
-def _shift(lv: Level, dim: int, step: int) -> Level:
-    return lv[:dim] + (lv[dim] + step,) + lv[dim + 1 :]
-
-
-def _split(mask: np.ndarray, dim: int, level: int) -> np.ndarray:
-    """Children along `dim` of a level-`level` mask's cells, on level + 1.
-
-    Level 0's cell has the single child cell of level 1; a level l >= 1
-    cell j has the cells 2j and 2j + 1.
-    """
-    return mask if level == 0 else np.repeat(mask, 2, axis=dim)
-
-
-def _pool(mask: np.ndarray, dim: int, level: int) -> np.ndarray:
-    """Parents along `dim` of a level-`level` mask's cells (the inverse map)."""
-    if level == 1:
-        return mask
-    shape = mask.shape
-    return mask.reshape(shape[:dim] + (shape[dim] // 2, 2) + shape[dim + 1 :]).any(axis=dim + 1)
-
-
-def _merge(masks: dict[Level, np.ndarray], lv: Level, cells: np.ndarray) -> int:
-    """OR `cells` into level lv's mask, creating the level if absent; the
-    number of cells added."""
-    old = masks.get(lv)
-    if old is None:
-        masks[lv] = cells.copy()
-        return int(np.count_nonzero(cells))
-    added = int(np.count_nonzero(cells & ~old))
-    if added:
-        masks[lv] = old | cells
-    return added

@@ -122,7 +122,7 @@ def initial_adaptive_grid(cfg: RunConfig, prob: Problem):
         space = TensorSpace(grid)
         state = initial_state(space, prob, cfg.k, cfg.n)
         if not refine(grid, space, [state.u, state.w], cfg.eps):
-            break
+            return grid, space, state  # the last grid's space and state
     space = TensorSpace(grid)
     return grid, space, initial_state(space, prob, cfg.k, cfg.n)
 

@@ -8,7 +8,7 @@ products R_row^T W R_col of point-value matrices (the assemblers build
 pyramid forms from reference tables), and grids are grown by random child
 activations so downward closure is the only structure they share.  The
 key-by-key grid model below changes a grid one element at a time; the
-whole-mask `AdaptiveGrid.refine` / `coarsen` are checked against it.
+whole-array `AdaptiveGrid.refined` / `coarsened` are checked against it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from mrdg.alpert import Quadrature1D, legendre_values, mother_wavelets, two_scal
 from mrdg import fastmv
 from mrdg.fastmv import CoeffSet, TensorSpace, TensorTerm
 from mrdg.diagnostics import fmt
-from mrdg.grids import MAX_LEVEL, AdaptiveGrid, Level, cell_width, num_cells
+from mrdg.grids import MAX_LEVEL, AdaptiveGrid, Level, cell_width, level_layout, num_cells
 from mrdg.interp import make_interp_basis
 from mrdg import operators1d
 from mrdg.operators1d import (
@@ -518,6 +518,11 @@ Cell = tuple[int, ...]
 Key = tuple[Level, Cell]
 
 
+def space_masks(space: TensorSpace) -> dict[Level, np.ndarray]:
+    """One cell mask per level of a space, views of its active-cell array."""
+    return space.layout.views(space.active, ())
+
+
 def grid_keys(grid: AdaptiveGrid) -> list[Key]:
     """The active keys of a grid in sorted order, a snapshot: the grid may
     change while a caller walks it."""
@@ -576,10 +581,14 @@ def _replace(tup: tuple[int, ...], dim: int, value: int) -> tuple[int, ...]:
 
 def contains(grid: AdaptiveGrid, key: Key) -> bool:
     levels, cells = key
-    mask = grid.masks.get(levels)
-    if mask is None or len(cells) != mask.ndim:
+    layout = grid.layout
+    if levels not in layout.levels:
         return False
-    return all(0 <= j < s for j, s in zip(cells, mask.shape)) and bool(mask[cells])
+    i = layout.levels.index(levels)
+    shape = layout.shapes[i]
+    if len(cells) != len(shape) or not all(0 <= j < s for j, s in zip(cells, shape)):
+        return False
+    return bool(grid.active[layout.starts[i] + np.ravel_multi_index(cells, shape)])
 
 
 def is_leaf(grid: AdaptiveGrid, key: Key) -> bool:
@@ -597,21 +606,22 @@ def activate(grid: AdaptiveGrid, key: Key) -> None:
     levels = key[0]
     if max(levels) > grid.n_max:
         raise ValueError(f"level {levels} exceeds n_max={grid.n_max}")
+    masks = {lv: mask.copy() for lv, mask in grid.masks.items()}
+    added = 0
     stack = [key]
     while stack:
         k = stack.pop()
-        if contains(grid, k):
-            continue
         lv, cells = k
-        mask = grid.masks.get(lv)
-        if mask is None:
-            mask = grid.masks[lv] = np.zeros(tuple(num_cells(l) for l in lv), dtype=bool)
+        mask = masks.setdefault(lv, np.zeros(tuple(num_cells(l) for l in lv), dtype=bool))
+        if mask[cells]:
+            continue
         mask[cells] = True
-        grid.version += 1
+        added += 1
         for dim in range(grid.ndim):
             par = parent(k, dim)
             if par is not None:
                 stack.append(par)
+    set_masks(grid, masks, added)
 
 
 def deactivate(grid: AdaptiveGrid, key: Key) -> None:
@@ -621,11 +631,17 @@ def deactivate(grid: AdaptiveGrid, key: Key) -> None:
     if not is_leaf(grid, key):
         raise ValueError(f"cannot deactivate non-leaf element {key}")
     if contains(grid, key):
-        mask = grid.masks[key[0]]
-        mask[key[1]] = False
-        if not mask.any():
-            del grid.masks[key[0]]
-        grid.version += 1
+        masks = {lv: mask.copy() for lv, mask in grid.masks.items()}
+        masks[key[0]][key[1]] = False
+        set_masks(grid, masks, 1)
+
+
+def set_masks(grid: AdaptiveGrid, masks: dict[Level, np.ndarray], changed: int) -> None:
+    """Install per-level cell masks, `changed` cells away from the grid's
+    active set, as the grid's layout and active-cell array."""
+    levels = tuple(sorted(lv for lv, mask in masks.items() if mask.any()))
+    active = np.concatenate([masks[lv].ravel() for lv in levels])
+    grid.commit(level_layout(levels), active, changed)
 
 
 def level_norms(space: TensorSpace, fields: list[CoeffSet]) -> dict[Level, np.ndarray]:
@@ -643,8 +659,9 @@ def level_norms(space: TensorSpace, fields: list[CoeffSet]) -> dict[Level, np.nd
 
 def _flagged(space: TensorSpace, norms, predicate) -> list[Key]:
     keys = []
+    masks = space_masks(space)
     for lv in space.levels:
-        hits = predicate(norms[lv]) & space.masks[lv]
+        hits = predicate(norms[lv]) & masks[lv]
         for cells in zip(*np.nonzero(hits)):
             keys.append((lv, tuple(int(c) for c in cells)))
     return keys
@@ -807,8 +824,8 @@ def probed_by_level(form, depth: int) -> np.ndarray:
 def space_layout(space: TensorSpace, p: tuple[int, ...]):
     """Per-level (offset, block shape) in a flat global vector."""
     offsets, total = {}, 0
-    for lv in space.levels:
-        shape = space.masks[lv].shape + tuple(p)
+    for lv, shape in zip(space.levels, space.layout.shapes):
+        shape = shape + tuple(p)
         offsets[lv] = (total, shape)
         total += int(np.prod(shape))
     return offsets, total
@@ -824,7 +841,7 @@ def flatten(space: TensorSpace, cs: CoeffSet) -> np.ndarray:
 
 
 def _active_mask_flat(space: TensorSpace, lv, p: tuple[int, ...]) -> np.ndarray:
-    m = space.masks[lv]
+    m = space_masks(space)[lv]
     return np.broadcast_to(
         m.reshape(m.shape + (1,) * len(p)), m.shape + tuple(p)
     ).ravel()

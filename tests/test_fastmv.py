@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrdg import fastmv, operators1d, pyramid, runner
+from mrdg import fastmv, grids, operators1d, pyramid, runner
 from mrdg.config import RunConfig
 from mrdg.fastmv import (
     TensorOperator,
@@ -60,6 +60,7 @@ from conftest import (
     node_values,
     random_coeffs,
     random_pruning,
+    space_masks,
     variable_speed_factors,
 )
 
@@ -161,8 +162,9 @@ def test_coeffset_buffer_ops_match_per_level(d, seed, data):
     ones = space.zeros(p)
     ones.buf[:] = 1.0
     space.mask(ones)
+    masks = space_masks(space)
     for l in space.levels:
-        want = space.masks[l].reshape(space.masks[l].shape + (1,) * d)
+        want = masks[l].reshape(masks[l].shape + (1,) * d)
         np.testing.assert_array_equal(ones.data[l], np.broadcast_to(want, ones.data[l].shape))
 
     # conform onto a mutated grid is a per-level copy, masked
@@ -179,9 +181,10 @@ def test_coeffset_buffer_ops_match_per_level(d, seed, data):
     moved = TensorSpace(grid)
     got = moved.conform(a)
     assert list(got.data) == moved.levels
+    masks = space_masks(moved)
     for l in moved.levels:
         want = ref_a[l] if l in ref_a else np.zeros(got.data[l].shape)
-        mask = moved.masks[l].reshape(moved.masks[l].shape + (1,) * d)
+        mask = masks[l].reshape(masks[l].shape + (1,) * d)
         np.testing.assert_array_equal(got.data[l], np.where(mask, want, 0.0))
 
 
@@ -301,7 +304,7 @@ def test_dense_groups_and_cascaded_chains_equal_dense_restriction(monkeypatch, d
     # with the dense bound at a few p, one sweep holds both dense groups
     # (fibers of top level A <= log2(polys)) and cascaded chains (the rest)
     monkeypatch.setattr(fastmv, "DENSE_ENTRIES", polys * (k + 1))
-    fastmv._layout.cache_clear()  # plans built under the usual bound
+    grids.level_layout.cache_clear()  # plans built under the usual bound
     (terms,) = [terms for name, terms in operator_menu(d, k, n) if name == "wave-const"]
     top = TensorOperator(terms)
     p_in = (k + 1,) * d
@@ -316,7 +319,7 @@ def test_dense_groups_and_cascaded_chains_equal_dense_restriction(monkeypatch, d
             plans = space.layout.plans.values()
             assert all(plan.groups and plan.chains for plan in plans)
             assert all(rows <= polys * (k + 1) for plan in plans for rows, _, _ in plan.groups)
-    fastmv._layout.cache_clear()  # nor are these plans kept
+    grids.level_layout.cache_clear()  # nor are these plans kept
 
 
 def test_dense_block_grows_to_the_levels_applied(monkeypatch):
@@ -462,7 +465,7 @@ def plan_builds(monkeypatch):
         return build(layout, *key)
 
     monkeypatch.setattr(fastmv, "_build_plan", counted)
-    fastmv._layout.cache_clear()  # layouts other tests built hold their plans
+    grids.level_layout.cache_clear()  # layouts other tests built hold their plans
     return builds
 
 
@@ -554,7 +557,7 @@ def test_sweep_plans_gather_and_gather_back_by_permutations(d, seed, data):
     # linked to the previous one's output by the index of each of its
     # entries in that output's order.
     n = {1: 5, 2: 4, 3: 3}[d]
-    layout = fastmv.LevelLayout(tuple(TensorSpace(random_pruning(d, n, seed)).levels))
+    layout = grids.LevelLayout(tuple(TensorSpace(random_pruning(d, n, seed)).levels))
     p_in = tuple(data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d), label="p_in"))
     plans = []
     for dim in range(d):
@@ -599,7 +602,7 @@ def test_fiber_orders_equal_the_orders_built_fiber_by_fiber(d, seed, bound, data
     # `_order` must keep the fiber-by-fiber build's orders; with small dense
     # bounds a dense order holds both groups and cascaded chains
     n = {1: 6, 2: 5, 3: 4}[d]
-    layout = fastmv.LevelLayout(tuple(TensorSpace(random_pruning(d, n, seed)).levels))
+    layout = grids.LevelLayout(tuple(TensorSpace(random_pruning(d, n, seed)).levels))
     p = tuple(data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d), label="p"))
     with mock.patch.object(fastmv, "DENSE_ENTRIES", bound):
         for dim in range(d):
@@ -632,7 +635,7 @@ def test_layouts_keep_one_index_map_per_order_and_one_table_per_node_layout(d, n
     # distinct last-sweep output order and one link per distinct pair of
     # consecutive orders; the value and derivative node forms share one
     # index table per `Chains`
-    fastmv._layout.cache_clear()  # layouts other tests built hold their maps
+    grids.level_layout.cache_clear()  # layouts other tests built hold their maps
     prob = make_problem("smooth-speed", d)
     cfg = SchemeConfig(
         ndim=d, k=2, m=3, variant="interface", n_max=n, sigma=10.0, bc=prob.bc, csq=prob.csq
@@ -665,7 +668,7 @@ def test_layouts_keep_one_index_map_per_order_and_one_table_per_node_layout(d, n
         names = [build.__name__ for build in ch.tables]
         assert len(names) == len(set(names))  # one table of each kind
         assert all(build.__self__ is ea.nodes for build in ch.tables if build.__name__ != "_gather")
-    fastmv._layout.cache_clear()
+    grids.level_layout.cache_clear()
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
@@ -673,7 +676,7 @@ def test_first_apply_builds_each_fiber_order_once(d, n, monkeypatch):
     # the operators of one apply share their fiber orders while they make
     # their maps, then drop them; the layout keeps the maps a warm apply
     # reads, no more
-    fastmv._layout.cache_clear()
+    grids.level_layout.cache_clear()
     builds = collections.Counter()
     build = fastmv._order
 
@@ -702,14 +705,14 @@ def test_first_apply_builds_each_fiber_order_once(d, n, monkeypatch):
     made = sum(builds.values())
     wop.apply(space, random_coeffs(space, wop.p_a, 1))
     assert sum(builds.values()) == made  # a warm apply builds none
-    fastmv._layout.cache_clear()
+    grids.level_layout.cache_clear()
 
 
 def test_forced_side_node_forms_keep_their_own_tables():
     # layered-aligned samples both one-sided limits across the planes: the
     # forced sides move the nodes on a breakpoint, so they share no table
     # with the unforced forms
-    fastmv._layout.cache_clear()
+    grids.level_layout.cache_clear()
     n = 3
     prob = make_problem("layered-aligned", 2)
     cfg = SchemeConfig(
@@ -724,7 +727,7 @@ def test_forced_side_node_forms_keep_their_own_tables():
     owners = [b.__self__ for ch in space.layout.chains.values() for b in ch.tables]
     for nodes in (ea, minus, plus):  # each cascaded on its own tables
         assert any(owner is nodes for owner in owners)
-    fastmv._layout.cache_clear()
+    grids.level_layout.cache_clear()
 
 
 def test_adaptive_run_builds_plans_per_level_list(plan_builds, monkeypatch):

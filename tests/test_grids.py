@@ -1,7 +1,7 @@
-"""Multilevel element bookkeeping: keys, closure, per-level cell masks.
+"""Multilevel element bookkeeping: keys, closure, the active-cell array.
 
 The key-by-key tests check the reference model in `conftest.py`, which
-`test_adapt.py` compares the whole-mask regrid against.
+`test_adapt.py` compares the whole-array regrid against.
 """
 
 import itertools
