@@ -38,12 +38,12 @@ A fiber order depends only on the level list, m, the polynomial counts and
 whether the factor is dense, so the `_SweepPlan`s and the index maps live
 on the `LevelLayout` of the level list: each map once, and only those a warm
 apply reads (first gathers, links, last gathers back).  A plan needs only
-the counts of its fibers (`_fibers`).  The maps come from the fiber orders
-(`_order`), each built once while the first apply on the layout makes them:
-a kept gather or gather back stands for its order, and the layout holds
-the others until that apply ends (`LevelLayout.orders`).  Gathers and
-products are work arrays (`work_array`) that the next sweep reuses, so a
-warm dense apply allocates none of them.
+the counts of its fibers (`_fibers`).  Each map is made from fiber orders
+(`_order`) that exist only while `_map` makes it: an order is its kept
+gather, the inverse of its kept gather back, or built afresh, so a first
+apply may build one order more than once, and nothing but the maps stays.
+Gathers and products are work arrays (`work_array`) that the next sweep
+reuses, so a warm dense apply allocates none of them.
 
 Operators with more than one unconstrained dimension are expanded into at
 most 2^(d-1) sweepable terms by L+U splitting of the surplus factors.
@@ -295,19 +295,6 @@ def _order(layout: LevelLayout, dim: int, p: tuple[int, ...], dense: bool) -> np
     return np.concatenate(parts)
 
 
-def _fiber_order(layout: LevelLayout, order: Order) -> np.ndarray:
-    """`_order`: its kept gather, the inverse of its kept gather back, or
-    built once and held on the layout until a map stands for it or the
-    caller drops `orders`."""
-    hit = layout.maps.get((None, order))
-    if hit is None:
-        back = layout.maps.get((order, None))
-        hit = layout.orders.get(order) if back is None else _inverse(back)
-    if hit is None:
-        hit = layout.orders[order] = _order(layout, *order)
-    return hit
-
-
 def _inverse(index: np.ndarray) -> np.ndarray:
     out = np.empty_like(index)
     out[index] = np.arange(len(index))
@@ -341,9 +328,11 @@ def _plan(
 
 
 def _products(op: Operator1D, xg: np.ndarray, plan: _SweepPlan) -> np.ndarray:
-    """A dense factor on the gathered fibers, into a work array in the same
-    order: one product of its leading block per group, and the form's
-    cascade on the fibers after the groups."""
+    """A factor on the gathered fibers, in the same order: without dense
+    groups its form's cascade itself, else, into a work array, one product
+    of its leading block per group and the cascade on the fibers after."""
+    if not plan.groups:
+        return op.mat.cascade(op.tag, xg, plan.chains)
     yg = work_array("products", xg.shape)
     mat = op.mat.block
     for rows, width, at in plan.groups:
@@ -364,11 +353,7 @@ def _sweeps(
     plan, p = _plan(layout, p, ops[dims[0]], dims[0])
     xg = _take(x, _map(layout, None, plan.order_in), "gathered")
     for dim, after in zip(dims, dims[1:] + [None]):
-        op = ops[dim]
-        if isinstance(op.mat, LeadingBlock):
-            yg = _products(op, xg, plan)
-        else:
-            yg = op.mat.cascade(op.tag, xg, plan.chains)
+        yg = _products(ops[dim], xg, plan)
         if after is not None:
             nxt, p = _plan(layout, p, ops[after], after)
             xg = _take(yg, _map(layout, plan.order_out, nxt.order_in), "gathered")
@@ -382,22 +367,30 @@ def _take(x: np.ndarray, index: np.ndarray, role: str) -> np.ndarray:
     return np.take(x, index, out=work_array(role, index.shape), mode="clip")
 
 
-def _map(layout: LevelLayout, out: Order | None, into: Order | None, keep: bool = True):
+def _map(layout: LevelLayout, out: Order | None, into: Order | None) -> np.ndarray:
     """Where each entry of the order `into` sits in the order `out`, None
     standing for buffer order: a gather, a link or, into None, the gather
-    back.  Made on first use, and kept on the layout with `keep`."""
-    hit = layout.maps.get((out, into))
+    back.  Made on first use and kept on the layout.  The fiber orders it
+    is made from exist only here: each is its kept gather, the inverse of
+    its kept gather back or a fresh `_order`, and goes when the map is made."""
+    maps = layout.maps
+    hit = maps.get((out, into))
     if hit is None:
+        def gather(order: Order) -> np.ndarray:
+            hit = maps.get((None, order))
+            if hit is None:
+                back = maps.get((order, None))
+                hit = _order(layout, *order) if back is None else _inverse(back)
+            return hit
+
         if out is None:
-            hit = _fiber_order(layout, into)
-        elif into is None:
-            hit = _inverse(_fiber_order(layout, out))
+            hit = gather(into)
         else:
-            hit = _map(layout, out, None, False)[_map(layout, None, into, False)]
-        if keep:
-            layout.maps[out, into] = hit
-            if out is None or into is None:
-                layout.orders.pop(out or into, None)  # the map stands for the order
+            back = maps.get((out, None))
+            if back is None:
+                back = _inverse(gather(out))
+            hit = back if into is None else back[gather(into)]
+        maps[out, into] = hit
     return hit
 
 

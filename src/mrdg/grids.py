@@ -79,8 +79,7 @@ class LevelLayout:
         self.cells = self.starts[-1]
         self.plans = {}  # `fastmv._SweepPlan`s by sweep
         self.chains = {}  # `Chains` by counts
-        self.maps = {}  # the index maps a warm apply reads (`fastmv._map`)
-        self.orders = {}  # fiber orders while maps are made; the caller drops them
+        self.maps = {}  # the index maps a warm apply reads, no fiber order (`fastmv._map`)
         self.moves = {}  # `cell_map` by the old level list
         self.regrids = {}  # `_cell_tables` by n_max
 

@@ -217,9 +217,7 @@ class WaveOperator:
     ) -> CoeffSet:
         """out += L u (allocates a fresh zero target when out is None).
         The node samples are made one term at a time, as the interpolated
-        terms use them, so at most two are alive at once.  The fiber orders
-        that the first apply on a layout builds for its index maps serve all
-        the operators, then go."""
+        terms use them, so at most two are alive at once."""
         if self.cfg.csq.is_constant:
             out = self._op_const.apply(space, u, out)
         else:
@@ -231,7 +229,6 @@ class WaveOperator:
                 for node_op, force, _ in self._terms
             )
             self.apply_interpolated(space, samples, out)
-        space.layout.orders.clear()
         return out
 
     def apply_interpolated(

@@ -672,10 +672,9 @@ def test_layouts_keep_one_index_map_per_order_and_one_table_per_node_layout(d, n
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
-def test_first_apply_builds_each_fiber_order_once(d, n, monkeypatch):
-    # the operators of one apply share their fiber orders while they make
-    # their maps, then drop them; the layout keeps the maps a warm apply
-    # reads, no more
+def test_first_apply_keeps_exactly_the_maps_a_warm_apply_reads(d, n, monkeypatch):
+    # the layout keeps the maps a warm apply reads, no more, and a warm
+    # apply builds no fiber order
     grids.level_layout.cache_clear()
     builds = collections.Counter()
     build = fastmv._order
@@ -692,8 +691,6 @@ def test_first_apply_builds_each_fiber_order_once(d, n, monkeypatch):
     wop = WaveOperator(cfg)
     space = TensorSpace(AdaptiveGrid.sparse(d, n))
     wop.apply(space, random_coeffs(space, wop.p_a, 0))
-    assert set(builds.values()) == {1}
-    assert not space.layout.orders
     keys = set()
     applied = [(wop._penalty, wop.p_a)]
     for node_op, _, op in wop._terms:
@@ -705,6 +702,55 @@ def test_first_apply_builds_each_fiber_order_once(d, n, monkeypatch):
     made = sum(builds.values())
     wop.apply(space, random_coeffs(space, wop.p_a, 1))
     assert sum(builds.values()) == made  # a warm apply builds none
+    grids.level_layout.cache_clear()
+
+
+def _arrays(obj, seen: set):
+    """Every ndarray reachable from obj through dict values, sequences and
+    object attributes, each once."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return
+    for item in items:
+        yield from _arrays(item, seen)
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("run", ["interpolated", "bare"])
+def test_no_fiber_order_outlives_the_map_it_is_made_for(d, n, run):
+    # first applies that no `WaveOperator.apply` wraps, the interpolated
+    # terms alone or one bare operator whose sweeps all change the
+    # polynomial counts, leave on the layout only its kept maps and the
+    # `Chains` with their tables
+    prob = make_problem("smooth-speed", d)
+    cfg = SchemeConfig(
+        ndim=d, k=2, m=3, variant="interface", n_max=n, sigma=10.0, bc=prob.bc, csq=prob.csq
+    )
+    wop = WaveOperator(cfg)
+    grids.level_layout.cache_clear()
+    space = TensorSpace(AdaptiveGrid.sparse(d, n))
+    if run == "interpolated":
+        samples = [random_coeffs(space, wop.p_i, seed) for seed in range(len(wop._terms))]
+        wop.apply_interpolated(space, samples)
+    else:
+        ea = assemble_node_values(node_family(3, "interface", n), alpert_family(2, n))
+        TensorOperator.from_factors((ea,) * d).apply(space, random_coeffs(space, wop.p_a, 0))
+    layout = space.layout
+    assert layout.maps
+    kept = {id(a) for a in layout.maps.values()} | {id(a) for a in _arrays(layout.chains, set())}
+    held = [a.shape for a in _arrays(layout, set()) if id(a) not in kept]
+    assert not held
     grids.level_layout.cache_clear()
 
 
